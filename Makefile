@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint fuzz fuzz-smoke test-shards bench bench-obs bench-obs-smoke bench-shards bench-alloc bench-wal soak crash-soak chaos serve-bench ci clean
+.PHONY: all build test race vet fmt-check lint fuzz fuzz-smoke test-shards bench bench-obs bench-obs-smoke bench-shards bench-alloc bench-wal soak crash-soak chaos benchmark benchmark-smoke ci clean
 
 all: build
 
@@ -41,8 +41,8 @@ fuzz-smoke:
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzServerFrameDecoder -fuzztime 10s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALDecoder -fuzztime 10s
 
-# Shard-invariance gate: every lifeguard x driver at shards {1,2,3,8} must be
-# byte-identical to the serial oracle (reports, order, final SOS), plus the
+# Shard-invariance gate: every lifeguard x entry point at shards {1,2,3,8} must
+# be byte-identical to the serial reference (reports, order, final SOS), plus the
 # property-based per-shard SOS checks — all under the race detector.
 test-shards:
 	$(GO) test ./internal/core -race -count=1 -run 'TestDifferentialShardInvariance|TestShardPropertySOS|TestIncrementalErrFinished'
@@ -87,13 +87,24 @@ chaos:
 	$(GO) test ./internal/failpoint -race -count=1 -tags failpoints
 	$(GO) test ./internal/server -race -count=1 -tags failpoints -run 'TestChaos|TestDegradedReentry'
 
-# End-to-end server throughput: client encode -> TCP -> decode -> analysis.
-serve-bench:
-	$(GO) test ./internal/server -run XXX -bench 'BenchmarkServerThroughput$$' -benchtime 5x -count 2 -benchmem
-
-# Batch-vs-stream driver microbenchmarks (bytes in, reports out).
+# Driver microbenchmark (stream bytes in, reports out).
 bench:
-	$(GO) test ./internal/core -run XXX -bench 'BenchmarkDriver(Batch|Stream)$$' -benchtime 3x -benchmem
+	$(GO) test ./internal/core -run XXX -bench 'BenchmarkDriverStream$$' -benchtime 3x -benchmem
+
+# The repo's benchmark (BENCHMARK.json, benchmark/README.md): all seven
+# workloads, every end-to-end and per-layer metric.
+benchmark:
+	$(GO) run ./benchmark
+
+# One short in-process workload for the CI gate. It is the only gate that
+# compiles benchmark/ against internal/... and re-checks its golden report
+# digests through both RunStream and Run; the last stdout line is the JSON
+# result and must say correct with nothing failed.
+benchmark-smoke:
+	@out=$$($(GO) run ./benchmark --workload churn-local --seed 1 --seconds 2 --trace 0 | tail -n 1); \
+	echo "$$out"; \
+	echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0[,}]' || \
+		{ echo "benchmark-smoke: result is not correct:true, failed:0"; exit 1; }
 
 # Telemetry overhead guard: the streaming pipeline uninstrumented, with a
 # registry, and with registry + span recorder, plus the per-hook
@@ -118,9 +129,10 @@ bench-obs-smoke:
 # mask them, `fuzz-smoke` gives each decoder fuzzer a short budget beyond
 # its checked-in seed corpus, `bench-alloc` fails the build if the
 # steady-state epoch loop or the WAL append path starts allocating again,
-# and `bench-obs-smoke` proves the instrumented driver and server paths
-# still run end to end.
-ci: lint build race soak crash-soak test-shards chaos fuzz-smoke bench-alloc bench-obs-smoke
+# `bench-obs-smoke` proves the instrumented driver and server paths still
+# run end to end, and `benchmark-smoke` proves the benchmark still builds
+# and verifies its reports.
+ci: lint build race soak crash-soak test-shards chaos fuzz-smoke bench-alloc bench-obs-smoke benchmark-smoke
 
 clean:
 	rm -f core.test server.test cpu.prof mem.prof

@@ -4,11 +4,7 @@
 //
 // Usage:
 //
-//	butterfly-bench [-exp all|table1|fig11|fig12|fig13|ablate|stream|shards|wal] [flags]
-//
-// -exp stream compares the streaming pipelined driver against the batch
-// driver end to end (encoded bytes in, reports out), reporting wall time,
-// throughput speedup and sampled peak heap per benchmark.
+//	butterfly-bench [-exp all|table1|fig11|fig12|fig13|ablate|shards|wal] [flags]
 //
 // -exp shards runs the address-sharding ablation: a state-heavy fragmented
 // heap workload at shard counts 1, 2, 4 and 8 (-shards overrides), reporting
@@ -38,8 +34,8 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all, table1, fig11, fig12, fig13, ablate, stream, shards, wal")
-		reps    = flag.Int("reps", 3, "repetitions per pipeline for -exp stream/shards/wal (best time wins)")
+		exp     = flag.String("exp", "all", "experiment: all, table1, fig11, fig12, fig13, ablate, shards, wal")
+		reps    = flag.Int("reps", 3, "repetitions per configuration for -exp shards/wal (best time wins)")
 		shards  = flag.String("shards", "", "comma-separated shard counts for -exp shards (default 1,2,4,8); elsewhere a single count for the driver")
 		scale   = flag.Float64("scale", 0, "scale factor for work and epoch sizes (0 = default 1/32)")
 		threads = flag.String("threads", "2,4,8", "comma-separated application thread counts")
@@ -131,14 +127,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Println(bench.RenderTaintAblation(rows))
-	case "stream":
-		start := time.Now()
-		rows, err := bench.StreamAblation(o, o.HSmall, *reps)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("(measured in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(bench.RenderStreamAblation(rows))
 	case "shards":
 		start := time.Now()
 		rows, err := bench.ShardAblation(o, shardCounts, *reps)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"time"
 
 	"butterfly/internal/apps"
 	"butterfly/internal/core"
@@ -245,6 +246,46 @@ func (c *measureCtx) Measure(app apps.App, threads, h int) (*RunMeasurement, err
 		PeakHeapBytes:    peakHeap,
 		GCCycles:         memAfter.NumGC - memBase.NumGC,
 	}, nil
+}
+
+// heapSampler polls runtime.MemStats on its own goroutine and records the
+// high-water HeapAlloc. Sampling misses short spikes but suffices for the
+// figures' GC-pressure columns, which track growth that persists for the run.
+type heapSampler struct {
+	quit chan struct{}
+	done chan uint64
+}
+
+func startHeapSampler() *heapSampler {
+	s := &heapSampler{quit: make(chan struct{}), done: make(chan uint64)}
+	go func() {
+		var peak uint64
+		var ms runtime.MemStats
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				runtime.ReadMemStats(&ms)
+				if ms.HeapAlloc > peak {
+					peak = ms.HeapAlloc
+				}
+			case <-s.quit:
+				runtime.ReadMemStats(&ms)
+				if ms.HeapAlloc > peak {
+					peak = ms.HeapAlloc
+				}
+				s.done <- peak
+				return
+			}
+		}
+	}()
+	return s
+}
+
+func (s *heapSampler) stop() uint64 {
+	close(s.quit)
+	return <-s.done
 }
 
 // Normalized returns a time normalized to the sequential unmonitored run

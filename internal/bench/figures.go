@@ -53,6 +53,17 @@ func RenderFig11(rows []Fig11Row) string {
 	return b.String()
 }
 
+func fmtBytes(v uint64) string {
+	switch {
+	case v >= 1<<20:
+		return fmt.Sprintf("%.1fMB", float64(v)/(1<<20))
+	case v >= 1<<10:
+		return fmt.Sprintf("%.1fKB", float64(v)/(1<<10))
+	default:
+		return fmt.Sprintf("%dB", v)
+	}
+}
+
 // Fig12Row is one group of Figure 12: butterfly performance at the two
 // epoch sizes.
 type Fig12Row struct {

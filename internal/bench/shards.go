@@ -12,7 +12,7 @@ import (
 	"butterfly/internal/trace"
 )
 
-// Shards ablation: the same state-heavy workload through the batch driver at
+// Shards ablation: the same state-heavy workload through Driver.Run at
 // increasing shard counts. The workload is a heavily fragmented allocation
 // map — tens of thousands of disjoint small slots, so the SOS holds one
 // interval per slot — with random accesses on two threads; this is the

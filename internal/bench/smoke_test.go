@@ -30,33 +30,3 @@ func TestSmokeSweep(t *testing.T) {
 		t.Error("Table1 empty")
 	}
 }
-
-// TestSmokeStreamAblation runs a reduced streaming-vs-batch ablation and
-// checks both pipelines agree on what they report.
-func TestSmokeStreamAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	o := DefaultOptions()
-	o.Scale = 1.0 / 256
-	o.Threads = []int{2}
-	o.Apps = []string{"fft", "ocean"}
-	rows, err := StreamAblation(o, o.HSmall, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("expected 2 rows, got %d", len(rows))
-	}
-	t.Log("\n" + RenderStreamAblation(rows))
-	for i := range rows {
-		r := &rows[i]
-		if r.BatchReports != r.StreamReports {
-			t.Errorf("%s/%d threads: batch reported %d, stream reported %d",
-				r.App, r.Threads, r.BatchReports, r.StreamReports)
-		}
-		if r.Events == 0 || r.Epochs == 0 || r.BatchTime == 0 || r.StreamTime == 0 {
-			t.Errorf("%s/%d threads: degenerate measurement %+v", r.App, r.Threads, r)
-		}
-	}
-}

@@ -19,18 +19,18 @@
 //	update: the epoch's net effect (GENₗ/KILLₗ) advances the SOS.
 //
 // The Driver schedules these steps, owns the SOS (single writer), and — in
-// parallel mode — runs each pass with one goroutine per thread separated by
-// barriers, mirroring the paper's implementation. Two execution modes exist:
-// Run analyzes a fully materialized epoch.Grid; RunStream (stream.go)
-// ingests epoch rows incrementally from a BlockSource, overlaps decoding
-// with analysis on persistent per-thread workers, and retains only the
-// sliding window, so an unbounded trace can be monitored in bounded memory.
-// Both modes produce identical results.
+// parallel mode — runs each pass with one persistent worker per thread
+// separated by barriers, mirroring the paper's implementation. One engine
+// executes the schedule: the sliding-window streamState (stream.go) behind
+// Incremental, which is fed one epoch row at a time and retains only the
+// window, so an unbounded trace can be monitored in bounded memory. RunStream
+// pulls the rows from a BlockSource and overlaps decoding with analysis; Run
+// feeds the rows of a fully materialized epoch.Grid. Results are a function
+// of the rows alone, not of how they arrive or how the passes are scheduled.
 package core
 
 import (
 	"fmt"
-	"sync"
 
 	"butterfly/internal/epoch"
 	"butterfly/internal/obs"
@@ -125,7 +125,7 @@ type WingAggregator interface {
 // is built: the WingAggregator contract guarantees MergeWings returns fresh
 // aggregates, so the returned row never aliases the recycled prefixes and
 // suffixes.
-func exclAggRow(wa WingAggregator, row []Summary, out, pre []any, rec WingRecycler) []any {
+func exclAggRow(wa WingAggregator, row []Summary, out, pre []any, rec Recycler) []any {
 	T := len(row)
 	if cap(out) >= T {
 		out = out[:T]
@@ -148,14 +148,14 @@ func exclAggRow(wa WingAggregator, row []Summary, out, pre []any, rec WingRecycl
 			old := suf
 			suf = wa.AddWing(suf, row[t])
 			if rec != nil {
-				rec.RecycleWings(old)
+				rec.Recycle(old)
 			}
 		}
 	}
 	if rec != nil {
-		rec.RecycleWings(suf)
+		rec.Recycle(suf)
 		for _, a := range pre {
-			rec.RecycleWings(a)
+			rec.Recycle(a)
 		}
 	}
 	for i := range pre {
@@ -192,8 +192,8 @@ type Lifeguard interface {
 	UpdateSOS(prev State, prevEpoch, curEpoch []Summary) State
 }
 
-// Driver schedules a lifeguard over a grid (Run) or an incremental stream
-// of epoch rows (RunStream). The same configuration applies to both modes.
+// Driver configures a lifeguard run. Run, RunStream and NewIncremental are
+// three ways of delivering epoch rows to the same engine.
 type Driver struct {
 	// LG is the lifeguard to run.
 	LG Lifeguard
@@ -226,7 +226,7 @@ type Driver struct {
 	Trace *obs.TraceRecorder
 }
 
-// Result is the outcome of a Driver.Run.
+// Result is the outcome of a run.
 type Result struct {
 	// Reports holds all reports in (epoch, pass, thread, instruction) order.
 	Reports []Report
@@ -240,242 +240,28 @@ type Result struct {
 	SOSHistory []State
 }
 
-// Run executes the two-pass butterfly algorithm over the whole grid.
+// Run analyzes a fully materialized grid by feeding its rows through an
+// Incremental. The rows stay caller-owned: no row recycler is registered, so
+// the same grid can be analyzed again.
 func (d *Driver) Run(g *epoch.Grid) *Result {
-	L := g.NumEpochs()
-	T := g.NumThreads
-	res := &Result{Epochs: L, Events: g.TotalEvents()}
-	if L == 0 || T == 0 {
-		res.FinalSOS = d.LG.BottomState()
-		return res
+	if g.NumThreads == 0 {
+		return &Result{Epochs: g.NumEpochs(), Events: g.TotalEvents(), FinalSOS: d.LG.BottomState()}
 	}
-
-	// Sliding window of summaries: sum[l] for the last few epochs. When the
-	// lifeguard aggregates wings, aggRows[l][t] is the fold of epoch l's
-	// summaries excluding thread t, maintained over the same window.
-	sums := make([][]Summary, L)
-	m := d.metrics(T)
-	sh := d.newSharding(m)
-	wa, _ := d.LG.(WingAggregator)
-	if sh != nil {
-		// Sharded runs fold wings inside each per-shard task; the driver's
-		// whole-summary exclusive aggregates don't apply to sharded summaries.
-		wa = nil
+	inc, err := d.NewIncremental(g.NumThreads)
+	if err != nil {
+		panic(err)
 	}
-	var aggRows [][]any
-	var aggPre []any
-	if wa != nil {
-		aggRows = make([][]any, L)
-		aggPre = make([]any, T)
-	}
-	// Recycling hooks (recycle.go): only without KeepHistory — history
-	// aliases the live summaries and SOS generations.
-	var sumRec SummaryRecycler
-	var stateRec StateRecycler
-	var wingRec WingRecycler
-	if !d.KeepHistory {
-		sumRec, _ = d.LG.(SummaryRecycler)
-		stateRec, _ = d.LG.(StateRecycler)
-		if wa != nil {
-			wingRec, _ = d.LG.(WingRecycler)
+	defer inc.Close()
+	for _, row := range g.Blocks {
+		// Only a malformed grid (wrong row width, mislabeled or nil block)
+		// fails the row check; epoch's chunkers never build one.
+		if _, err := inc.FeedEpoch(row); err != nil {
+			panic(err)
 		}
 	}
-	sos := make([]State, L+2)
-	sos[0] = d.bottomState(sh)
-	if L+2 > 1 {
-		sos[1] = d.bottomState(sh)
-	}
-
-	sumAt := func(l int) []Summary {
-		if l < 0 || l >= L {
-			return nil
-		}
-		return sums[l]
-	}
-	aggAt := func(l int) []any {
-		if wa == nil || l < 0 || l >= L {
-			return nil
-		}
-		return aggRows[l]
-	}
-
-	firstPass := func(l int) {
-		ctx := PassContext{SOS: sos[l], Epoch1Back: sumAt(l - 1), Epoch2Back: sumAt(l - 2), Sharding: sh}
-		out := make([]Summary, T)
-		reports := make([][]Report, T)
-		run := func(t int) {
-			start := m.now()
-			c := ctx
-			if c.Epoch1Back != nil {
-				c.Head = c.Epoch1Back[t]
-			}
-			out[t], reports[t] = d.LG.FirstPass(g.Block(l, trace.ThreadID(t)), c)
-			m.stageDone(stageFirstPass, l, tidWorker(t), start)
-		}
-		d.forEachThread(T, run)
-		sums[l] = out
-		if wa != nil {
-			aggRows[l] = exclAggRow(wa, out, nil, aggPre, wingRec)
-			m.wingFolded(T)
-		}
-		for t := 0; t < T; t++ {
-			res.Reports = append(res.Reports, reports[t]...)
-			m.countReports(reports[t])
-		}
-	}
-
-	secondPass := func(l int) {
-		ctx := PassContext{SOS: sos[l], Epoch1Back: sumAt(l - 1), Epoch2Back: sumAt(l - 2), Sharding: sh}
-		aggs := [3][]any{aggAt(l - 1), aggAt(l), aggAt(l + 1)}
-		reports := make([][]Report, T)
-		run := func(t int) {
-			start := m.now()
-			c := ctx
-			if c.Epoch1Back != nil {
-				c.Head = c.Epoch1Back[t]
-			}
-			c.Own = sums[l][t]
-			for k, row := range aggs {
-				if row != nil {
-					c.WingAggs[k] = row[t]
-				}
-			}
-			var wings []Summary
-			for le := l - 1; le <= l+1; le++ {
-				row := sumAt(le)
-				if row == nil {
-					continue
-				}
-				for tt, s := range row {
-					if tt != t {
-						wings = append(wings, s)
-					}
-				}
-			}
-			reports[t] = d.LG.SecondPass(g.Block(l, trace.ThreadID(t)), c, wings)
-			m.stageDone(stageSecondPass, l, tidWorker(t), start)
-		}
-		d.forEachThread(T, run)
-		for t := 0; t < T; t++ {
-			res.Reports = append(res.Reports, reports[t]...)
-			m.countReports(reports[t])
-		}
-	}
-
-	for l := 0; l < L; l++ {
-		if l >= 2 {
-			// SOSₗ = GEN_{l−2} ∪ (SOS_{l−1} − KILL_{l−2}).
-			start := m.now()
-			sos[l] = d.updateSOS(sh, sos[l-1], sumAt(l-3), sumAt(l-2))
-			m.stageDone(stageSOSUpdate, l, tidDriver, start)
-			m.sosUpdated(sos[l])
-		}
-		firstPass(l)
-		if l >= 1 {
-			secondPass(l - 1)
-		}
-		if m != nil {
-			ev := 0
-			for t := 0; t < T; t++ {
-				ev += g.Block(l, trace.ThreadID(t)).Len()
-			}
-			m.epochDone(ev, T)
-		}
-		if l >= 4 {
-			// Epoch l−4 can no longer be referenced by any pass or update.
-			if !d.KeepHistory {
-				if sumRec != nil {
-					for _, s := range sums[l-4] {
-						if s != nil {
-							sumRec.RecycleSummary(s)
-						}
-					}
-				}
-				sums[l-4] = nil
-			}
-			if wa != nil {
-				if wingRec != nil {
-					for _, a := range aggRows[l-4] {
-						if a != nil {
-							wingRec.RecycleWings(a)
-						}
-					}
-				}
-				aggRows[l-4] = nil
-			}
-		}
-		if stateRec != nil && l >= 2 {
-			// SOS_{l−2} was last read by the previous iteration's passes.
-			stateRec.RecycleState(sos[l-2])
-			sos[l-2] = nil
-		}
-	}
-	secondPass(L - 1)
-	// Final SOS updates for the epochs past the end.
-	for l := L; l < L+2; l++ {
-		if l >= 2 {
-			start := m.now()
-			sos[l] = d.updateSOS(sh, sos[l-1], sumAt(l-3), sumAt(l-2))
-			m.stageDone(stageSOSUpdate, l, tidDriver, start)
-			m.sosUpdated(sos[l])
-		}
-	}
-	// All SOS generations before the merged final one are dead now; sos[L+1]
-	// itself is NOT recycled — mergeSOS may retain it as the FinalSOS. The
-	// window's remaining summary rows and wing folds are dead too.
-	if stateRec != nil {
-		for l := L - 2; l <= L; l++ {
-			if l >= 0 && sos[l] != nil {
-				stateRec.RecycleState(sos[l])
-				sos[l] = nil
-			}
-		}
-	}
-	for l := max(0, L-4); l < L; l++ {
-		if sumRec != nil {
-			for _, s := range sums[l] {
-				if s != nil {
-					sumRec.RecycleSummary(s)
-				}
-			}
-			sums[l] = nil
-		}
-		if wingRec != nil {
-			for _, a := range aggRows[l] {
-				if a != nil {
-					wingRec.RecycleWings(a)
-				}
-			}
-			aggRows[l] = nil
-		}
-	}
-	// FinalSOS is always the canonical unsharded representation so results
-	// compare equal across shard counts; SOSHistory (below) keeps the raw
-	// per-epoch states, sharded in sharded runs.
-	res.FinalSOS = d.mergeSOS(sh, sos[L+1])
-	if d.KeepHistory {
-		res.Summaries = sums
-		res.SOSHistory = sos
+	res, err := inc.Finish()
+	if err != nil {
+		panic(err)
 	}
 	return res
-}
-
-// forEachThread runs fn(t) for every thread, in parallel when configured.
-// This is the per-pass barrier: it returns only when all threads finish.
-func (d *Driver) forEachThread(T int, fn func(t int)) {
-	if !d.Parallel || T == 1 {
-		for t := 0; t < T; t++ {
-			fn(t)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(T)
-	for t := 0; t < T; t++ {
-		go func(t int) {
-			defer wg.Done()
-			fn(t)
-		}(t)
-	}
-	wg.Wait()
 }

@@ -1,19 +1,18 @@
 package core_test
 
 // Differential-testing oracle harness (the para-dflow validation pattern):
-// randomized traces are driven through every driver mode — batch serial,
-// batch parallel, streaming serial, streaming pipelined, and streaming
-// pipelined through the wire codec — and all must produce identical
-// canonical reports and identical final SOS, for all four lifeguards. The
-// batch serial driver is the oracle: it is the direct transcription of the
-// paper's algorithm.
+// randomized traces are driven through every way of reaching the engine —
+// Run serial and parallel, RunStream serial, pipelined, and pipelined
+// through the wire codec — and all must produce the identical report
+// sequence and identical final SOS, for all four lifeguards. The oracle is
+// referenceRun, a direct transcription of the paper's algorithm that shares
+// no code with the engine.
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"butterfly/internal/core"
@@ -88,32 +87,73 @@ func randomTrace(rng *rand.Rand, nthreads int) *trace.Trace {
 	return b.Build()
 }
 
-// noAgg hides a lifeguard's WingAggregator implementation, forcing the
-// driver's naive per-body wing walk. The oracle always runs unaggregated,
-// so the prefix/suffix wing-fold path is differentially verified too.
-type noAgg struct{ core.Lifeguard }
-
-// canonReports returns a canonically sorted copy: (epoch, thread, index,
-// code, detail).
-func canonReports(rs []core.Report) []core.Report {
-	out := append([]core.Report(nil), rs...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Ref.Epoch != b.Ref.Epoch {
-			return a.Ref.Epoch < b.Ref.Epoch
+// referenceRun is the oracle of the differential suites: a serial
+// transcription of the two-pass algorithm (§4.3, §5) written only against
+// the exported Lifeguard interface. It keeps whole-grid arrays indexed by
+// epoch, walks the wings naively per body (never filling WingAggs, so the
+// engine's prefix/suffix wing folds are differentially verified too), and
+// has no sharding, recycling or metrics. Every epoch's summaries and SOS are
+// kept in the Result.
+func referenceRun(lg core.Lifeguard, g *epoch.Grid) *core.Result {
+	L, T := g.NumEpochs(), g.NumThreads
+	res := &core.Result{Epochs: L, Events: g.TotalEvents()}
+	if L == 0 || T == 0 {
+		res.FinalSOS = lg.BottomState()
+		return res
+	}
+	sums := make([][]core.Summary, L)
+	sos := make([]core.State, L+2)
+	sos[0], sos[1] = lg.BottomState(), lg.BottomState()
+	row := func(l int) []core.Summary {
+		if l < 0 || l >= L {
+			return nil
 		}
-		if a.Ref.Thread != b.Ref.Thread {
-			return a.Ref.Thread < b.Ref.Thread
+		return sums[l]
+	}
+	ctxFor := func(l, t int) core.PassContext {
+		c := core.PassContext{SOS: sos[l], Epoch1Back: row(l - 1), Epoch2Back: row(l - 2)}
+		if c.Epoch1Back != nil {
+			c.Head = c.Epoch1Back[t]
 		}
-		if a.Ref.Index != b.Ref.Index {
-			return a.Ref.Index < b.Ref.Index
+		return c
+	}
+	secondPass := func(l int) {
+		for t := 0; t < T; t++ {
+			c := ctxFor(l, t)
+			c.Own = sums[l][t]
+			var wings []core.Summary
+			for le := l - 1; le <= l+1; le++ {
+				for tt, s := range row(le) {
+					if tt != t {
+						wings = append(wings, s)
+					}
+				}
+			}
+			res.Reports = append(res.Reports, lg.SecondPass(g.Block(l, trace.ThreadID(t)), c, wings)...)
 		}
-		if a.Code != b.Code {
-			return a.Code < b.Code
+	}
+	for l := 0; l < L; l++ {
+		if l >= 2 {
+			// SOSₗ = GEN_{l−2} ∪ (SOS_{l−1} − KILL_{l−2}).
+			sos[l] = lg.UpdateSOS(sos[l-1], row(l-3), row(l-2))
 		}
-		return a.Detail < b.Detail
-	})
-	return out
+		sums[l] = make([]core.Summary, T)
+		for t := 0; t < T; t++ {
+			var reps []core.Report
+			sums[l][t], reps = lg.FirstPass(g.Block(l, trace.ThreadID(t)), ctxFor(l, t))
+			res.Reports = append(res.Reports, reps...)
+		}
+		if l >= 1 {
+			secondPass(l - 1)
+		}
+	}
+	secondPass(L - 1)
+	for l := max(L, 2); l < L+2; l++ {
+		sos[l] = lg.UpdateSOS(sos[l-1], row(l-3), row(l-2))
+	}
+	res.FinalSOS = sos[L+1]
+	res.Summaries, res.SOSHistory = sums, sos
+	return res
 }
 
 // runStreamOverWire encodes the grid in the streaming trace format and runs
@@ -142,7 +182,10 @@ func TestDifferentialDrivers(t *testing.T) {
 		run  func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result
 	}
 	variants := []variant{
-		{"batch-parallel", func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
+		{"run-serial", func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
+			return (&core.Driver{LG: lg}).Run(g)
+		}},
+		{"run-parallel", func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
 			return (&core.Driver{LG: lg, Parallel: true}).Run(g)
 		}},
 		{"stream-serial", func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
@@ -182,9 +225,7 @@ func TestDifferentialDrivers(t *testing.T) {
 				cfg := fmt.Sprintf("seed=%d threads=%d h=%d skew=%d epochs=%d events=%d",
 					seed, nthreads, h, maxSkew, g.NumEpochs(), g.TotalEvents())
 
-				// Oracle: the batch serial driver with the naive wing walk.
-				want := (&core.Driver{LG: noAgg{mk()}}).Run(g)
-				wantReports := canonReports(want.Reports)
+				want := referenceRun(mk(), g)
 
 				for _, v := range variants {
 					got := v.run(t, mk(), g)
@@ -192,12 +233,12 @@ func TestDifferentialDrivers(t *testing.T) {
 						t.Fatalf("%s %s: epochs/events = %d/%d, want %d/%d",
 							v.name, cfg, got.Epochs, got.Events, want.Epochs, want.Events)
 					}
-					if !reflect.DeepEqual(canonReports(got.Reports), wantReports) {
-						t.Fatalf("%s %s: reports diverge from serial oracle\n got: %v\nwant: %v",
-							v.name, cfg, canonReports(got.Reports), wantReports)
+					if !reflect.DeepEqual(got.Reports, want.Reports) {
+						t.Fatalf("%s %s: reports diverge from the reference\n got: %v\nwant: %v",
+							v.name, cfg, got.Reports, want.Reports)
 					}
 					if !reflect.DeepEqual(got.FinalSOS, want.FinalSOS) {
-						t.Fatalf("%s %s: FinalSOS diverges from serial oracle\n got: %#v\nwant: %#v",
+						t.Fatalf("%s %s: FinalSOS diverges from the reference\n got: %#v\nwant: %#v",
 							v.name, cfg, got.FinalSOS, want.FinalSOS)
 					}
 				}
@@ -206,9 +247,9 @@ func TestDifferentialDrivers(t *testing.T) {
 	}
 }
 
-// TestDifferentialReportOrder pins down the stronger property the drivers
-// actually provide: report order — (epoch, pass, thread, instruction) — is
-// identical across all modes, not merely the canonical multiset.
+// TestDifferentialReportOrder pins down the stronger property the engine
+// actually provides: report order — (epoch, pass, thread, instruction) — is
+// the reference's, not merely the canonical multiset.
 func TestDifferentialReportOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	tr := randomTrace(rng, 4)
@@ -217,17 +258,17 @@ func TestDifferentialReportOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lgName, mk := range lifeguards {
-		want := (&core.Driver{LG: noAgg{mk()}}).Run(g)
+		want := referenceRun(mk(), g)
 		par := (&core.Driver{LG: mk(), Parallel: true}).Run(g)
 		str, err := (&core.Driver{LG: mk(), Parallel: true}).RunStream(epoch.NewGridRows(g))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(par.Reports, want.Reports) {
-			t.Errorf("%s: batch-parallel report order differs from serial", lgName)
+			t.Errorf("%s: parallel Run report order differs from the reference", lgName)
 		}
 		if !reflect.DeepEqual(str.Reports, want.Reports) {
-			t.Errorf("%s: stream report order differs from serial", lgName)
+			t.Errorf("%s: stream report order differs from the reference", lgName)
 		}
 	}
 }
@@ -245,9 +286,11 @@ func TestStreamEmptyInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := (&core.Driver{LG: mk()}).Run(g)
-		if !reflect.DeepEqual(res.FinalSOS, want.FinalSOS) || len(res.Reports) != 0 {
-			t.Errorf("%s: zero-thread stream: got %d reports, FinalSOS mismatch", lgName, len(res.Reports))
+		want := referenceRun(mk(), g)
+		for _, got := range []*core.Result{res, (&core.Driver{LG: mk()}).Run(g)} {
+			if !reflect.DeepEqual(got.FinalSOS, want.FinalSOS) || len(got.Reports) != 0 {
+				t.Errorf("%s: zero-thread grid: got %d reports, FinalSOS mismatch", lgName, len(got.Reports))
+			}
 		}
 
 		oneEmpty := trace.NewBuilder(2).Build() // two threads, no events
@@ -259,9 +302,11 @@ func TestStreamEmptyInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want2 := (&core.Driver{LG: mk()}).Run(g2)
-		if res2.Epochs != want2.Epochs || !reflect.DeepEqual(res2.FinalSOS, want2.FinalSOS) {
-			t.Errorf("%s: empty-epoch stream: epochs %d vs %d", lgName, res2.Epochs, want2.Epochs)
+		want2 := referenceRun(mk(), g2)
+		for _, got := range []*core.Result{res2, (&core.Driver{LG: mk()}).Run(g2)} {
+			if got.Epochs != want2.Epochs || !reflect.DeepEqual(got.FinalSOS, want2.FinalSOS) {
+				t.Errorf("%s: empty-epoch grid: epochs %d vs %d", lgName, got.Epochs, want2.Epochs)
+			}
 		}
 	}
 }

@@ -1,12 +1,13 @@
 package core_test
 
 // Regression guard for the sliding-window retirement logic: KeepHistory
-// only changes what the Result retains, never what the analysis computes.
-// This pins down the `sums[l-4] = nil` window retirement and the post-loop
-// SOS tail updates in core.go, and the equivalent ring-buffer window in
-// stream.go.
+// only changes what the Result retains, never what the analysis computes,
+// and what it retains is epoch for epoch what the reference's whole-grid
+// arrays hold. This pins down the ring-buffer window, its slot reuse and the
+// trailing SOS updates in stream.go.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,6 +15,18 @@ import (
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 )
+
+// checkHistory compares every SOSHistory[l] and Summaries[l][t] of an
+// unsharded KeepHistory run against the reference.
+func checkHistory(t *testing.T, name string, got, want *core.Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.SOSHistory, want.SOSHistory) {
+		t.Fatalf("%s: SOS history diverges from the reference\n got: %v\nwant: %v", name, got.SOSHistory, want.SOSHistory)
+	}
+	if !reflect.DeepEqual(got.Summaries, want.Summaries) {
+		t.Fatalf("%s: summaries diverge from the reference", name)
+	}
+}
 
 func TestKeepHistoryEquivalence(t *testing.T) {
 	for lgName, mk := range lifeguards {
@@ -25,10 +38,11 @@ func TestKeepHistoryEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				want := referenceRun(mk(), g)
 				for _, par := range []bool{false, true} {
 					plain := (&core.Driver{LG: mk(), Parallel: par}).Run(g)
 					hist := (&core.Driver{LG: mk(), Parallel: par, KeepHistory: true}).Run(g)
-					if !reflect.DeepEqual(canonReports(plain.Reports), canonReports(hist.Reports)) {
+					if !reflect.DeepEqual(plain.Reports, hist.Reports) {
 						t.Fatalf("seed %d parallel=%v: KeepHistory changed the reports", seed, par)
 					}
 					if !reflect.DeepEqual(plain.FinalSOS, hist.FinalSOS) {
@@ -37,17 +51,16 @@ func TestKeepHistoryEquivalence(t *testing.T) {
 					if plain.Summaries != nil || plain.SOSHistory != nil {
 						t.Fatalf("seed %d parallel=%v: summaries retained without KeepHistory", seed, par)
 					}
-					if g.NumEpochs() > 0 && (len(hist.Summaries) != g.NumEpochs() || len(hist.SOSHistory) != g.NumEpochs()+2) {
-						t.Fatalf("seed %d parallel=%v: history sized %d/%d, want %d/%d",
-							seed, par, len(hist.Summaries), len(hist.SOSHistory),
-							g.NumEpochs(), g.NumEpochs()+2)
-					}
+					checkHistory(t, fmt.Sprintf("seed %d parallel=%v", seed, par), hist, want)
 				}
 			}
 		})
 	}
 }
 
+// TestKeepHistoryStreamMatchesBatch checks the pipelined RunStream path's
+// retained history against the reference. (The name predates the removal of
+// the batch loop, which used to be the other side of this comparison.)
 func TestKeepHistoryStreamMatchesBatch(t *testing.T) {
 	for lgName, mk := range lifeguards {
 		t.Run(lgName, func(t *testing.T) {
@@ -57,17 +70,11 @@ func TestKeepHistoryStreamMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch := (&core.Driver{LG: mk(), KeepHistory: true}).Run(g)
 			stream, err := (&core.Driver{LG: mk(), Parallel: true, KeepHistory: true}).RunStream(epoch.NewGridRows(g))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(stream.SOSHistory, batch.SOSHistory) {
-				t.Fatalf("stream SOS history diverges from batch")
-			}
-			if !reflect.DeepEqual(stream.Summaries, batch.Summaries) {
-				t.Fatalf("stream summaries diverge from batch")
-			}
+			checkHistory(t, "stream", stream, referenceRun(mk(), g))
 		})
 	}
 }

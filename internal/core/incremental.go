@@ -65,7 +65,8 @@ func (d *Driver) newIncremental(T int, trim bool) (*Incremental, error) {
 	st.m = d.metrics(T)
 	st.sh = d.newSharding(st.m)
 	if st.sh == nil {
-		// Sharded runs fold wings inside each per-shard task (see Run).
+		// Sharded runs fold wings inside each per-shard task; the driver's
+		// whole-summary exclusive aggregates don't apply to sharded summaries.
 		st.wa, _ = d.LG.(WingAggregator)
 	}
 	st.fReports = make([][]Report, T)
@@ -77,11 +78,7 @@ func (d *Driver) newIncremental(T int, trim bool) (*Incremental, error) {
 	if !d.KeepHistory {
 		// With history on, the Result aliases the live summaries and SOS
 		// generations, so nothing may be recycled (recycle.go).
-		st.sumRec, _ = d.LG.(SummaryRecycler)
-		st.stateRec, _ = d.LG.(StateRecycler)
-		if st.wa != nil {
-			st.wingRec, _ = d.LG.(WingRecycler)
-		}
+		st.rec, _ = d.LG.(Recycler)
 	}
 	st.sosCur = d.bottomState(st.sh) // SOS₀
 	if d.Parallel && T > 1 {

@@ -13,7 +13,7 @@ import (
 // TestIncrementalMatchesRunStream feeds grids tick by tick through the
 // push-mode driver — in both retaining and trimmed modes — and checks that
 // the concatenated per-feed reports and final counters exactly match the
-// batch serial oracle, for every lifeguard.
+// serial reference, for every lifeguard.
 func TestIncrementalMatchesRunStream(t *testing.T) {
 	for lgName, mk := range lifeguards {
 		t.Run(lgName, func(t *testing.T) {
@@ -25,7 +25,7 @@ func TestIncrementalMatchesRunStream(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := (&core.Driver{LG: noAgg{mk()}}).Run(g)
+				want := referenceRun(mk(), g)
 
 				for _, trim := range []bool{false, true} {
 					d := &core.Driver{LG: mk(), Parallel: true}
@@ -60,7 +60,7 @@ func TestIncrementalMatchesRunStream(t *testing.T) {
 						got = res.Reports
 					}
 					if !reflect.DeepEqual(got, want.Reports) {
-						t.Fatalf("trim=%v seed=%d: reports diverge from serial oracle\n got: %v\nwant: %v",
+						t.Fatalf("trim=%v seed=%d: reports diverge from the reference\n got: %v\nwant: %v",
 							trim, seed, got, want.Reports)
 					}
 					if res.Epochs != want.Epochs || res.Events != want.Events {

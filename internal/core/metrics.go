@@ -72,7 +72,7 @@ type driverMetrics struct {
 	allocsPerEpoch               *obs.Gauge
 
 	// GC sampling state, touched only by the single goroutine that calls
-	// epochDone (the batch loop or the stream collector).
+	// epochDone (the feeding goroutine).
 	gcCountdown   int
 	gcLastMallocs uint64
 }

@@ -19,7 +19,7 @@ import (
 
 func BenchmarkDriverStreamObs(b *testing.B) {
 	const nthreads = 8
-	_, data := benchBytes(b, nthreads)
+	data := benchBytes(b, nthreads)
 	for _, mode := range []string{"nil", "registry", "registry+trace"} {
 		b.Run("instr="+mode, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))

@@ -95,16 +95,16 @@ func TestObsDifferential(t *testing.T) {
 				t.Errorf("recorded %d spans, want ≥ %d", got, wantSpans)
 			}
 
-			// Batch driver: same differential property.
+			// Run: same differential property.
 			plainB := (&core.Driver{LG: mk(), Parallel: true}).Run(g)
 			regB := obs.New()
 			instB := (&core.Driver{LG: mk(), Parallel: true, Obs: regB}).Run(g)
 			if !reflect.DeepEqual(instB.Reports, plainB.Reports) ||
 				!reflect.DeepEqual(instB.FinalSOS, plainB.FinalSOS) {
-				t.Error("instrumented batch run changed the outcome")
+				t.Error("instrumented Run changed the outcome")
 			}
 			if got := regB.Counter(obs.MetricEpochs).Value(); got != int64(L) {
-				t.Errorf("batch driver.epochs = %d, want %d", got, L)
+				t.Errorf("Run driver.epochs = %d, want %d", got, L)
 			}
 		})
 	}

@@ -1,39 +1,29 @@
 package core
 
-// Optional recycling extensions (DESIGN.md §12). The steady-state epoch loop
-// retires state at three well-defined points: a block summary dies when its
+// Optional recycling extension (DESIGN.md §12). The steady-state epoch loop
+// retires values at three well-defined points: a block summary dies when its
 // epoch leaves the butterfly window, a SOS generation dies when the window
 // slides past it, and a driver-folded wing aggregate dies when its epoch's
-// second pass completes. A lifeguard that implements the matching interface
-// gets those dead values handed back instead of left for the garbage
-// collector, letting it return pooled storage.
+// second pass completes (intermediate folds die as soon as the row is
+// built). A lifeguard that implements Recycler gets those dead values handed
+// back instead of left for the garbage collector, letting it return pooled
+// storage.
 //
-// Ownership contract: the driver calls Recycle* only on values it is the
-// sole referent of — never on summaries still inside the window, on the
-// current SOS, on any state passed to MergeSOS (which may retain its input),
-// or on anything when Driver.KeepHistory is set (history aliases the live
-// values). A recycled value must never be observed by a later pass; the
+// Ownership contract: the driver calls Recycle only on values it is the sole
+// referent of — never on summaries still inside the window, on the current
+// SOS, on any state passed to MergeSOS (which may retain its input), or on
+// anything when Driver.KeepHistory is set (history aliases the live values).
+// A recycled value must never be observed by a later pass; the
 // poison-on-release debug mode in internal/sets makes violations loud under
 // the race detector.
 
-// SummaryRecycler is implemented by lifeguards that pool their Summary
-// values. RecycleSummary is called with summaries that have left the
-// butterfly window; s may be nil (empty window slots).
-type SummaryRecycler interface {
-	RecycleSummary(s Summary)
-}
-
-// StateRecycler is implemented by lifeguards that pool their State values.
-// RecycleState is called with SOS generations the window has slid past; s is
-// always in the representation the run uses (sharded or not) and never the
-// value just returned by UpdateSOS.
-type StateRecycler interface {
-	RecycleState(s State)
-}
-
-// WingRecycler is implemented by WingAggregator lifeguards that pool their
-// aggregates. RecycleWings is called with intermediate folds the driver no
-// longer holds; the canonical EmptyWings value of a run is never recycled.
-type WingRecycler interface {
-	RecycleWings(agg any)
+// Recycler is implemented by lifeguards that pool their Summary, State or
+// wing-aggregate values. dead is never nil and is always in the
+// representation the run uses (sharded or not); a SOS generation is never
+// the value just returned by UpdateSOS. The lifeguard switches on the
+// concrete type and ignores the kinds it does not pool — a kind whose values
+// may alias across generations (lockset's copy-on-write SOS) must stay
+// ignored.
+type Recycler interface {
+	Recycle(dead any)
 }

@@ -102,22 +102,17 @@ func (sh *Sharding) Do(f func(k int)) {
 	box.rethrow()
 }
 
-// newSharding resolves the driver's Shards knob against the lifeguard: a
-// non-nil Sharding is returned only when K > 1 and the lifeguard supports
-// sharded execution in its current configuration. Both drivers call this
-// once per run and thread the result through every pass context, so a run
-// is either fully sharded or fully unsharded — state representations never
-// mix mid-run.
+// newSharding returns the run's shard scheduler, or nil when EffectiveShards
+// says the run is unsharded. The engine calls this once per run and threads
+// the result through every pass context, so a run is either fully sharded or
+// fully unsharded — state representations never mix mid-run.
 func (d *Driver) newSharding(m *driverMetrics) *Sharding {
-	if d.Shards <= 1 {
+	K := d.EffectiveShards()
+	if K == 1 {
 		return nil
 	}
-	sl, ok := d.LG.(ShardedLifeguard)
-	if !ok || !sl.CanShard() {
-		return nil
-	}
-	m.shardingConfigured(d.Shards)
-	return &Sharding{k: d.Shards, parallel: d.Parallel, m: m}
+	m.shardingConfigured(K)
+	return &Sharding{k: K, parallel: d.Parallel, m: m}
 }
 
 // EffectiveShards reports the shard count a run with this configuration

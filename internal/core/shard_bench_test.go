@@ -48,7 +48,7 @@ func shardBenchGrid(tb testing.TB) *epoch.Grid {
 }
 
 // BenchmarkShardedThroughput is the shards ablation: the same grid through
-// the parallel batch driver at increasing shard counts. Reported in
+// parallel Driver.Run at increasing shard counts. Reported in
 // EXPERIMENTS.md ("Address sharding" for the shard-count shape,
 // "Allocation ablation" for pooled-vs-unpooled at each count).
 func BenchmarkShardedThroughput(b *testing.B) {

@@ -1,9 +1,9 @@
 package core_test
 
-// Shard-invariance differential suite: the sharded drivers must be
-// byte-identical — same reports, same order, same final SOS — to the serial
-// unsharded oracle for every lifeguard, every driver mode, and every shard
-// count. This is the proof obligation behind Driver.Shards: sharding is a
+// Shard-invariance differential suite: sharded runs must be byte-identical
+// — same reports, same order, same final SOS — to the serial unsharded
+// reference (referenceRun) for every lifeguard, every entry point, and every
+// shard count. This is the proof obligation behind Driver.Shards: sharding is a
 // scheduling decision, never an accuracy knob.
 
 import (
@@ -73,38 +73,18 @@ func wideTrace(rng *rand.Rand, nthreads int) *trace.Trace {
 	return b.Build()
 }
 
-// runIncremental drives a grid epoch by epoch through the push-mode driver
-// and returns the result with the full report sequence.
-func runIncremental(t *testing.T, d *core.Driver, g *epoch.Grid) *core.Result {
-	t.Helper()
-	inc, err := d.NewIncremental(g.NumThreads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inc.Close()
-	for l := 0; l < g.NumEpochs(); l++ {
-		if _, err := inc.FeedEpoch(g.Blocks[l]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := inc.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // TestDifferentialShardInvariance is the tentpole proof: every lifeguard ×
-// every driver mode × shards ∈ {1, 2, 3, 8} produces the exact report
-// sequence (order included) and the exact final SOS of the serial unsharded
-// oracle.
+// {Run, RunStream} × serial/parallel × shards ∈ {1, 2, 3, 8} produces the
+// exact report sequence (order included) and the exact final SOS of the
+// serial unsharded reference. Run is the push-mode loop — NewIncremental,
+// FeedEpoch per row, Finish — so it covers Incremental too.
 func TestDifferentialShardInvariance(t *testing.T) {
 	type runner struct {
 		name string
 		run  func(t *testing.T, d *core.Driver, g *epoch.Grid) *core.Result
 	}
 	runners := []runner{
-		{"batch", func(t *testing.T, d *core.Driver, g *epoch.Grid) *core.Result {
+		{"run", func(t *testing.T, d *core.Driver, g *epoch.Grid) *core.Result {
 			return d.Run(g)
 		}},
 		{"stream", func(t *testing.T, d *core.Driver, g *epoch.Grid) *core.Result {
@@ -114,7 +94,6 @@ func TestDifferentialShardInvariance(t *testing.T) {
 			}
 			return res
 		}},
-		{"incremental", runIncremental},
 	}
 
 	for lgName, mk := range lifeguards {
@@ -131,7 +110,7 @@ func TestDifferentialShardInvariance(t *testing.T) {
 				cfg := fmt.Sprintf("seed=%d threads=%d h=%d epochs=%d events=%d",
 					seed, nthreads, h, g.NumEpochs(), g.TotalEvents())
 
-				want := (&core.Driver{LG: noAgg{mk()}}).Run(g)
+				want := referenceRun(mk(), g)
 
 				for _, shards := range []int{1, 2, 3, 8} {
 					for _, parallel := range []bool{false, true} {
@@ -179,7 +158,7 @@ func TestShardPropertySOS(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := (&core.Driver{LG: mk(g), KeepHistory: true}).Run(g)
+				want := referenceRun(mk(g), g)
 				K := []int{2, 3, 5, 8}[rng.Intn(4)]
 				got := (&core.Driver{LG: mk(g), KeepHistory: true, Shards: K, Parallel: seed%2 == 0}).Run(g)
 				if len(got.SOSHistory) != len(want.SOSHistory) {

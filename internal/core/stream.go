@@ -10,22 +10,23 @@ import (
 	"butterfly/internal/failpoint"
 )
 
-// This file implements the streaming, pipelined execution mode of the
-// butterfly driver. Where Run materializes the whole grid up front and
-// fork/joins one goroutine per thread twice per epoch, RunStream ingests
-// epoch rows incrementally from a BlockSource and keeps T persistent
-// lifeguard workers alive for the whole run, signalling them once per epoch.
-// Each tick overlaps the stages the sliding window permits:
+// This file implements the engine: the one implementation of the two-pass
+// schedule. streamState advances one epoch row per tick and, in parallel
+// mode, keeps T persistent lifeguard workers alive for the whole run,
+// signalling them once per epoch. Each tick overlaps the stages the sliding
+// window permits:
 //
 //	decode(l+1..l+2) ∥ [ first-pass(l) → barrier → second-pass(l−1) ] → SOS-update(l−1)
 //
-// The decode prefetcher runs ahead of the analysis on its own goroutine;
-// within a tick, first-pass(l) and second-pass(l−1) each run with one worker
-// per thread, separated by a single internal barrier. This preserves exactly
-// the happens-before structure of the batch driver — all of first-pass(l)
-// completes before any of second-pass(l−1) starts, and the SOS update for
-// epoch l+1 consumes epoch l−1's post-second-pass summaries — so the two
-// drivers produce identical reports and identical final SOS.
+// Under RunStream the decode prefetcher runs ahead of the analysis on its
+// own goroutine; within a tick, first-pass(l) and second-pass(l−1) each run
+// with one worker per thread, separated by a single internal barrier. That
+// is the happens-before structure of the paper's algorithm — all of
+// first-pass(l) completes before any of second-pass(l−1) starts, and the SOS
+// update for epoch l+1 consumes epoch l−1's post-second-pass summaries — so
+// serial and parallel runs produce identical reports and identical final
+// SOS (the differential suites check both against a plain serial
+// transcription of the algorithm).
 //
 // Memory is bounded by the sliding window regardless of trace length: the
 // driver retains the summaries of epochs l−3..l (ring of 4 rows), the blocks
@@ -63,15 +64,14 @@ const streamWindow = 4
 const streamPrefetch = 2
 
 // RunStream executes the two-pass butterfly algorithm over a stream of
-// epoch rows, retaining only the sliding window. It produces the same
-// Result as Run over the equivalent grid (Summaries/SOSHistory are filled
-// only when KeepHistory is set, which unbounds memory). The error, if any,
-// comes from the source; analysis itself cannot fail.
+// epoch rows, retaining only the sliding window (Summaries/SOSHistory are
+// filled only when KeepHistory is set, which unbounds memory). The error, if
+// any, comes from the source; analysis itself cannot fail.
 func (d *Driver) RunStream(src BlockSource) (*Result, error) {
 	T := src.NumThreads()
 	if T == 0 {
-		// Match Run on an empty grid, but drain the source so a stream
-		// with a malformed tail still reports its error.
+		// Nothing to analyze, as for Run on a zero-thread grid, but drain the
+		// source so a stream with a malformed tail still reports its error.
 		res := &Result{}
 		for l := 0; ; l++ {
 			if _, err := src.NextEpoch(); err == io.EOF {
@@ -112,7 +112,7 @@ func (d *Driver) RunStream(src BlockSource) (*Result, error) {
 // startPrefetch returns a row iterator over src. In pipelined mode the
 // source is drained on a dedicated goroutine so decoding epoch l+1 overlaps
 // the analysis of epoch l; otherwise rows are pulled synchronously (the
-// serial mode stays deterministic and single-goroutine, like Run).
+// serial mode stays deterministic and single-goroutine).
 //
 // With metrics attached, both modes time each decode (stage.decode.ns plus
 // a span on the decoder row); the async mode additionally reports the
@@ -243,14 +243,18 @@ type streamState struct {
 	wingScratch [][]Summary
 	aggScratch  []any
 
-	// Recycling hooks (recycle.go). sumRec/stateRec/wingRec are set from the
-	// lifeguard only when KeepHistory is off — history aliases the live
-	// values. recycleRow is the caller's block-row hook
-	// (Incremental.SetRowRecycler).
-	sumRec     SummaryRecycler
-	stateRec   StateRecycler
-	wingRec    WingRecycler
+	// Recycling hooks (recycle.go). rec is the lifeguard's Recycler, set only
+	// when KeepHistory is off — history aliases the live values. recycleRow
+	// is the caller's block-row hook (Incremental.SetRowRecycler).
+	rec        Recycler
 	recycleRow func([]*epoch.Block)
+}
+
+// recycle hands a dead value back to the lifeguard's Recycler, if it has one.
+func (st *streamState) recycle(dead any) {
+	if st.rec != nil && dead != nil {
+		st.rec.Recycle(dead)
+	}
 }
 
 // takeSlot prepares epoch l's summary window slot: the slot still holds
@@ -265,9 +269,7 @@ func (st *streamState) takeSlot(l int) []Summary {
 		return make([]Summary, st.T)
 	}
 	for i, s := range old {
-		if st.sumRec != nil && s != nil {
-			st.sumRec.RecycleSummary(s)
-		}
+		st.recycle(s)
 		old[i] = nil
 	}
 	return old
@@ -275,7 +277,7 @@ func (st *streamState) takeSlot(l int) []Summary {
 
 // takeAggSlot is takeSlot for the exclusive wing-aggregate ring. Aggregates
 // never alias summaries or history, so the backing is always reusable; the
-// retired folds are handed to the lifeguard's WingRecycler when it has one.
+// retired folds are handed to the lifeguard's Recycler when it has one.
 func (st *streamState) takeAggSlot(l int) []any {
 	if st.wa == nil {
 		return nil
@@ -286,9 +288,7 @@ func (st *streamState) takeAggSlot(l int) []any {
 		return nil
 	}
 	for i, a := range old {
-		if st.wingRec != nil && a != nil {
-			st.wingRec.RecycleWings(a)
-		}
+		st.recycle(a)
 		old[i] = nil
 	}
 	return old
@@ -352,7 +352,7 @@ func (st *streamState) tick(row []*epoch.Block) {
 		fctx:        PassContext{SOS: st.sosCur, Epoch1Back: st.rowSums(l - 1), Epoch2Back: st.rowSums(l - 2), Sharding: st.sh},
 		wingScratch: st.wingScratch,
 		aggScratch:  st.aggScratch,
-		wingRec:     st.wingRec,
+		rec:         st.rec,
 	}
 	w := &st.work
 	if w.runS {
@@ -393,7 +393,7 @@ func (st *streamState) tick(row []*epoch.Block) {
 	}
 	if d.KeepHistory {
 		if l == 0 {
-			// Like Run, history exists only for non-empty inputs.
+			// History exists only for non-empty inputs.
 			st.res.SOSHistory = append(st.res.SOSHistory, st.sosCur)
 		}
 		st.res.Summaries = append(st.res.Summaries, w.fOut)
@@ -407,16 +407,14 @@ func (st *streamState) tick(row []*epoch.Block) {
 	st.sosPrev, st.sosCur = st.sosCur, sosNext
 	st.prevBlocks = row
 	st.l++
-	if st.stateRec != nil && oldSOS != nil {
-		st.stateRec.RecycleState(oldSOS)
-	}
+	st.recycle(oldSOS)
 	if st.recycleRow != nil && oldRow != nil {
 		st.recycleRow(oldRow)
 	}
 }
 
 // finish runs the trailing second pass and SOS updates once the source is
-// exhausted, mirroring Run's post-loop.
+// exhausted.
 func (st *streamState) finish() {
 	d, L := st.d, st.l
 	st.res.Epochs = L
@@ -453,34 +451,26 @@ func (st *streamState) finish() {
 	}
 	// SOS_{L−1} and SOS_L are dead now that the trailing update ran; final is
 	// NOT recycled — mergeSOS may retain its input as the FinalSOS.
-	if st.stateRec != nil {
-		if st.sosPrev != nil {
-			st.stateRec.RecycleState(st.sosPrev)
-		}
-		if st.sosCur != nil {
-			st.stateRec.RecycleState(st.sosCur)
-		}
+	if st.rec != nil {
+		st.recycle(st.sosPrev)
+		st.recycle(st.sosCur)
 		st.sosPrev, st.sosCur = nil, nil
 	}
-	// As in Run, FinalSOS is always the canonical unsharded representation.
+	// FinalSOS is always the canonical unsharded representation so results
+	// compare equal across shard counts; SOSHistory keeps the raw per-epoch
+	// states, sharded in sharded runs.
 	st.res.FinalSOS = d.mergeSOS(st.sh, final)
 	// The retained window is dead too: hand the last summary rows and wing
 	// folds back so a finished session leaves its storage in the pools.
-	for k := range st.sums {
-		if st.sumRec != nil {
+	if st.rec != nil {
+		for k := range st.sums {
 			for i, s := range st.sums[k] {
-				if s != nil {
-					st.sumRec.RecycleSummary(s)
-					st.sums[k][i] = nil
-				}
+				st.recycle(s)
+				st.sums[k][i] = nil
 			}
-		}
-		if st.wingRec != nil {
 			for i, a := range st.aggs[k] {
-				if a != nil {
-					st.wingRec.RecycleWings(a)
-					st.aggs[k][i] = nil
-				}
+				st.recycle(a)
+				st.aggs[k][i] = nil
 			}
 		}
 	}
@@ -523,7 +513,7 @@ func (st *streamState) exec(w *tickWork) {
 	}
 }
 
-// collect appends a tick's reports in (pass, thread) order, matching Run.
+// collect appends a tick's reports in (pass, thread) order.
 func (st *streamState) collect(w *tickWork) {
 	for _, reps := range w.fReports {
 		st.res.Reports = append(st.res.Reports, reps...)
@@ -559,12 +549,12 @@ type tickWork struct {
 	sAggs    [3][]any     // exclusive aggregates for the same rows
 	sReports [][]Report
 
-	// Reused scratch (owned by streamState; nil in batch-free contexts).
-	// wingScratch[t] is thread t's wing-slice backing — workers touch only
-	// their own index. aggScratch and wingRec feed foldAggs.
+	// Reused scratch (owned by streamState). wingScratch[t] is thread t's
+	// wing-slice backing — workers touch only their own index. aggScratch
+	// and rec feed foldAggs.
 	wingScratch [][]Summary
 	aggScratch  []any
-	wingRec     WingRecycler
+	rec         Recycler
 }
 
 // foldAggs folds the freshly first-passed row into exclusive aggregates.
@@ -575,7 +565,7 @@ func (w *tickWork) foldAggs() {
 	if w.wa == nil || !w.runF {
 		return
 	}
-	w.fAgg = exclAggRow(w.wa, w.fOut, w.fAgg, w.aggScratch, w.wingRec)
+	w.fAgg = exclAggRow(w.wa, w.fOut, w.fAgg, w.aggScratch, w.rec)
 	w.m.wingFolded(len(w.fOut))
 	if w.runS {
 		w.sAggs[2] = w.fAgg
@@ -628,10 +618,7 @@ func (w *tickWork) secondPass(lg Lifeguard, t int) {
 			c.WingAggs[k] = row[t]
 		}
 	}
-	var wings []Summary
-	if w.wingScratch != nil {
-		wings = w.wingScratch[t][:0]
-	}
+	wings := w.wingScratch[t][:0]
 	for _, rowS := range w.wingRows {
 		if rowS == nil {
 			continue
@@ -642,15 +629,13 @@ func (w *tickWork) secondPass(lg Lifeguard, t int) {
 			}
 		}
 	}
-	if w.wingScratch != nil {
-		w.wingScratch[t] = wings
-	}
+	w.wingScratch[t] = wings
 	w.sReports[t] = lg.SecondPass(w.sBlocks[t], c, wings)
 }
 
-// streamPipeline holds the persistent per-thread workers. One signal per
-// worker per tick replaces the batch driver's two fork/joins per epoch; the
-// internal barrier separates the first-pass and second-pass phases.
+// streamPipeline holds the persistent per-thread workers: one signal per
+// worker per tick, with an internal barrier separating the first-pass and
+// second-pass phases.
 type streamPipeline struct {
 	lg    Lifeguard
 	start []chan *tickWork
@@ -697,7 +682,7 @@ func (p *streamPipeline) worker(t int) {
 			m.stageDone(stageFirstPass, w.epoch, tidWorker(t), start)
 		}
 		// All first passes complete before any second pass reads the new
-		// row as a wing — the same guarantee Run's per-pass join provides.
+		// row as a wing.
 		bstart := m.now()
 		p.bar.await()
 		m.barrierDone(bstart)

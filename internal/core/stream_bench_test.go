@@ -1,11 +1,8 @@
 package core_test
 
-// End-to-end driver benchmarks: encoded trace bytes in, reports out. The
-// batch pipeline decodes the whole trace, chunks it into a grid, and runs
-// the fork/join driver; the streaming pipeline decodes epoch frames
-// incrementally and runs the pipelined driver. Both do the same analysis
-// (AddrCheck over an allocation-churn workload), so the delta is purely
-// scheduling and materialization overhead.
+// End-to-end driver benchmark: encoded stream bytes in, reports out. The
+// pipeline decodes epoch frames incrementally and runs the pipelined engine
+// (AddrCheck over an allocation-churn workload).
 
 import (
 	"bytes"
@@ -67,15 +64,10 @@ func benchTrace(nthreads, perThread int, seed int64) *trace.Trace {
 	return b.Build()
 }
 
-// benchBytes encodes the workload in both wire formats once per size.
-func benchBytes(tb testing.TB, nthreads int) (batch, stream []byte) {
+// benchBytes encodes the workload in the streaming wire format.
+func benchBytes(tb testing.TB, nthreads int) []byte {
 	tb.Helper()
-	tr := benchTrace(nthreads, 131072, 1)
-	var bb bytes.Buffer
-	if err := trace.WriteBinary(&bb, tr); err != nil {
-		tb.Fatal(err)
-	}
-	g, err := epoch.ChunkByCount(tr, benchEpochSize)
+	g, err := epoch.ChunkByCount(benchTrace(nthreads, 131072, 1), benchEpochSize)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -83,37 +75,13 @@ func benchBytes(tb testing.TB, nthreads int) (batch, stream []byte) {
 	if err := epoch.WriteStream(&sb, g); err != nil {
 		tb.Fatal(err)
 	}
-	return bb.Bytes(), sb.Bytes()
-}
-
-func BenchmarkDriverBatch(b *testing.B) {
-	for _, nthreads := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("threads=%d", nthreads), func(b *testing.B) {
-			data, _ := benchBytes(b, nthreads)
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr, err := trace.ReadBinary(bytes.NewReader(data))
-				if err != nil {
-					b.Fatal(err)
-				}
-				g, err := epoch.ChunkByCount(tr, benchEpochSize)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := (&core.Driver{LG: addrcheck.New(0), Parallel: true}).Run(g)
-				if res.Events == 0 {
-					b.Fatal("empty run")
-				}
-			}
-		})
-	}
+	return sb.Bytes()
 }
 
 func BenchmarkDriverStream(b *testing.B) {
 	for _, nthreads := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", nthreads), func(b *testing.B) {
-			_, data := benchBytes(b, nthreads)
+			data := benchBytes(b, nthreads)
 			b.SetBytes(int64(len(data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

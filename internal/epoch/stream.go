@@ -109,9 +109,9 @@ func (s *StreamRows) NextEpoch() ([]*Block, error) {
 // caller no longer references it (core.RowRecyclingSource).
 func (s *StreamRows) RecycleRow(row []*Block) { s.pool.Put(row) }
 
-// GridRows replays an already-materialized grid row by row. It exists for
-// tests, benchmarks and differential comparisons between the batch and
-// streaming drivers: both consume identical blocks.
+// GridRows replays an already-materialized grid row by row, so tests and
+// benchmarks can drive core.RunStream with the exact blocks of a grid. Its
+// rows are shared with the grid, so it is not a core.RowRecyclingSource.
 type GridRows struct {
 	g     *Grid
 	epoch int

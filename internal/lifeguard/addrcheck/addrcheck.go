@@ -186,13 +186,13 @@ var _ core.WingAggregator = (*Butterfly)(nil)
 
 // EmptyWings implements core.WingAggregator. The identity fold comes from
 // the wing pool like every other fold: the driver hands it back through
-// RecycleWings with the rest of the aggregate row.
+// Recycle with the rest of the aggregate row.
 func (a *Butterfly) EmptyWings() any {
 	return getWingAgg()
 }
 
 // AddWing implements core.WingAggregator. The result comes from the wing
-// pool; the driver hands dead folds back through RecycleWings.
+// pool; the driver hands dead folds back through Recycle.
 func (a *Butterfly) AddWing(agg any, s core.Summary) any {
 	w, ss := agg.(*wingAgg), sum(s)
 	out := getWingAgg()

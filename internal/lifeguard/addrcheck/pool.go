@@ -9,9 +9,8 @@ import (
 
 // Pooled per-block state (DESIGN.md §12). Every block summary and wing
 // aggregate is built from recycled storage and handed back by the driver
-// through the core.SummaryRecycler/StateRecycler/WingRecycler hooks when it
-// leaves the butterfly window, so the steady-state epoch loop allocates
-// nothing. Pooled summaries keep their interval sets attached across
+// through the core.Recycler hook when it leaves the butterfly window, so the
+// steady-state epoch loop allocates nothing. Pooled summaries keep their interval sets attached across
 // recycling — a released summary is reset to canonical empty form, making it
 // indistinguishable from a freshly constructed one.
 
@@ -60,39 +59,25 @@ func putWingAgg(w *wingAgg) {
 	wingPool.Put(w)
 }
 
-var (
-	_ core.SummaryRecycler = (*Butterfly)(nil)
-	_ core.StateRecycler   = (*Butterfly)(nil)
-	_ core.WingRecycler    = (*Butterfly)(nil)
-)
+var _ core.Recycler = (*Butterfly)(nil)
 
-// RecycleSummary implements core.SummaryRecycler.
-func (a *Butterfly) RecycleSummary(s core.Summary) {
-	switch v := s.(type) {
+// Recycle implements core.Recycler: dead summaries, SOS generations and wing
+// folds return their storage to the pools.
+func (a *Butterfly) Recycle(dead any) {
+	switch v := dead.(type) {
 	case *Summary:
 		putSummary(v)
 	case *shardedSummary:
 		for _, p := range v.pieces {
 			putSummary(p)
 		}
-	}
-}
-
-// RecycleState implements core.StateRecycler.
-func (a *Butterfly) RecycleState(s core.State) {
-	switch v := s.(type) {
 	case *sets.IntervalSet:
 		sets.PutSet(v)
 	case sets.ShardedIntervals:
 		for _, p := range v {
 			sets.PutSet(p)
 		}
-	}
-}
-
-// RecycleWings implements core.WingRecycler.
-func (a *Butterfly) RecycleWings(agg any) {
-	if w, ok := agg.(*wingAgg); ok {
-		putWingAgg(w)
+	case *wingAgg:
+		putWingAgg(v)
 	}
 }

@@ -49,11 +49,12 @@ func getLocInfo() *locInfo {
 	return &locInfo{}
 }
 
-var _ core.SummaryRecycler = (*Butterfly)(nil)
+var _ core.Recycler = (*Butterfly)(nil)
 
-// RecycleSummary implements core.SummaryRecycler.
-func (l *Butterfly) RecycleSummary(s core.Summary) {
-	switch v := s.(type) {
+// Recycle implements core.Recycler for summaries only; a dead SOS falls
+// through untouched (see above).
+func (l *Butterfly) Recycle(dead any) {
+	switch v := dead.(type) {
 	case *Summary:
 		putSummary(v)
 	case *shardedSummary:

@@ -8,8 +8,8 @@ import (
 )
 
 // Pooled per-block state (DESIGN.md §12), mirroring addrcheck: summaries are
-// built from recycled storage and handed back through the core recycler
-// hooks when they leave the butterfly window. A released summary is reset to
+// built from recycled storage and handed back through the core.Recycler
+// hook when they leave the butterfly window. A released summary is reset to
 // canonical empty form before reuse.
 
 var summaryPool sync.Pool
@@ -37,26 +37,18 @@ func putSummary(s *Summary) {
 	summaryPool.Put(s)
 }
 
-var (
-	_ core.SummaryRecycler = (*Butterfly)(nil)
-	_ core.StateRecycler   = (*Butterfly)(nil)
-)
+var _ core.Recycler = (*Butterfly)(nil)
 
-// RecycleSummary implements core.SummaryRecycler.
-func (m *Butterfly) RecycleSummary(s core.Summary) {
-	switch v := s.(type) {
+// Recycle implements core.Recycler: dead summaries and SOS generations
+// return their storage to the pools.
+func (m *Butterfly) Recycle(dead any) {
+	switch v := dead.(type) {
 	case *Summary:
 		putSummary(v)
 	case *shardedSummary:
 		for _, p := range v.pieces {
 			putSummary(p)
 		}
-	}
-}
-
-// RecycleState implements core.StateRecycler.
-func (m *Butterfly) RecycleState(s core.State) {
-	switch v := s.(type) {
 	case *sets.IntervalSet:
 		sets.PutSet(v)
 	case sets.ShardedIntervals:

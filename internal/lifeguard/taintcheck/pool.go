@@ -52,12 +52,12 @@ func getTfn() *tfn {
 	return &tfn{}
 }
 
-var _ core.SummaryRecycler = (*Butterfly)(nil)
+var _ core.Recycler = (*Butterfly)(nil)
 
-// RecycleSummary implements core.SummaryRecycler. TaintCheck's sharded mode
-// shares the serial summaries, so there is no sharded case.
-func (tc *Butterfly) RecycleSummary(s core.Summary) {
-	if v, ok := s.(*Summary); ok {
+// Recycle implements core.Recycler for summaries only. TaintCheck's sharded
+// mode shares the serial summaries, so there is no sharded case.
+func (tc *Butterfly) Recycle(dead any) {
+	if v, ok := dead.(*Summary); ok {
 		putSummary(v)
 	}
 }
