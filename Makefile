@@ -10,8 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
+# Vet both builds: the default one, and the armed failpoint build that only
+# `chaos` otherwise compiles.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags failpoints ./...
 
 # Formatting gate: fail (and name the offenders) if any file differs from
 # gofmt's output.

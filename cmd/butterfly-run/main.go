@@ -26,7 +26,8 @@
 // With -shards K, the lifeguard's address-indexed state is partitioned
 // into K disjoint address shards and the passes and SOS update run as K
 // independent tasks (DESIGN.md §11). Results are byte-identical at any
-// count; 0 picks GOMAXPROCS unless -seq.
+// count; 0 picks GOMAXPROCS unless -seq. Lifeguards that cannot shard
+// (taintcheck) run unsharded and report 1 in the -remote handshake.
 //
 // With -remote host:port, the analysis runs on a butterflyd server instead
 // of in-process: the trace (batch or -stream) is streamed over TCP epoch by
@@ -72,7 +73,7 @@ func main() {
 		relaxed  = flag.Bool("relaxed", false, "taintcheck: use the relaxed-memory-model termination condition")
 		compare  = flag.Bool("compare", false, "score against the trace's ground-truth interleaving")
 		seq      = flag.Bool("seq", false, "run the driver sequentially")
-		shards   = flag.Int("shards", 0, "partition lifeguard state into this many address shards (0 = auto: GOMAXPROCS when parallel, results identical at any count)")
+		shards   = flag.Int("shards", 0, "partition lifeguard state into this many address shards (0 = auto: GOMAXPROCS when parallel, results identical at any count; lifeguards that cannot shard report 1 in the handshake)")
 		maxShow  = flag.Int("max-reports", 20, "print at most this many reports")
 		text     = flag.Bool("text", false, "input is in text format")
 		stream   = flag.Bool("stream", false, "input is in the streaming format; analyze incrementally")

@@ -61,7 +61,7 @@ func main() {
 		addr        = flag.String("addr", ":7137", "listen address for analysis sessions")
 		maxSessions = flag.Int("max-sessions", 64, "maximum live sessions (attached + detached); further Hellos are rejected")
 		maxAnalyze  = flag.Int("max-analyze", 0, "maximum concurrently analyzing epoch ticks across all sessions (0 = GOMAXPROCS)")
-		shards      = flag.Int("shards", 0, "address shards per session's lifeguard state; results identical at any count (0 = GOMAXPROCS)")
+		shards      = flag.Int("shards", 0, "address shards per session's lifeguard state; results identical at any count (0 = GOMAXPROCS); lifeguards that cannot shard report 1 in the handshake")
 		maxBytes    = flag.Int64("max-session-bytes", 0, "per-session wire-byte quota (0 = unlimited)")
 		maxEpochs   = flag.Int64("max-session-epochs", 0, "per-session epoch quota (0 = unlimited)")
 		grace       = flag.Duration("grace", 2*time.Minute, "how long a disconnected session's checkpoint is kept resumable")

@@ -68,56 +68,78 @@ func steadyGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
 	return g
 }
 
+// servedAllocBudget is the same gate for the configuration butterflyd
+// actually serves on the 2-vCPU benchmark host: Parallel with Shards = 2.
+// That loop is not allocation-free yet — every sharded block pass makes its
+// per-shard row views (core.PieceRow), verdict rows (core.Verdicts) and
+// summary container, and every Sharding.Do spawns K goroutines. Measured
+// 106.7–107.4 allocs/epoch here (T = 4, go 1.24; the parent commit reads
+// 107.3–107.8); the budget is that plus ~20 %: a number for ROADMAP item
+// 4(b) to drive down, not a target.
+const servedAllocBudget = 128
+
 func TestSteadyStateAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector instruments allocations; counts are not meaningful")
 	}
 	const T = 4
 	g := steadyGrid(t, T, 8192) // 128 epochs of 64 events/thread
-	d := &core.Driver{LG: addrcheck.New(0)}
-	inc, err := d.NewIncrementalTrimmed(T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inc.Close()
+	for _, tc := range []struct {
+		name   string
+		d      core.Driver
+		budget float64
+	}{
+		{"serial", core.Driver{}, steadyAllocBudget},
+		{"served", core.Driver{Parallel: true, Shards: 2}, servedAllocBudget},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := tc.d
+			d.LG = addrcheck.New(0)
+			inc, err := d.NewIncrementalTrimmed(T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer inc.Close()
 
-	// Feed through the same pooled-row path the server uses: decode-style
-	// copy into recycled backings, stamp, feed, and let the driver hand
-	// rows back to the pool as the window slides.
-	var pool epoch.RowPool
-	rb := epoch.NewRowBuilder(T)
-	inc.SetRowRecycler(pool.Put)
-	feed := func(l int) {
-		blocks := pool.Get(T)
-		for t2, b := range blocks {
-			b.Events = append(b.Events[:0], g.Blocks[l][t2].Events...)
-		}
-		rb.Stamp(blocks)
-		if _, err := inc.FeedEpoch(blocks); err != nil {
-			t.Fatalf("epoch %d: %v", l, err)
-		}
-	}
+			// Feed through the same pooled-row path the server uses:
+			// decode-style copy into recycled backings, stamp, feed, and let
+			// the driver hand rows back to the pool as the window slides.
+			var pool epoch.RowPool
+			rb := epoch.NewRowBuilder(T)
+			inc.SetRowRecycler(pool.Put)
+			feed := func(l int) {
+				blocks := pool.Get(T)
+				for t2, b := range blocks {
+					b.Events = append(b.Events[:0], g.Blocks[l][t2].Events...)
+				}
+				rb.Stamp(blocks)
+				if _, err := inc.FeedEpoch(blocks); err != nil {
+					t.Fatalf("epoch %d: %v", l, err)
+				}
+			}
 
-	const warm = 32
-	if g.NumEpochs() < warm+16 {
-		t.Fatalf("grid too short: %d epochs", g.NumEpochs())
-	}
-	for l := 0; l < warm; l++ {
-		feed(l)
-	}
-	measured := g.NumEpochs() - warm
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for l := warm; l < g.NumEpochs(); l++ {
-		feed(l)
-	}
-	runtime.ReadMemStats(&after)
-	perEpoch := float64(after.Mallocs-before.Mallocs) / float64(measured)
-	t.Logf("steady state: %.2f allocs/epoch over %d epochs (budget %d)",
-		perEpoch, measured, steadyAllocBudget)
-	if perEpoch > steadyAllocBudget {
-		t.Fatalf("steady-state allocations regressed: %.2f allocs/epoch exceeds budget %d",
-			perEpoch, steadyAllocBudget)
+			const warm = 32
+			if g.NumEpochs() < warm+16 {
+				t.Fatalf("grid too short: %d epochs", g.NumEpochs())
+			}
+			for l := 0; l < warm; l++ {
+				feed(l)
+			}
+			measured := g.NumEpochs() - warm
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for l := warm; l < g.NumEpochs(); l++ {
+				feed(l)
+			}
+			runtime.ReadMemStats(&after)
+			perEpoch := float64(after.Mallocs-before.Mallocs) / float64(measured)
+			t.Logf("steady state: %.2f allocs/epoch over %d epochs (budget %v)",
+				perEpoch, measured, tc.budget)
+			if perEpoch > tc.budget {
+				t.Fatalf("steady-state allocations regressed: %.2f allocs/epoch exceeds budget %v",
+					perEpoch, tc.budget)
+			}
+		})
 	}
 }

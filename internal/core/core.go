@@ -92,9 +92,10 @@ type PassContext struct {
 	WingAggs [3]any
 	// Sharding is the run's shard scheduler when the driver executes in
 	// sharded mode (DESIGN.md §11), nil otherwise. A sharded lifeguard
-	// branches on it: non-nil means SOS, Head, Epoch1Back/Epoch2Back and Own
-	// all carry the sharded representations, and the pass must run its work
-	// as per-shard tasks via Sharding.Do.
+	// branches on it: non-nil means SOS is a ShardedState and Head,
+	// Epoch1Back/Epoch2Back, Own and the wings are *ShardedSummary values
+	// (shard.go), FirstPass must return a *ShardedSummary, and the pass runs
+	// its work as per-shard tasks via Sharding.Do, each on ctx.Piece(k).
 	Sharding *Sharding
 }
 

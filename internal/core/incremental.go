@@ -127,9 +127,7 @@ func (inc *Incremental) MemEstimate() int64 {
 		est += int64(v) * memPerWindowEvent
 	}
 	if sizer, ok := st.d.LG.(StateSizer); ok && st.sosCur != nil {
-		// sosCur may be a sharded representation; StateSize already handles
-		// both (sosUpdated feeds it the same values).
-		est += int64(sizer.StateSize(st.sosCur)) * memPerSOSFact
+		est += int64(stateSize(sizer, st.sosCur)) * memPerSOSFact
 	}
 	return est
 }

@@ -202,7 +202,7 @@ func (m *driverMetrics) sosUpdated(s State) {
 	if m == nil || m.sizer == nil {
 		return
 	}
-	size := int64(m.sizer.StateSize(s))
+	size := int64(stateSize(m.sizer, s))
 	m.sosSize.Set(size)
 	m.sosPeak.SetMax(size)
 }

@@ -10,68 +10,33 @@ import (
 // Both analyses are elementwise over packed fact IDs — every equation in
 // §5.1/§5.2 decides membership of a fact from that fact's membership in the
 // inputs — so restricting all inputs to the facts of shard k and running the
-// unsharded equations computes exactly shard k of the result. The sharded
-// forms below therefore reuse the serial code verbatim on per-shard "piece
-// views" of the state and summaries; only the routing (splitting a block
-// summary into pieces) and the scheduling (Sharding.Do) are new.
-//
-// Facts are partitioned by sets.ShardOf. The sharded SOS representation is
-// sets.ShardedSet; a sharded block summary holds one plain per-shard
-// summary (its piece) per shard.
-
-// rdShardedSummary is an RDSummary split into per-shard pieces.
-type rdShardedSummary struct {
-	pieces []*RDSummary
-}
-
-// reShardedSummary is an RESummary split into per-shard pieces.
-type reShardedSummary struct {
-	pieces []*RESummary
-}
+// unsharded equations computes exactly shard k of the result. The driver does
+// that for the SOS update (shard.go); what is left here is the routing:
+// splitting a block's one-time effect scan into per-shard pieces by
+// sets.ShardOf.
 
 var (
 	_ ShardedLifeguard = (*ReachingDefs)(nil)
 	_ ShardedLifeguard = (*ReachingExprs)(nil)
 )
 
+// mergeSetPieces is MergeSOS for a fact-set SOS: the pieces are disjoint, so
+// the canonical state is their union.
+func mergeSetPieces(pieces []State) State {
+	out := sets.NewSet()
+	for _, p := range pieces {
+		out.AddAll(p.(sets.Set))
+	}
+	return out
+}
+
 // CanShard implements ShardedLifeguard. The Check and Record hooks observe
 // full per-instruction IN sets, which span every shard; such configurations
 // run unsharded.
 func (rd *ReachingDefs) CanShard() bool { return rd.Check == nil && !rd.Record }
 
-// BottomStateSharded implements ShardedLifeguard.
-func (rd *ReachingDefs) BottomStateSharded(sh *Sharding) State {
-	return sets.NewShardedSet(sh.K())
-}
-
 // MergeSOS implements ShardedLifeguard.
-func (rd *ReachingDefs) MergeSOS(s State) State { return s.(sets.ShardedSet).Merge() }
-
-// rdPieceRow views one shard of an epoch row of sharded summaries.
-func rdPieceRow(row []Summary, k int) []Summary {
-	if row == nil {
-		return nil
-	}
-	out := make([]Summary, len(row))
-	for t, s := range row {
-		if s != nil {
-			out[t] = s.(*rdShardedSummary).pieces[k]
-		}
-	}
-	return out
-}
-
-// rdPieceCtx views one shard of a sharded pass context: piece k of the SOS
-// and of every summary the LSOS equations read.
-func rdPieceCtx(ctx PassContext, k int) PassContext {
-	c := PassContext{SOS: ctx.SOS.(sets.ShardedSet)[k]}
-	if ctx.Head != nil {
-		c.Head = ctx.Head.(*rdShardedSummary).pieces[k]
-	}
-	c.Epoch1Back = rdPieceRow(ctx.Epoch1Back, k)
-	c.Epoch2Back = rdPieceRow(ctx.Epoch2Back, k)
-	return c
-}
+func (rd *ReachingDefs) MergeSOS(pieces []State) State { return mergeSetPieces(pieces) }
 
 // firstPassSharded routes the block's one-time effect scan into per-shard
 // pieces, then computes each piece's LSOS against its shard of the state as
@@ -81,101 +46,64 @@ func (rd *ReachingDefs) firstPassSharded(b *epoch.Block, ctx PassContext) (Summa
 	K := sh.K()
 	effects := rd.U.BlockDefEffects(b)
 	blockSum := dataflow.BlockSummary(effects)
-	ss := &rdShardedSummary{pieces: make([]*RDSummary, K)}
-	for k := 0; k < K; k++ {
-		ss.pieces[k] = &RDSummary{
+	pieces := make([]*RDSummary, K)
+	ss := &ShardedSummary{Pieces: make([]Summary, K)}
+	for k := range pieces {
+		pieces[k] = &RDSummary{
 			Gen:        sets.NewSet(),
 			Kill:       sets.NewSet(),
 			GenSideOut: sets.NewSet(),
 		}
+		ss.Pieces[k] = pieces[k]
 	}
 	for d := range blockSum.Gen {
-		ss.pieces[sets.ShardOf(d, K)].Gen.Add(d)
+		pieces[sets.ShardOf(d, K)].Gen.Add(d)
 	}
 	for d := range blockSum.Kill {
-		ss.pieces[sets.ShardOf(d, K)].Kill.Add(d)
+		pieces[sets.ShardOf(d, K)].Kill.Add(d)
 	}
 	for _, gk := range effects {
 		for d := range gk.Gen {
-			ss.pieces[sets.ShardOf(d, K)].GenSideOut.Add(d)
+			pieces[sets.ShardOf(d, K)].GenSideOut.Add(d)
 		}
 	}
 	sh.Do(func(k int) {
-		ss.pieces[k].LSOS = rd.lsos(b.Thread, rdPieceCtx(ctx, k))
+		pieces[k].LSOS = rd.lsos(b.Thread, ctx.Piece(k))
 	})
 	return ss, nil
-}
-
-// UpdateSOSSharded implements ShardedLifeguard: shard k's update is the
-// serial UpdateSOS over shard k of the state and the epoch rows.
-func (rd *ReachingDefs) UpdateSOSSharded(sh *Sharding, prev State, prevEpoch, curEpoch []Summary) State {
-	ps := prev.(sets.ShardedSet)
-	out := make(sets.ShardedSet, sh.K())
-	sh.Do(func(k int) {
-		out[k] = rd.UpdateSOS(ps[k], rdPieceRow(prevEpoch, k), rdPieceRow(curEpoch, k)).(sets.Set)
-	})
-	return out
 }
 
 // CanShard implements ShardedLifeguard; see ReachingDefs.CanShard.
 func (re *ReachingExprs) CanShard() bool { return re.Check == nil && !re.Record }
 
-// BottomStateSharded implements ShardedLifeguard.
-func (re *ReachingExprs) BottomStateSharded(sh *Sharding) State {
-	return sets.NewShardedSet(sh.K())
-}
-
 // MergeSOS implements ShardedLifeguard.
-func (re *ReachingExprs) MergeSOS(s State) State { return s.(sets.ShardedSet).Merge() }
-
-// rePieceRow views one shard of an epoch row of sharded summaries.
-func rePieceRow(row []Summary, k int) []Summary {
-	if row == nil {
-		return nil
-	}
-	out := make([]Summary, len(row))
-	for t, s := range row {
-		if s != nil {
-			out[t] = s.(*reShardedSummary).pieces[k]
-		}
-	}
-	return out
-}
+func (re *ReachingExprs) MergeSOS(pieces []State) State { return mergeSetPieces(pieces) }
 
 // firstPassSharded routes the effect scan into per-shard pieces.
 func (re *ReachingExprs) firstPassSharded(b *epoch.Block, ctx PassContext) (Summary, []Report) {
 	K := ctx.Sharding.K()
 	effects := re.U.BlockExprEffects(b)
 	blockSum := dataflow.BlockSummary(effects)
-	ss := &reShardedSummary{pieces: make([]*RESummary, K)}
-	for k := 0; k < K; k++ {
-		ss.pieces[k] = &RESummary{
+	pieces := make([]*RESummary, K)
+	ss := &ShardedSummary{Pieces: make([]Summary, K)}
+	for k := range pieces {
+		pieces[k] = &RESummary{
 			Gen:         sets.NewSet(),
 			Kill:        sets.NewSet(),
 			KillSideOut: sets.NewSet(),
 		}
+		ss.Pieces[k] = pieces[k]
 	}
 	for e := range blockSum.Gen {
-		ss.pieces[sets.ShardOf(e, K)].Gen.Add(e)
+		pieces[sets.ShardOf(e, K)].Gen.Add(e)
 	}
 	for e := range blockSum.Kill {
-		ss.pieces[sets.ShardOf(e, K)].Kill.Add(e)
+		pieces[sets.ShardOf(e, K)].Kill.Add(e)
 	}
 	for _, gk := range effects {
 		for e := range gk.Kill {
-			ss.pieces[sets.ShardOf(e, K)].KillSideOut.Add(e)
+			pieces[sets.ShardOf(e, K)].KillSideOut.Add(e)
 		}
 	}
 	return ss, nil
-}
-
-// UpdateSOSSharded implements ShardedLifeguard; see
-// ReachingDefs.UpdateSOSSharded.
-func (re *ReachingExprs) UpdateSOSSharded(sh *Sharding, prev State, prevEpoch, curEpoch []Summary) State {
-	ps := prev.(sets.ShardedSet)
-	out := make(sets.ShardedSet, sh.K())
-	sh.Do(func(k int) {
-		out[k] = re.UpdateSOS(ps[k], rePieceRow(prevEpoch, k), rePieceRow(curEpoch, k)).(sets.Set)
-	})
-	return out
 }

@@ -61,12 +61,7 @@ func (rd *ReachingDefs) Name() string { return "reaching-definitions" }
 func (rd *ReachingDefs) BottomState() State { return sets.NewSet() }
 
 // StateSize implements StateSizer: the number of reaching definitions.
-func (rd *ReachingDefs) StateSize(s State) int {
-	if ss, ok := s.(sets.ShardedSet); ok {
-		return ss.Len()
-	}
-	return s.(sets.Set).Len()
-}
+func (rd *ReachingDefs) StateSize(s State) int { return s.(sets.Set).Len() }
 
 func rdSum(s Summary) *RDSummary {
 	if s == nil {

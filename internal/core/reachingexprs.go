@@ -57,12 +57,7 @@ func (re *ReachingExprs) Name() string { return "reaching-expressions" }
 func (re *ReachingExprs) BottomState() State { return sets.NewSet() }
 
 // StateSize implements StateSizer: the number of available expressions.
-func (re *ReachingExprs) StateSize(s State) int {
-	if ss, ok := s.(sets.ShardedSet); ok {
-		return ss.Len()
-	}
-	return s.(sets.Set).Len()
-}
+func (re *ReachingExprs) StateSize(s State) int { return s.(sets.Set).Len() }
 
 func reSum(s Summary) *RESummary {
 	if s == nil {

@@ -18,12 +18,13 @@ package core
 // the race detector.
 
 // Recycler is implemented by lifeguards that pool their Summary, State or
-// wing-aggregate values. dead is never nil and is always in the
-// representation the run uses (sharded or not); a SOS generation is never
-// the value just returned by UpdateSOS. The lifeguard switches on the
-// concrete type and ignores the kinds it does not pool — a kind whose values
-// may alias across generations (lockset's copy-on-write SOS) must stay
-// ignored.
+// wing-aggregate values. dead is never nil and is always an unsharded piece:
+// in a sharded run the driver unwraps a dead *ShardedSummary or ShardedState
+// (shard.go) and hands over each piece once, never the container. A SOS
+// generation is never the value just returned by UpdateSOS. The lifeguard
+// switches on the concrete type and ignores the kinds it does not pool — a
+// kind whose values may alias across generations (lockset's copy-on-write
+// SOS) must stay ignored.
 type Recycler interface {
 	Recycle(dead any)
 }

@@ -29,9 +29,16 @@ import (
 // (shard_differential_test.go) pin down.
 
 // ShardedLifeguard is an optional Lifeguard extension enabling sharded
-// execution. A lifeguard that implements it must guarantee that for any K,
-// running its passes and SOS update shard-by-shard and merging produces
-// byte-identical reports (same order) and an SOS equal to the serial one.
+// execution. The driver owns the sharded representation: the SOS is a
+// ShardedState, every block summary a *ShardedSummary, and each piece is the
+// lifeguard's ordinary unsharded value restricted to one shard. Because the
+// lifeguard's equations are elementwise, the driver advances the SOS by
+// running the unmodified UpdateSOS once per shard on piece views, starts it
+// from K × BottomState, and unwraps pieces before Recycle and StateSize see
+// them. What a lifeguard supplies is its per-shard pass bodies (FirstPass and
+// SecondPass branch on PassContext.Sharding) and the final merge, and it must
+// guarantee that for any K they produce byte-identical reports (same order)
+// and an SOS equal to the serial one.
 type ShardedLifeguard interface {
 	Lifeguard
 
@@ -40,17 +47,79 @@ type ShardedLifeguard interface {
 	// Check hook that wants the full IN set) return false and run unsharded.
 	CanShard() bool
 
-	// BottomStateSharded returns the initial SOS split into sh.K() shards.
-	BottomStateSharded(sh *Sharding) State
+	// MergeSOS folds the K pieces of a sharded SOS into the canonical
+	// unsharded representation (the one BottomState/UpdateSOS use). The
+	// pieces may be retained; implementations must not mutate them.
+	MergeSOS(pieces []State) State
+}
 
-	// UpdateSOSSharded is UpdateSOS over sharded state and sharded epoch
-	// rows; implementations run one task per shard via sh.Do.
-	UpdateSOSSharded(sh *Sharding, prev State, prevEpoch, curEpoch []Summary) State
+// ShardedSummary is a block summary split by shard: Pieces[k] is the
+// lifeguard's ordinary Summary holding exactly shard k's facts. A sharded
+// FirstPass returns one.
+type ShardedSummary struct {
+	Pieces []Summary
+}
 
-	// MergeSOS converts a sharded state into the canonical unsharded
-	// representation (the one BottomState/UpdateSOS use). The input may be
-	// retained; implementations must not mutate it.
-	MergeSOS(s State) State
+// ShardedState is the SOS split by shard: element k is the lifeguard's
+// ordinary State holding exactly shard k's facts.
+type ShardedState []State
+
+// PieceRow views shard k of an epoch row of sharded summaries as a row of
+// ordinary summaries (nil stays nil, row and entry alike).
+func PieceRow(row []Summary, k int) []Summary {
+	if row == nil {
+		return nil
+	}
+	out := make([]Summary, len(row))
+	for t, s := range row {
+		if s != nil {
+			out[t] = s.(*ShardedSummary).Pieces[k]
+		}
+	}
+	return out
+}
+
+// Piece views shard k of a sharded pass context — piece k of the SOS, of
+// Head and Own, and of both epoch rows — so a lifeguard's unsharded
+// equations run unchanged against one shard. The view is itself unsharded
+// (Sharding nil) and carries no wing aggregates.
+func (ctx PassContext) Piece(k int) PassContext {
+	c := PassContext{
+		SOS:        ctx.SOS.(ShardedState)[k],
+		Epoch1Back: PieceRow(ctx.Epoch1Back, k),
+		Epoch2Back: PieceRow(ctx.Epoch2Back, k),
+	}
+	if ctx.Head != nil {
+		c.Head = ctx.Head.(*ShardedSummary).Pieces[k]
+	}
+	if ctx.Own != nil {
+		c.Own = ctx.Own.(*ShardedSummary).Pieces[k]
+	}
+	return c
+}
+
+// Verdicts holds the per-event verdict bits of one sharded pass over one
+// block. Row k is written by shard task k alone, allocated on its first Set;
+// once the tasks have joined, the pass ORs the rows in event order (Any) to
+// rebuild the serial report sequence.
+type Verdicts [][]bool
+
+// Set flags event i of an n-event block on behalf of shard k.
+func (v Verdicts) Set(k, i, n int) {
+	if v[k] == nil {
+		v[k] = make([]bool, n)
+	}
+	v[k][i] = true
+}
+
+// Any reports whether any shard flagged event i.
+func (v Verdicts) Any(i int) bool {
+	for _, row := range v {
+		if row != nil && row[i] {
+			return true
+		}
+	}
+	return false
 }
 
 // Sharding is the per-run shard scheduler handed to lifeguards via
@@ -108,10 +177,10 @@ func (sh *Sharding) Do(f func(k int)) {
 // fully unsharded — state representations never mix mid-run.
 func (d *Driver) newSharding(m *driverMetrics) *Sharding {
 	K := d.EffectiveShards()
+	m.shardingConfigured(K)
 	if K == 1 {
 		return nil
 	}
-	m.shardingConfigured(K)
 	return &Sharding{k: K, parallel: d.Parallel, m: m}
 }
 
@@ -128,20 +197,32 @@ func (d *Driver) EffectiveShards() int {
 	return 1
 }
 
-// bottomState returns the initial SOS in the run's representation.
+// bottomState returns the initial SOS in the run's representation: K
+// independent bottoms when sharded.
 func (d *Driver) bottomState(sh *Sharding) State {
 	if sh == nil {
 		return d.LG.BottomState()
 	}
-	return d.LG.(ShardedLifeguard).BottomStateSharded(sh)
+	out := make(ShardedState, sh.k)
+	for k := range out {
+		out[k] = d.LG.BottomState()
+	}
+	return out
 }
 
-// updateSOS advances the SOS in the run's representation.
+// updateSOS advances the SOS in the run's representation. Sharded, shard k's
+// update is the lifeguard's serial UpdateSOS over piece k of the state and of
+// the epoch rows, one task per shard.
 func (d *Driver) updateSOS(sh *Sharding, prev State, prevEpoch, curEpoch []Summary) State {
 	if sh == nil {
 		return d.LG.UpdateSOS(prev, prevEpoch, curEpoch)
 	}
-	return d.LG.(ShardedLifeguard).UpdateSOSSharded(sh, prev, prevEpoch, curEpoch)
+	ps := prev.(ShardedState)
+	out := make(ShardedState, sh.k)
+	sh.Do(func(k int) {
+		out[k] = d.LG.UpdateSOS(ps[k], PieceRow(prevEpoch, k), PieceRow(curEpoch, k))
+	})
+	return out
 }
 
 // mergeSOS converts s to the canonical unsharded representation for
@@ -150,5 +231,35 @@ func (d *Driver) mergeSOS(sh *Sharding, s State) State {
 	if sh == nil {
 		return s
 	}
-	return d.LG.(ShardedLifeguard).MergeSOS(s)
+	return d.LG.(ShardedLifeguard).MergeSOS(s.(ShardedState))
+}
+
+// recyclePieces hands a dead value to rec piece by piece: the lifeguard's
+// Recycler only ever sees its own unsharded types, never the containers.
+func recyclePieces(rec Recycler, dead any) {
+	switch v := dead.(type) {
+	case *ShardedSummary:
+		for _, p := range v.Pieces {
+			rec.Recycle(p)
+		}
+	case ShardedState:
+		for _, p := range v {
+			rec.Recycle(p)
+		}
+	default:
+		rec.Recycle(dead)
+	}
+}
+
+// stateSize is sizer.StateSize summed over the pieces of a sharded SOS.
+func stateSize(sizer StateSizer, s State) int {
+	ss, ok := s.(ShardedState)
+	if !ok {
+		return sizer.StateSize(s)
+	}
+	n := 0
+	for _, p := range ss {
+		n += sizer.StateSize(p)
+	}
+	return n
 }

@@ -78,6 +78,11 @@ func wideTrace(rng *rand.Rand, nthreads int) *trace.Trace {
 // exact report sequence (order included) and the exact final SOS of the
 // serial unsharded reference. Run is the push-mode loop — NewIncremental,
 // FeedEpoch per row, Finish — so it covers Incremental too.
+//
+// TaintCheck does not implement ShardedLifeguard (nothing in it is
+// shard-local, DESIGN.md §11), so all of its shard columns exercise the
+// K = 1 engine; they stay in the matrix to pin that asking for shards is a
+// no-op for it rather than an error.
 func TestDifferentialShardInvariance(t *testing.T) {
 	type runner struct {
 		name string
@@ -138,6 +143,32 @@ func TestDifferentialShardInvariance(t *testing.T) {
 	}
 }
 
+// TestEffectiveShards pins who shards: the handshake reports this count.
+func TestEffectiveShards(t *testing.T) {
+	for lgName, mk := range lifeguards {
+		_, sharded := mk().(core.ShardedLifeguard)
+		want := 4
+		if lgName == "taintcheck" {
+			want = 1
+		}
+		if sharded != (want > 1) {
+			t.Errorf("%s: implements ShardedLifeguard = %v", lgName, sharded)
+		}
+		d := &core.Driver{LG: mk(), Shards: 4}
+		if got := d.EffectiveShards(); got != want {
+			t.Errorf("%s: EffectiveShards() = %d at Shards = 4, want %d", lgName, got, want)
+		}
+		inc, err := d.NewIncremental(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := inc.Shards(); got != want {
+			t.Errorf("%s: Incremental.Shards() = %d, want %d", lgName, got, want)
+		}
+		inc.Close()
+	}
+}
+
 // TestShardPropertySOS is the property-based satellite: for random grids and
 // shard counts, the merged per-shard SOS of ReachingDefs and ReachingExprs
 // equals the unsharded SOS at *every* epoch, and every piece contains only
@@ -166,24 +197,26 @@ func TestShardPropertySOS(t *testing.T) {
 						seed, K, len(got.SOSHistory), len(want.SOSHistory))
 				}
 				for l, s := range got.SOSHistory {
-					ss, ok := s.(sets.ShardedSet)
+					ss, ok := s.(core.ShardedState)
 					if !ok {
 						t.Fatalf("seed=%d K=%d: SOSHistory[%d] is %T, not sharded", seed, K, l, s)
 					}
 					if len(ss) != K {
 						t.Fatalf("seed=%d K=%d: SOSHistory[%d] has %d pieces", seed, K, l, len(ss))
 					}
+					merged := sets.NewSet()
 					for k, piece := range ss {
-						for x := range piece {
+						for x := range piece.(sets.Set) {
 							if sets.ShardOf(x, K) != k {
 								t.Fatalf("seed=%d K=%d epoch=%d: fact %#x in piece %d, belongs to %d",
 									seed, K, l, x, k, sets.ShardOf(x, K))
 							}
+							merged.Add(x)
 						}
 					}
-					if !reflect.DeepEqual(ss.Merge(), want.SOSHistory[l]) {
+					if !reflect.DeepEqual(merged, want.SOSHistory[l]) {
 						t.Fatalf("seed=%d K=%d: merged SOS at epoch %d diverges\n got: %v\nwant: %v",
-							seed, K, l, ss.Merge(), want.SOSHistory[l])
+							seed, K, l, merged, want.SOSHistory[l])
 					}
 				}
 				if !reflect.DeepEqual(got.FinalSOS, want.FinalSOS) {

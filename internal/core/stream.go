@@ -250,10 +250,11 @@ type streamState struct {
 	recycleRow func([]*epoch.Block)
 }
 
-// recycle hands a dead value back to the lifeguard's Recycler, if it has one.
+// recycle hands a dead value back to the lifeguard's Recycler, if it has
+// one, unwrapping sharded containers into their pieces.
 func (st *streamState) recycle(dead any) {
 	if st.rec != nil && dead != nil {
-		st.rec.Recycle(dead)
+		recyclePieces(st.rec, dead)
 	}
 }
 

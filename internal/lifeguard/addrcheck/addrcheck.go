@@ -20,6 +20,7 @@ import (
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
+	"butterfly/internal/lifeguard"
 	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
@@ -63,11 +64,6 @@ type Summary struct {
 	Access *sets.IntervalSet
 }
 
-// changes returns the bytes whose allocation metadata the block changes.
-func (s *Summary) changes() *sets.IntervalSet {
-	return s.GenAny.Union(s.KillAny)
-}
-
 // New returns a heap-only AddrCheck that ignores addresses below filterBelow.
 func New(filterBelow uint64) *Butterfly {
 	return &Butterfly{FilterBelow: filterBelow}
@@ -81,12 +77,7 @@ func (a *Butterfly) BottomState() core.State { return sets.NewIntervalSet() }
 
 // StateSize implements core.StateSizer: the number of disjoint allocated
 // intervals in the SOS (its metadata footprint, not its byte coverage).
-func (a *Butterfly) StateSize(s core.State) int {
-	if si, ok := s.(sets.ShardedIntervals); ok {
-		return si.NumIntervals()
-	}
-	return s.(*sets.IntervalSet).NumIntervals()
-}
+func (a *Butterfly) StateSize(s core.State) int { return s.(*sets.IntervalSet).NumIntervals() }
 
 // relevant reports whether AddrCheck monitors this event.
 func (a *Butterfly) relevant(e trace.Event) bool {
@@ -104,30 +95,18 @@ func sum(s core.Summary) *Summary {
 	return s.(*Summary)
 }
 
+// genKill is AddrCheck's lifeguard.GenKill accessor.
+func genKill(s core.Summary) (gen, kill *sets.IntervalSet) {
+	ss := s.(*Summary)
+	return ss.Gen, ss.Kill
+}
+
 // lsos computes LSOS_{l,t} (the reaching-expressions form, §5.2.1, over
 // intervals): head allocations survive unless another thread freed those
 // bytes in epoch l−2; SOS bytes survive unless the head freed them.
 // The returned set is pooled; callers release it with sets.PutSet.
 func (a *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) *sets.IntervalSet {
-	sos := ctx.SOS.(*sets.IntervalSet)
-	head := sum(ctx.Head)
-	out := sets.GetSet()
-	out.CopyFrom(sos)
-	if head == nil {
-		return out
-	}
-	fromHead := sets.GetSet()
-	fromHead.CopyFrom(head.Gen)
-	for tt, s2 := range ctx.Epoch2Back {
-		if trace.ThreadID(tt) == t || s2 == nil {
-			continue
-		}
-		fromHead.SubtractInPlace(sum(s2).Kill)
-	}
-	out.SubtractInPlace(head.Kill)
-	out.UnionInPlace(fromHead)
-	sets.PutSet(fromHead)
-	return out
+	return lifeguard.IntervalLSOS(t, ctx, genKill)
 }
 
 // FirstPass implements core.Lifeguard: build the block summary and run the
@@ -303,65 +282,8 @@ func (a *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 }
 
 // UpdateSOS implements core.Lifeguard with the reaching-expressions epoch
-// summary (§5.2) over intervals:
-//
-//	KILLₗ = ⋃ₜ KILL_{l,t}
-//	GENₗ  = ⋃ₜ (GEN_{l,t} − ⋃_{t'≠t}(killedSpan(t') − gennedSpan(t')))
-//
-// where killedSpan(t') = KILL_{l−1,t'} ∪ KILL_{l,t'} and gennedSpan(t') =
-// (GEN_{l−1,t'} − KILL_{l,t'}) ∪ GEN_{l,t'} — a byte allocated by thread t
-// survives every interleaving only if no other thread's net effect can
-// deallocate it.
+// summary (§5.2) over intervals: a byte allocated by thread t survives every
+// interleaving only if no other thread's net effect can deallocate it.
 func (a *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	sos := prev.(*sets.IntervalSet)
-	gen, kill := a.epochGenKill(prevEpoch, curEpoch)
-	out := sets.GetSet()
-	out.CopyFrom(sos)
-	out.SubtractInPlace(kill)
-	out.UnionInPlace(gen)
-	sets.PutSet(gen)
-	sets.PutSet(kill)
-	return out
-}
-
-func (a *Butterfly) epochGenKill(prevEpoch, curEpoch []core.Summary) (gen, kill *sets.IntervalSet) {
-	kill = sets.GetSet()
-	for _, s := range curEpoch {
-		kill.UnionInPlace(sum(s).Kill)
-	}
-	gen = sets.GetSet()
-	g := sets.GetSet()
-	killedSpan := sets.GetSet()
-	gennedSpan := sets.GetSet()
-	scratch := sets.GetSet()
-	T := len(curEpoch)
-	for t := 0; t < T; t++ {
-		g.CopyFrom(sum(curEpoch[t]).Gen)
-		for tt := 0; tt < T; tt++ {
-			if tt == t || g.Empty() {
-				continue
-			}
-			cur := sum(curEpoch[tt])
-			var prev *Summary
-			if prevEpoch != nil {
-				prev = sum(prevEpoch[tt])
-			}
-			killedSpan.CopyFrom(cur.Kill)
-			gennedSpan.CopyFrom(cur.Gen)
-			if prev != nil {
-				killedSpan.UnionInPlace(prev.Kill)
-				scratch.CopyFrom(prev.Gen)
-				scratch.SubtractInPlace(cur.Kill)
-				gennedSpan.UnionInPlace(scratch)
-			}
-			killedSpan.SubtractInPlace(gennedSpan)
-			g.SubtractInPlace(killedSpan)
-		}
-		gen.UnionInPlace(g)
-	}
-	sets.PutSet(g)
-	sets.PutSet(killedSpan)
-	sets.PutSet(gennedSpan)
-	sets.PutSet(scratch)
-	return gen, kill
+	return lifeguard.IntervalUpdateSOS(prev, prevEpoch, curEpoch, genKill)
 }

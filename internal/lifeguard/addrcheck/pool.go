@@ -67,16 +67,8 @@ func (a *Butterfly) Recycle(dead any) {
 	switch v := dead.(type) {
 	case *Summary:
 		putSummary(v)
-	case *shardedSummary:
-		for _, p := range v.pieces {
-			putSummary(p)
-		}
 	case *sets.IntervalSet:
 		sets.PutSet(v)
-	case sets.ShardedIntervals:
-		for _, p := range v {
-			sets.PutSet(p)
-		}
 	case *wingAgg:
 		putWingAgg(v)
 	}

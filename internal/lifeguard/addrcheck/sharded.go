@@ -5,6 +5,7 @@ import (
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
+	"butterfly/internal/lifeguard"
 	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
@@ -29,69 +30,27 @@ import (
 // order then reconstructs the serial report sequence byte-for-byte (the
 // report text names the full event range, not the piece).
 
-// shardedSummary is a Summary split into per-shard pieces.
-type shardedSummary struct {
-	pieces []*Summary
-}
-
 var _ core.ShardedLifeguard = (*Butterfly)(nil)
 
 // CanShard implements core.ShardedLifeguard.
 func (a *Butterfly) CanShard() bool { return true }
 
-// BottomStateSharded implements core.ShardedLifeguard.
-func (a *Butterfly) BottomStateSharded(sh *core.Sharding) core.State {
-	return sets.NewShardedIntervals(sh.K())
-}
-
 // MergeSOS implements core.ShardedLifeguard.
-func (a *Butterfly) MergeSOS(s core.State) core.State {
-	return s.(sets.ShardedIntervals).Merge()
-}
-
-// pieceRow views one shard of an epoch row of sharded summaries.
-func pieceRow(row []core.Summary, k int) []core.Summary {
-	if row == nil {
-		return nil
-	}
-	out := make([]core.Summary, len(row))
-	for t, s := range row {
-		if s != nil {
-			out[t] = s.(*shardedSummary).pieces[k]
-		}
-	}
-	return out
-}
-
-// pieceCtx views one shard of a sharded pass context, so the unsharded lsos
-// runs unchanged against shard k of every input.
-func pieceCtx(ctx core.PassContext, k int) core.PassContext {
-	c := core.PassContext{SOS: ctx.SOS.(sets.ShardedIntervals)[k]}
-	if ctx.Head != nil {
-		c.Head = ctx.Head.(*shardedSummary).pieces[k]
-	}
-	c.Epoch1Back = pieceRow(ctx.Epoch1Back, k)
-	c.Epoch2Back = pieceRow(ctx.Epoch2Back, k)
-	return c
+func (a *Butterfly) MergeSOS(pieces []core.State) core.State {
+	return lifeguard.MergeIntervalPieces(pieces)
 }
 
 // firstPassSharded runs the first pass as K per-shard tasks producing
 // per-event verdict bits, merged in event order.
 func (a *Butterfly) firstPassSharded(b *epoch.Block, ctx core.PassContext, sh *core.Sharding) (core.Summary, []core.Report) {
 	K := sh.K()
-	ss := &shardedSummary{pieces: make([]*Summary, K)}
-	bads := make([][]bool, K)
+	ss := &core.ShardedSummary{Pieces: make([]core.Summary, K)}
+	bads := make(core.Verdicts, K)
 	sh.Do(func(k int) {
 		s := getSummary()
-		lsos := a.lsos(b.Thread, pieceCtx(ctx, k))
+		lsos := a.lsos(b.Thread, ctx.Piece(k))
 		defer sets.PutSet(lsos)
-		var bad []bool
-		setBad := func(i int) {
-			if bad == nil {
-				bad = make([]bool, len(b.Events))
-			}
-			bad[i] = true
-		}
+		setBad := func(i int) { bads.Set(k, i, len(b.Events)) }
 		for i, e := range b.Events {
 			if !a.relevant(e) {
 				continue
@@ -130,22 +89,11 @@ func (a *Butterfly) firstPassSharded(b *epoch.Block, ctx core.PassContext, sh *c
 				})
 			}
 		}
-		ss.pieces[k] = s
-		bads[k] = bad
+		ss.Pieces[k] = s
 	})
 	var reports []core.Report
 	for i, e := range b.Events {
-		if !a.relevant(e) {
-			continue
-		}
-		flagged := false
-		for k := range bads {
-			if bads[k] != nil && bads[k][i] {
-				flagged = true
-				break
-			}
-		}
-		if !flagged {
+		if !a.relevant(e) || !bads.Any(i) {
 			continue
 		}
 		lo, hi := e.Lo(), e.Hi()
@@ -172,14 +120,14 @@ func (a *Butterfly) firstPassSharded(b *epoch.Block, ctx core.PassContext, sh *c
 // per body but touches only shard k's intervals.
 func (a *Butterfly) secondPassSharded(b *epoch.Block, wings []core.Summary, sh *core.Sharding) []core.Report {
 	K := sh.K()
-	bads := make([][]bool, K)
+	bads := make(core.Verdicts, K)
 	sh.Do(func(k int) {
 		changes := sets.GetSet()
 		access := sets.GetSet()
 		defer sets.PutSet(changes)
 		defer sets.PutSet(access)
 		for _, ws := range wings {
-			p := ws.(*shardedSummary).pieces[k]
+			p := ws.(*core.ShardedSummary).Pieces[k].(*Summary)
 			changes.UnionInPlace(p.GenAny)
 			changes.UnionInPlace(p.KillAny)
 			access.UnionInPlace(p.Access)
@@ -187,13 +135,7 @@ func (a *Butterfly) secondPassSharded(b *epoch.Block, wings []core.Summary, sh *
 		if changes.Empty() && access.Empty() {
 			return
 		}
-		var bad []bool
-		setBad := func(i int) {
-			if bad == nil {
-				bad = make([]bool, len(b.Events))
-			}
-			bad[i] = true
-		}
+		setBad := func(i int) { bads.Set(k, i, len(b.Events)) }
 		for i, e := range b.Events {
 			if !a.relevant(e) {
 				continue
@@ -217,21 +159,10 @@ func (a *Butterfly) secondPassSharded(b *epoch.Block, wings []core.Summary, sh *
 				})
 			}
 		}
-		bads[k] = bad
 	})
 	var reports []core.Report
 	for i, e := range b.Events {
-		if !a.relevant(e) {
-			continue
-		}
-		flagged := false
-		for k := range bads {
-			if bads[k] != nil && bads[k][i] {
-				flagged = true
-				break
-			}
-		}
-		if !flagged {
+		if !a.relevant(e) || !bads.Any(i) {
 			continue
 		}
 		lo, hi := e.Lo(), e.Hi()
@@ -245,15 +176,4 @@ func (a *Butterfly) secondPassSharded(b *epoch.Block, wings []core.Summary, sh *
 		reports = append(reports, core.Report{Ref: b.Ref(i), Ev: e, Code: CodeIsolation, Detail: detail})
 	}
 	return reports
-}
-
-// UpdateSOSSharded implements core.ShardedLifeguard: shard k's update is the
-// serial UpdateSOS over shard k of the state and the epoch rows.
-func (a *Butterfly) UpdateSOSSharded(sh *core.Sharding, prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	ps := prev.(sets.ShardedIntervals)
-	out := make(sets.ShardedIntervals, sh.K())
-	sh.Do(func(k int) {
-		out[k] = a.UpdateSOS(ps[k], pieceRow(prevEpoch, k), pieceRow(curEpoch, k)).(*sets.IntervalSet)
-	})
-	return out
 }

@@ -93,16 +93,7 @@ func (l *Butterfly) BottomState() core.State {
 
 // StateSize implements core.StateSizer: the number of locations with a
 // tracked candidate lockset.
-func (l *Butterfly) StateSize(s core.State) int {
-	if ss, ok := s.(*shardedState); ok {
-		n := 0
-		for _, p := range ss.pieces {
-			n += len(p.perLoc)
-		}
-		return n
-	}
-	return len(s.(*state).perLoc)
-}
+func (l *Butterfly) StateSize(s core.State) int { return len(s.(*state).perLoc) }
 
 func sum(s core.Summary) *Summary {
 	if s == nil {

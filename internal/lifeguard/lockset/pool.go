@@ -54,12 +54,7 @@ var _ core.Recycler = (*Butterfly)(nil)
 // Recycle implements core.Recycler for summaries only; a dead SOS falls
 // through untouched (see above).
 func (l *Butterfly) Recycle(dead any) {
-	switch v := dead.(type) {
-	case *Summary:
+	if v, ok := dead.(*Summary); ok {
 		putSummary(v)
-	case *shardedSummary:
-		for _, p := range v.pieces {
-			putSummary(p)
-		}
 	}
 }

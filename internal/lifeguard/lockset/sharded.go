@@ -30,75 +30,41 @@ import (
 // owning the global min — exactly the serial values, emitted in the serial
 // event order.
 
-// shardedSummary is a Summary split into per-shard pieces. Every piece
-// carries the full entryHeld/exitHeld (identical contents, independent sets
-// so shard tasks never share mutable state); perLoc is partitioned.
-type shardedSummary struct {
-	pieces []*Summary
-}
-
-// shardedState is the SOS split into per-shard pieces.
-type shardedState struct {
-	pieces []*state
-}
-
 var _ core.ShardedLifeguard = (*Butterfly)(nil)
 
 // CanShard implements core.ShardedLifeguard.
 func (l *Butterfly) CanShard() bool { return true }
 
-// BottomStateSharded implements core.ShardedLifeguard.
-func (l *Butterfly) BottomStateSharded(sh *core.Sharding) core.State {
-	ss := &shardedState{pieces: make([]*state, sh.K())}
-	for k := range ss.pieces {
-		ss.pieces[k] = &state{perLoc: map[uint64]*cand{}}
-	}
-	return ss
-}
-
 // MergeSOS implements core.ShardedLifeguard: the shards' location maps are
 // disjoint, so the canonical state is their union.
-func (l *Butterfly) MergeSOS(s core.State) core.State {
-	ss := s.(*shardedState)
+func (l *Butterfly) MergeSOS(pieces []core.State) core.State {
 	n := 0
-	for _, p := range ss.pieces {
-		n += len(p.perLoc)
+	for _, p := range pieces {
+		n += len(p.(*state).perLoc)
 	}
 	out := &state{perLoc: make(map[uint64]*cand, n)}
-	for _, p := range ss.pieces {
-		for a, c := range p.perLoc {
+	for _, p := range pieces {
+		for a, c := range p.(*state).perLoc {
 			out.perLoc[a] = c
 		}
 	}
 	return out
 }
 
-// pieceRow views one shard of an epoch row of sharded summaries.
-func pieceRow(row []core.Summary, k int) []core.Summary {
-	if row == nil {
-		return nil
-	}
-	out := make([]core.Summary, len(row))
-	for t, s := range row {
-		if s != nil {
-			out[t] = s.(*shardedSummary).pieces[k]
-		}
-	}
-	return out
-}
-
 // firstPassSharded threads the held-lock set per shard and partitions the
-// per-location summaries.
+// per-location summaries: every piece carries the full entryHeld/exitHeld
+// (identical contents, independent sets so shard tasks never share mutable
+// state); only perLoc is partitioned.
 func (l *Butterfly) firstPassSharded(b *epoch.Block, ctx core.PassContext, sh *core.Sharding) (core.Summary, []core.Report) {
 	K := sh.K()
-	ss := &shardedSummary{pieces: make([]*Summary, K)}
-	head, _ := ctx.Head.(*shardedSummary)
+	ss := &core.ShardedSummary{Pieces: make([]core.Summary, K)}
+	head, _ := ctx.Head.(*core.ShardedSummary)
 	sh.Do(func(k int) {
 		s := getSummary()
 		s.thread = b.Thread
 		s.entryHeld = sets.GetMap()
 		if head != nil {
-			s.entryHeld.AddAll(head.pieces[k].exitHeld)
+			s.entryHeld.AddAll(head.Pieces[k].(*Summary).exitHeld)
 		}
 		held := sets.GetMap()
 		held.AddAll(s.entryHeld)
@@ -127,7 +93,7 @@ func (l *Butterfly) firstPassSharded(b *epoch.Block, ctx core.PassContext, sh *c
 			}
 		}
 		s.exitHeld = held
-		ss.pieces[k] = s
+		ss.Pieces[k] = s
 	})
 	return ss, nil
 }
@@ -142,16 +108,16 @@ type evRace struct {
 // per-event racing ranges into the serial report sequence.
 func (l *Butterfly) secondPassSharded(b *epoch.Block, ctx core.PassContext, wings []core.Summary, sh *core.Sharding) []core.Report {
 	K := sh.K()
-	sos := ctx.SOS.(*shardedState)
-	own := ctx.Own.(*shardedSummary)
+	sos := ctx.SOS.(core.ShardedState)
+	own := ctx.Own.(*core.ShardedSummary)
 	races := make([]map[int]*evRace, K)
 	sh.Do(func(k int) {
-		sosK := sos.pieces[k]
-		ownK := own.pieces[k]
+		sosK := sos[k].(*state)
+		ownK := own.Pieces[k].(*Summary)
 		held := ownK.entryHeld.Clone()
 		agg := map[uint64]*wingLocAgg{}
 		for _, w := range wings {
-			ws := w.(*shardedSummary).pieces[k]
+			ws := w.(*core.ShardedSummary).Pieces[k].(*Summary)
 			for a, li := range ws.perLoc {
 				wa := agg[a]
 				if wa == nil {
@@ -255,15 +221,4 @@ type wingLocAgg struct {
 	inter   sets.Set
 	write   bool
 	threads map[trace.ThreadID]struct{}
-}
-
-// UpdateSOSSharded implements core.ShardedLifeguard: shard k's update is the
-// serial UpdateSOS over shard k of the state and the epoch rows.
-func (l *Butterfly) UpdateSOSSharded(sh *core.Sharding, prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	ps := prev.(*shardedState)
-	out := &shardedState{pieces: make([]*state, sh.K())}
-	sh.Do(func(k int) {
-		out.pieces[k] = l.UpdateSOS(ps.pieces[k], pieceRow(prevEpoch, k), pieceRow(curEpoch, k)).(*state)
-	})
-	return out
 }

@@ -27,6 +27,7 @@ import (
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
+	"butterfly/internal/lifeguard"
 	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
@@ -73,12 +74,7 @@ func (m *Butterfly) BottomState() core.State { return sets.NewIntervalSet() }
 
 // StateSize implements core.StateSizer: the number of disjoint defined
 // intervals in the SOS.
-func (m *Butterfly) StateSize(s core.State) int {
-	if si, ok := s.(sets.ShardedIntervals); ok {
-		return si.NumIntervals()
-	}
-	return s.(*sets.IntervalSet).NumIntervals()
-}
+func (m *Butterfly) StateSize(s core.State) int { return s.(*sets.IntervalSet).NumIntervals() }
 
 func (m *Butterfly) relevant(e trace.Event) bool {
 	switch e.Kind {
@@ -95,30 +91,18 @@ func sum(s core.Summary) *Summary {
 	return s.(*Summary)
 }
 
+// genKill is MemCheck's lifeguard.GenKill accessor.
+func genKill(s core.Summary) (gen, kill *sets.IntervalSet) {
+	ss := s.(*Summary)
+	return ss.Gen, ss.Kill
+}
+
 // lsos computes the defined-bytes LSOS (the §5.2 reaching-expressions
 // form): head definitions survive unless another thread undefined those
 // bytes in epoch l−2; SOS bytes survive unless the head undefined them.
 // The returned set is pooled; callers release it with sets.PutSet.
 func (m *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) *sets.IntervalSet {
-	sos := ctx.SOS.(*sets.IntervalSet)
-	head := sum(ctx.Head)
-	out := sets.GetSet()
-	out.CopyFrom(sos)
-	if head == nil {
-		return out
-	}
-	fromHead := sets.GetSet()
-	fromHead.CopyFrom(head.Gen)
-	for tt, s2 := range ctx.Epoch2Back {
-		if trace.ThreadID(tt) == t || s2 == nil {
-			continue
-		}
-		fromHead.SubtractInPlace(sum(s2).Kill)
-	}
-	out.SubtractInPlace(head.Kill)
-	out.UnionInPlace(fromHead)
-	sets.PutSet(fromHead)
-	return out
+	return lifeguard.IntervalLSOS(t, ctx, genKill)
 }
 
 // FirstPass implements core.Lifeguard: build the summary and run the
@@ -193,50 +177,5 @@ func (m *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 // UpdateSOS implements core.Lifeguard with the §5.2 epoch summary over
 // intervals (identical shape to AddrCheck's, with definedness facts).
 func (m *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	sos := prev.(*sets.IntervalSet)
-	kill := sets.GetSet()
-	for _, s := range curEpoch {
-		kill.UnionInPlace(sum(s).Kill)
-	}
-	gen := sets.GetSet()
-	g := sets.GetSet()
-	killedSpan := sets.GetSet()
-	gennedSpan := sets.GetSet()
-	scratch := sets.GetSet()
-	T := len(curEpoch)
-	for t := 0; t < T; t++ {
-		g.CopyFrom(sum(curEpoch[t]).Gen)
-		for tt := 0; tt < T; tt++ {
-			if tt == t || g.Empty() {
-				continue
-			}
-			cur := sum(curEpoch[tt])
-			var prev *Summary
-			if prevEpoch != nil {
-				prev = sum(prevEpoch[tt])
-			}
-			killedSpan.CopyFrom(cur.Kill)
-			gennedSpan.CopyFrom(cur.Gen)
-			if prev != nil {
-				killedSpan.UnionInPlace(prev.Kill)
-				scratch.CopyFrom(prev.Gen)
-				scratch.SubtractInPlace(cur.Kill)
-				gennedSpan.UnionInPlace(scratch)
-			}
-			killedSpan.SubtractInPlace(gennedSpan)
-			g.SubtractInPlace(killedSpan)
-		}
-		gen.UnionInPlace(g)
-	}
-	out := sets.GetSet()
-	out.CopyFrom(sos)
-	out.SubtractInPlace(kill)
-	out.UnionInPlace(gen)
-	sets.PutSet(kill)
-	sets.PutSet(gen)
-	sets.PutSet(g)
-	sets.PutSet(killedSpan)
-	sets.PutSet(gennedSpan)
-	sets.PutSet(scratch)
-	return out
+	return lifeguard.IntervalUpdateSOS(prev, prevEpoch, curEpoch, genKill)
 }

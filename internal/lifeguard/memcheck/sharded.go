@@ -5,6 +5,7 @@ import (
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
+	"butterfly/internal/lifeguard"
 	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
@@ -19,63 +20,26 @@ import (
 // serial report sequence exactly, including report text, which names the
 // full event range.
 
-// shardedSummary is a Summary split into per-shard pieces.
-type shardedSummary struct {
-	pieces []*Summary
-}
-
 var _ core.ShardedLifeguard = (*Butterfly)(nil)
 
 // CanShard implements core.ShardedLifeguard.
 func (m *Butterfly) CanShard() bool { return true }
 
-// BottomStateSharded implements core.ShardedLifeguard.
-func (m *Butterfly) BottomStateSharded(sh *core.Sharding) core.State {
-	return sets.NewShardedIntervals(sh.K())
-}
-
 // MergeSOS implements core.ShardedLifeguard.
-func (m *Butterfly) MergeSOS(s core.State) core.State {
-	return s.(sets.ShardedIntervals).Merge()
-}
-
-// pieceRow views one shard of an epoch row of sharded summaries.
-func pieceRow(row []core.Summary, k int) []core.Summary {
-	if row == nil {
-		return nil
-	}
-	out := make([]core.Summary, len(row))
-	for t, s := range row {
-		if s != nil {
-			out[t] = s.(*shardedSummary).pieces[k]
-		}
-	}
-	return out
-}
-
-// pieceCtx views one shard of a sharded pass context, so the unsharded lsos
-// runs unchanged against shard k of every input.
-func pieceCtx(ctx core.PassContext, k int) core.PassContext {
-	c := core.PassContext{SOS: ctx.SOS.(sets.ShardedIntervals)[k]}
-	if ctx.Head != nil {
-		c.Head = ctx.Head.(*shardedSummary).pieces[k]
-	}
-	c.Epoch1Back = pieceRow(ctx.Epoch1Back, k)
-	c.Epoch2Back = pieceRow(ctx.Epoch2Back, k)
-	return c
+func (m *Butterfly) MergeSOS(pieces []core.State) core.State {
+	return lifeguard.MergeIntervalPieces(pieces)
 }
 
 // firstPassSharded runs the first pass as K per-shard tasks producing
 // per-event verdict bits, then merges the bits in event order.
 func (m *Butterfly) firstPassSharded(b *epoch.Block, ctx core.PassContext, sh *core.Sharding) (core.Summary, []core.Report) {
 	K := sh.K()
-	ss := &shardedSummary{pieces: make([]*Summary, K)}
-	bads := make([][]bool, K)
+	ss := &core.ShardedSummary{Pieces: make([]core.Summary, K)}
+	bads := make(core.Verdicts, K)
 	sh.Do(func(k int) {
 		s := getSummary()
-		lsos := m.lsos(b.Thread, pieceCtx(ctx, k))
+		lsos := m.lsos(b.Thread, ctx.Piece(k))
 		defer sets.PutSet(lsos)
-		var bad []bool
 		for i, e := range b.Events {
 			if !m.relevant(e) {
 				continue
@@ -89,10 +53,7 @@ func (m *Butterfly) firstPassSharded(b *epoch.Block, ctx core.PassContext, sh *c
 				sets.ForEachShardPiece(k, K, lo, hi, func(plo, phi uint64) {
 					s.Reads.AddRange(plo, phi)
 					if !lsos.ContainsRange(plo, phi) {
-						if bad == nil {
-							bad = make([]bool, len(b.Events))
-						}
-						bad[i] = true
+						bads.Set(k, i, len(b.Events))
 					}
 				})
 			case trace.Write:
@@ -110,23 +71,17 @@ func (m *Butterfly) firstPassSharded(b *epoch.Block, ctx core.PassContext, sh *c
 				})
 			}
 		}
-		ss.pieces[k] = s
-		bads[k] = bad
+		ss.Pieces[k] = s
 	})
 	var reports []core.Report
 	for i, e := range b.Events {
-		if e.Kind != trace.Read || !m.relevant(e) {
+		if e.Kind != trace.Read || !m.relevant(e) || !bads.Any(i) {
 			continue
 		}
-		for k := range bads {
-			if bads[k] != nil && bads[k][i] {
-				reports = append(reports, core.Report{
-					Ref: b.Ref(i), Ev: e, Code: CodeUndefRead,
-					Detail: fmt.Sprintf("read of [%#x,%#x) may see uninitialized memory", e.Lo(), e.Hi()),
-				})
-				break
-			}
-		}
+		reports = append(reports, core.Report{
+			Ref: b.Ref(i), Ev: e, Code: CodeUndefRead,
+			Detail: fmt.Sprintf("read of [%#x,%#x) may see uninitialized memory", e.Lo(), e.Hi()),
+		})
 	}
 	return ss, reports
 }
@@ -134,17 +89,16 @@ func (m *Butterfly) firstPassSharded(b *epoch.Block, ctx core.PassContext, sh *c
 // secondPassSharded runs the isolation check as K per-shard tasks.
 func (m *Butterfly) secondPassSharded(b *epoch.Block, wings []core.Summary, sh *core.Sharding) []core.Report {
 	K := sh.K()
-	bads := make([][]bool, K)
+	bads := make(core.Verdicts, K)
 	sh.Do(func(k int) {
 		wingKills := sets.GetSet()
 		defer sets.PutSet(wingKills)
 		for _, w := range wings {
-			wingKills.UnionInPlace(w.(*shardedSummary).pieces[k].KillAny)
+			wingKills.UnionInPlace(w.(*core.ShardedSummary).Pieces[k].(*Summary).KillAny)
 		}
 		if wingKills.Empty() {
 			return
 		}
-		var bad []bool
 		for i, e := range b.Events {
 			if e.Kind != trace.Read || !m.relevant(e) {
 				continue
@@ -155,40 +109,20 @@ func (m *Butterfly) secondPassSharded(b *epoch.Block, wings []core.Summary, sh *
 			}
 			sets.ForEachShardPiece(k, K, lo, hi, func(plo, phi uint64) {
 				if wingKills.OverlapsRange(plo, phi) {
-					if bad == nil {
-						bad = make([]bool, len(b.Events))
-					}
-					bad[i] = true
+					bads.Set(k, i, len(b.Events))
 				}
 			})
 		}
-		bads[k] = bad
 	})
 	var reports []core.Report
 	for i, e := range b.Events {
-		if e.Kind != trace.Read || !m.relevant(e) {
+		if e.Kind != trace.Read || !m.relevant(e) || !bads.Any(i) {
 			continue
 		}
-		for k := range bads {
-			if bads[k] != nil && bads[k][i] {
-				reports = append(reports, core.Report{
-					Ref: b.Ref(i), Ev: e, Code: CodeIsolation,
-					Detail: fmt.Sprintf("read of [%#x,%#x) concurrent with a definedness change", e.Lo(), e.Hi()),
-				})
-				break
-			}
-		}
+		reports = append(reports, core.Report{
+			Ref: b.Ref(i), Ev: e, Code: CodeIsolation,
+			Detail: fmt.Sprintf("read of [%#x,%#x) concurrent with a definedness change", e.Lo(), e.Hi()),
+		})
 	}
 	return reports
-}
-
-// UpdateSOSSharded implements core.ShardedLifeguard: shard k's update is the
-// serial UpdateSOS over shard k of the state and the epoch rows.
-func (m *Butterfly) UpdateSOSSharded(sh *core.Sharding, prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	ps := prev.(sets.ShardedIntervals)
-	out := make(sets.ShardedIntervals, sh.K())
-	sh.Do(func(k int) {
-		out[k] = m.UpdateSOS(ps[k], pieceRow(prevEpoch, k), pieceRow(curEpoch, k)).(*sets.IntervalSet)
-	})
-	return out
 }

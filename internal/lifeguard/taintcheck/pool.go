@@ -54,8 +54,7 @@ func getTfn() *tfn {
 
 var _ core.Recycler = (*Butterfly)(nil)
 
-// Recycle implements core.Recycler for summaries only. TaintCheck's sharded
-// mode shares the serial summaries, so there is no sharded case.
+// Recycle implements core.Recycler for summaries only.
 func (tc *Butterfly) Recycle(dead any) {
 	if v, ok := dead.(*Summary); ok {
 		putSummary(v)

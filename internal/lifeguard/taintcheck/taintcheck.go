@@ -158,12 +158,7 @@ func (tc *Butterfly) BottomState() core.State { return sets.NewSet() }
 
 // StateSize implements core.StateSizer: the number of tainted locations in
 // the SOS.
-func (tc *Butterfly) StateSize(s core.State) int {
-	if ss, ok := s.(sets.ShardedSet); ok {
-		return ss.Len()
-	}
-	return s.(sets.Set).Len()
-}
+func (tc *Butterfly) StateSize(s core.State) int { return s.(sets.Set).Len() }
 
 func sum(s core.Summary) *Summary {
 	if s == nil {
@@ -214,12 +209,7 @@ func (tc *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summa
 //	LSOS = GEN_{l−1,t} ∪ (SOSₗ − KILL_{l−1,t})
 //	     ∪ {x ∈ SOSₗ ∩ KILL_{l−1,t} : ∃t'≠t, LASTCHECK(x, l−2, t') = ⊥}
 func (tc *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) sets.Set {
-	sos, ok := ctx.SOS.(sets.Set)
-	if !ok {
-		// Sharded run: the resolver chases parents across shards, so fold
-		// the pieces into one view (same contents as the serial SOS).
-		sos = ctx.SOS.(sets.ShardedSet).Merge()
-	}
+	sos := ctx.SOS.(sets.Set)
 	head := sum(ctx.Head)
 	if head == nil {
 		return sos.Clone()
@@ -310,21 +300,13 @@ func (tc *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []co
 //	             ∀t'≠t, LASTCHECK(x, (l−1,l), t') ∈ {⊤, ∅}}
 //	SOS'  = GENₗ ∪ (SOS − KILLₗ)
 func (tc *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	return tc.updateSOS(prev.(sets.Set), prevEpoch, curEpoch, nil)
-}
-
-// updateSOS is the §6.2 update restricted to locations accepted by keep
-// (nil = all); sharded shard k passes keep = "hashes to k".
-func (tc *Butterfly) updateSOS(sos sets.Set, prevEpoch, curEpoch []core.Summary, keep func(uint64) bool) sets.Set {
+	sos := prev.(sets.Set)
 	gen := sets.NewSet()
 	kill := sets.NewSet()
 	T := len(curEpoch)
 	for t := 0; t < T; t++ {
 		st := sum(curEpoch[t])
 		for x, s := range st.lastCheck {
-			if keep != nil && !keep(x) {
-				continue
-			}
 			if s == Bot {
 				gen.Add(x)
 				continue
@@ -351,6 +333,5 @@ func (tc *Butterfly) updateSOS(sos sets.Set, prevEpoch, curEpoch []core.Summary,
 			}
 		}
 	}
-	out := gen.Union(sos.Difference(kill))
-	return out
+	return gen.Union(sos.Difference(kill))
 }

@@ -581,6 +581,29 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	s.serveSession(conn, br, bw, sess, h.AckedEpoch)
+	if sess.aborted {
+		s.lingerClose(conn)
+	}
+}
+
+// lingerClose makes a terminal Error frame survive the close. The client
+// streams ahead of its Acks, so its next Epoch frames usually sit unread in
+// the receive buffer when the session aborts; closing over them makes the
+// kernel answer with RST, which fails the client's send and discards the
+// Error frame before its reader sees it — the client then resumes an evicted
+// id and reports unknown-session instead of the real reason. So: half-close
+// the write side (the client reads Error, then EOF) and discard inbound bytes
+// until the client hangs up, bounded by the write timeout.
+func (s *Server) lingerClose(conn net.Conn) {
+	if hc, ok := conn.(interface{ CloseWrite() error }); ok {
+		hc.CloseWrite()
+	}
+	d := s.cfg.WriteTimeout
+	if d <= 0 {
+		d = s.cfg.HelloTimeout
+	}
+	conn.SetReadDeadline(time.Now().Add(d))
+	io.Copy(io.Discard, conn)
 }
 
 // reject answers a refused Hello.
@@ -600,7 +623,7 @@ func (s *Server) sessionError(bw *bufio.Writer, sess *session, code, reason stri
 	s.log.Error("session aborted", "session", sess.shortID, "trace", sess.traceID,
 		"code", code, "reason", reason, "flight", sess.flight.Tail(8))
 	if err := proto.WriteJSON(bw, proto.FrameError, proto.ErrorMsg{Code: code, Reason: reason}); err == nil {
-		bw.Flush()
+		sess.aborted = bw.Flush() == nil
 	}
 	s.evict(sess, false)
 }

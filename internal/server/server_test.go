@@ -200,6 +200,29 @@ func validHello() proto.Hello {
 	return proto.Hello{Proto: proto.Version, Lifeguard: "addrcheck", NumThreads: 2}
 }
 
+// TestWelcomeReportsEffectiveShards pins the handshake's shard count: what
+// the session actually runs with, which is 1 for a lifeguard that cannot
+// shard whatever the server was configured with.
+func TestWelcomeReportsEffectiveShards(t *testing.T) {
+	s := startServer(t, server.Config{Shards: 4})
+	for lg, want := range map[string]int{"addrcheck": 4, "taintcheck": 1} {
+		h := validHello()
+		h.Lifeguard = lg
+		conn, ft, payload := rawHello(t, s.Addr(), h)
+		if ft != proto.FrameWelcome {
+			t.Fatalf("%s: got %v frame, want Welcome (%s)", lg, ft, payload)
+		}
+		var w proto.Welcome
+		if err := json.Unmarshal(payload, &w); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		if w.Shards != want {
+			t.Errorf("%s: Welcome.Shards = %d at -shards 4, want %d", lg, w.Shards, want)
+		}
+	}
+}
+
 func TestRejectWhenFull(t *testing.T) {
 	s := startServer(t, server.Config{MaxSessions: 1})
 	occupier, ft, payload := rawHello(t, s.Addr(), validHello())

@@ -98,6 +98,9 @@ type session struct {
 	// finished is set once End was processed and Done computed.
 	finished bool
 	done     proto.Done
+	// aborted is set once a terminal Error frame was flushed toward the
+	// client; the handler then lingers on the close (Server.lingerClose).
+	aborted bool
 
 	// attached/evictTimer are guarded by Server.mu (registry transitions).
 	attached   bool
@@ -245,7 +248,11 @@ func (sess *session) writeTrace(dir string, log *slog.Logger) {
 	}
 	sess.traceOnce.Do(func() {
 		path := filepath.Join(dir, "session-"+sess.shortID+".json")
-		f, err := os.Create(path)
+		// Stream into a temporary name and rename once complete: whoever
+		// finds session-*.json by glob (an operator tailing the directory)
+		// must never read a half-written file.
+		tmp := path + ".tmp"
+		f, err := os.Create(tmp)
 		if err != nil {
 			log.Error("session trace not written", "session", sess.shortID, "err", err.Error())
 			return
@@ -258,7 +265,11 @@ func (sess *session) writeTrace(dir string, log *slog.Logger) {
 		if e := f.Close(); err == nil {
 			err = e
 		}
+		if err == nil {
+			err = os.Rename(tmp, path)
+		}
 		if err != nil {
+			os.Remove(tmp)
 			log.Error("session trace not written", "session", sess.shortID, "path", path, "err", err.Error())
 			return
 		}

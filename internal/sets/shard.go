@@ -7,10 +7,10 @@ package sets
 // fact in any derived set therefore depends only on that fact's membership in
 // the inputs, so the whole state layer can be partitioned into K disjoint
 // address shards and each shard advanced by an independent task with no
-// shared mutable maps. This file provides the two partition functions and the
-// split/merge containers the sharded driver mode (core.Driver.Shards,
-// DESIGN.md §11) builds on.
-
+// shared mutable maps. This file provides the two partition functions the
+// sharded driver mode (core.Driver.Shards, DESIGN.md §11) builds on, plus the
+// interval split/merge container; the per-shard state and summary containers
+// themselves are core.ShardedState and core.ShardedSummary.
 //
 // Two partition schemes exist because the two set families index differently:
 //
@@ -102,53 +102,6 @@ func ForEachShardPiece(k, K int, lo, hi uint64, f func(lo, hi uint64)) {
 	}
 }
 
-// ShardedSet is a fact set partitioned by ShardOf: shard k holds exactly the
-// facts with ShardOf(fact, len) == k. Shards are independently mutable plain
-// Sets, so K tasks can each advance their shard with no synchronization.
-type ShardedSet []Set
-
-// NewShardedSet returns K empty shards.
-func NewShardedSet(K int) ShardedSet {
-	ss := make(ShardedSet, K)
-	for k := range ss {
-		ss[k] = NewSet()
-	}
-	return ss
-}
-
-// Split partitions s into K shards by ShardOf.
-func (s Set) Split(K int) ShardedSet {
-	ss := NewShardedSet(K)
-	for e := range s {
-		ss[ShardOf(e, K)].Add(e)
-	}
-	return ss
-}
-
-// Merge returns the union of all shards as one plain Set — the canonical
-// unsharded form, equal to the set a serial run would have produced.
-func (ss ShardedSet) Merge() Set {
-	out := NewSet()
-	for _, s := range ss {
-		out.AddAll(s)
-	}
-	return out
-}
-
-// Len returns the total cardinality across shards.
-func (ss ShardedSet) Len() int {
-	n := 0
-	for _, s := range ss {
-		n += s.Len()
-	}
-	return n
-}
-
-// Has reports membership, routing to the owning shard.
-func (ss ShardedSet) Has(e uint64) bool {
-	return ss[ShardOf(e, len(ss))].Has(e)
-}
-
 // ShardedIntervals is a byte set partitioned by granule (ShardOfAddr):
 // shard k covers exactly the bytes whose granule is dealt to k.
 type ShardedIntervals []*IntervalSet
@@ -209,14 +162,4 @@ func (si ShardedIntervals) MergeInto(dst *IntervalSet) {
 	}
 	putBacking(scratch)
 	dst.adoptSorted(acc)
-}
-
-// NumIntervals returns the total interval count across shards (the sharded
-// metadata footprint; merging can only shrink it by re-coalescing).
-func (si ShardedIntervals) NumIntervals() int {
-	n := 0
-	for _, s := range si {
-		n += s.NumIntervals()
-	}
-	return n
 }
