@@ -12,10 +12,12 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 	"butterfly/internal/lifeguard/addrcheck"
+	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
 
@@ -30,22 +32,24 @@ const steadyAllocBudget = 8
 // allocates its slots up front, then reads and writes only allocated
 // memory, with occasional free/realloc churn so interval kernels do real
 // work. No reports means the gate measures the driver, not report
-// formatting.
-func steadyGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
+// formatting. Slots are 64 bytes, one every pitch bytes: at pitch 64 a
+// thread's slots coalesce and the SOS is a handful of intervals that never
+// leave inline storage; at a wider pitch every slot is an interval of its
+// own and the SOS is nthreads × slots intervals on pooled heap backings.
+func steadyGrid(tb testing.TB, nthreads, perThread, slots int, pitch uint64) *epoch.Grid {
 	tb.Helper()
 	b := trace.NewBuilder(nthreads)
 	const (
 		heapBase = 0x10000
-		slots    = 32
 		slotSize = 64
 	)
 	for t := 0; t < nthreads; t++ {
 		b.T(trace.ThreadID(t))
 		rng := rand.New(rand.NewSource(int64(t + 1)))
-		base := uint64(heapBase + t*slots*slotSize)
-		own := func() uint64 { return base + uint64(rng.Intn(slots))*slotSize }
+		base := heapBase + uint64(t*slots)*pitch
+		own := func() uint64 { return base + uint64(rng.Intn(slots))*pitch }
 		for s := 0; s < slots; s++ {
-			b.Alloc(base+uint64(s)*slotSize, slotSize)
+			b.Alloc(base+uint64(s)*pitch, slotSize)
 		}
 		for i := slots; i < perThread; i++ {
 			switch rng.Intn(32) {
@@ -83,15 +87,24 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		t.Skip("race detector instruments allocations; counts are not meaningful")
 	}
 	const T = 4
-	g := steadyGrid(t, T, 8192) // 128 epochs of 64 events/thread
+	// 128 epochs of 64 events/thread, over a coalesced heap and over a
+	// fragmented one whose SOS is 640 intervals: there every generation and
+	// every kernel scratch is a pooled heap backing, beside the few-interval
+	// sets of the LSOS views.
+	compact := steadyGrid(t, T, 8192, 32, 64)
+	fragmented := steadyGrid(t, T, 8192, 160, 128)
 	for _, tc := range []struct {
 		name   string
+		g      *epoch.Grid
 		d      core.Driver
 		budget float64
 	}{
-		{"serial", core.Driver{}, steadyAllocBudget},
-		{"served", core.Driver{Parallel: true, Shards: 2}, servedAllocBudget},
+		{"serial", compact, core.Driver{}, steadyAllocBudget},
+		{"served", compact, core.Driver{Parallel: true, Shards: 2}, servedAllocBudget},
+		{"fragmented/serial", fragmented, core.Driver{}, steadyAllocBudget},
+		{"fragmented/served", fragmented, core.Driver{Parallel: true, Shards: 2}, servedAllocBudget},
 	} {
+		g := tc.g
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.d
 			d.LG = addrcheck.New(0)
@@ -141,5 +154,73 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 					perEpoch, tc.budget)
 			}
 		})
+	}
+}
+
+// TestFirstPassIndependentOfStateSize is the gate on what the LSOS view
+// bought: the first pass costs what its block costs, not what the SOS
+// holds. One fixed block — free/realloc churn and accesses over 1 Ki heap
+// slots — runs against a 1 Ki-interval and a 64 Ki-interval SOS that agree
+// on those slots; the deeper binary search and its cache misses are all the
+// larger state may add. When the LSOS was a clone edited in place the ratio
+// was 42 (243 against 10,253 ns/event: every alloc and free shifted the
+// tail of the sorted copy); as a view it reads 1.0.
+func TestFirstPassIndependentOfStateSize(t *testing.T) {
+	if raceDetectorEnabled || testing.Short() {
+		t.Skip("timing test")
+	}
+	const (
+		heapBase = 0x10000
+		slotSize = 64
+		pitch    = 128
+		live     = 1 << 10 // slots the block touches
+		events   = 2048
+	)
+	rng := rand.New(rand.NewSource(1))
+	b := trace.NewBuilder(1)
+	for i := 0; i < events; i++ {
+		slot := heapBase + uint64(rng.Intn(live))*pitch
+		switch rng.Intn(8) {
+		case 0:
+			b.Free(slot, slotSize).Alloc(slot, slotSize)
+			i++
+		case 1, 2:
+			b.Write(slot, uint64(1+rng.Intn(slotSize)))
+		default:
+			b.Read(slot, uint64(1+rng.Intn(slotSize)))
+		}
+	}
+	g, err := epoch.ChunkByCount(b.Build(), events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := g.Blocks[0][0]
+	lg := addrcheck.New(0)
+	nsPerEvent := func(slots int) float64 {
+		sos := lg.BottomState().(*sets.IntervalSet)
+		for s := 0; s < slots; s++ {
+			sos.AddRange(heapBase+uint64(s)*pitch, heapBase+uint64(s)*pitch+slotSize)
+		}
+		ctx := core.PassContext{SOS: sos}
+		best := time.Duration(1 << 62)
+		for rep := 0; rep < 5; rep++ {
+			start := time.Now()
+			for i := 0; i < 8; i++ {
+				sum, reports := lg.FirstPass(block, ctx)
+				if len(reports) != 0 {
+					t.Fatalf("%d slots: the block is not clean: %v", slots, reports[0])
+				}
+				lg.Recycle(sum)
+			}
+			best = min(best, time.Since(start))
+		}
+		return float64(best.Nanoseconds()) / (8 * float64(len(block.Events)))
+	}
+	small, large := nsPerEvent(live), nsPerEvent(64*live)
+	t.Logf("first pass: %.0f ns/event over %d intervals, %.0f ns/event over %d (ratio %.2f)",
+		small, live, large, 64*live, large/small)
+	if large > 3*small {
+		t.Fatalf("first pass scales with the state: %.0f ns/event over %d intervals, %.0f over %d",
+			small, live, large, 64*live)
 	}
 }

@@ -101,24 +101,25 @@ func genKill(s core.Summary) (gen, kill *sets.IntervalSet) {
 	return ss.Gen, ss.Kill
 }
 
-// lsos computes LSOS_{l,t} (the reaching-expressions form, §5.2.1, over
-// intervals): head allocations survive unless another thread freed those
-// bytes in epoch l−2; SOS bytes survive unless the head freed them.
-// The returned set is pooled; callers release it with sets.PutSet.
-func (a *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) *sets.IntervalSet {
+// lsos opens LSOS_{l,t} (the reaching-expressions form, §5.2.1, over
+// intervals) as a view over the SOS: head allocations survive unless another
+// thread freed those bytes in epoch l−2; SOS bytes survive unless the head
+// freed them. The view is pooled; callers release it with sets.PutOverlay.
+func (a *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) *sets.Overlay {
 	return lifeguard.IntervalLSOS(t, ctx, genKill)
 }
 
 // FirstPass implements core.Lifeguard: build the block summary and run the
-// traditional per-instruction checks against the LSOS, updating it in place
-// (LSOS_{l,t,k} = GEN ∪ (LSOS_{l,t,k−1} − KILL)).
+// traditional per-instruction checks against the LSOS, updating the view as
+// it goes (LSOS_{l,t,k} = GEN ∪ (LSOS_{l,t,k−1} − KILL)); the SOS under it
+// is only read.
 func (a *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
 	if ctx.Sharding != nil {
 		return a.firstPassSharded(b, ctx, ctx.Sharding)
 	}
 	s := getSummary()
 	lsos := a.lsos(b.Thread, ctx)
-	defer sets.PutSet(lsos)
+	defer sets.PutOverlay(lsos)
 	var reports []core.Report
 	flag := func(i int, code, detail string) {
 		reports = append(reports, core.Report{Ref: b.Ref(i), Ev: b.Events[i], Code: code, Detail: detail})

@@ -49,7 +49,7 @@ func (a *Butterfly) firstPassSharded(b *epoch.Block, ctx core.PassContext, sh *c
 	sh.Do(func(k int) {
 		s := getSummary()
 		lsos := a.lsos(b.Thread, ctx.Piece(k))
-		defer sets.PutSet(lsos)
+		defer sets.PutOverlay(lsos)
 		setBad := func(i int) { bads.Set(k, i, len(b.Events)) }
 		for i, e := range b.Events {
 			if !a.relevant(e) {

@@ -97,11 +97,12 @@ func genKill(s core.Summary) (gen, kill *sets.IntervalSet) {
 	return ss.Gen, ss.Kill
 }
 
-// lsos computes the defined-bytes LSOS (the §5.2 reaching-expressions
-// form): head definitions survive unless another thread undefined those
-// bytes in epoch l−2; SOS bytes survive unless the head undefined them.
-// The returned set is pooled; callers release it with sets.PutSet.
-func (m *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) *sets.IntervalSet {
+// lsos opens the defined-bytes LSOS (the §5.2 reaching-expressions form) as
+// a view over the SOS: head definitions survive unless another thread
+// undefined those bytes in epoch l−2; SOS bytes survive unless the head
+// undefined them. The view is pooled; callers release it with
+// sets.PutOverlay.
+func (m *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) *sets.Overlay {
 	return lifeguard.IntervalLSOS(t, ctx, genKill)
 }
 
@@ -113,7 +114,7 @@ func (m *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 	}
 	s := getSummary()
 	lsos := m.lsos(b.Thread, ctx)
-	defer sets.PutSet(lsos)
+	defer sets.PutOverlay(lsos)
 	var reports []core.Report
 	for i, e := range b.Events {
 		if !m.relevant(e) {

@@ -39,7 +39,7 @@ func (m *Butterfly) firstPassSharded(b *epoch.Block, ctx core.PassContext, sh *c
 	sh.Do(func(k int) {
 		s := getSummary()
 		lsos := m.lsos(b.Thread, ctx.Piece(k))
-		defer sets.PutSet(lsos)
+		defer sets.PutOverlay(lsos)
 		for i, e := range b.Events {
 			if !m.relevant(e) {
 				continue

@@ -457,6 +457,99 @@ func (s *IntervalSet) SubtractInPlace(o *IntervalSet) {
 	s.adoptSorted(dst)
 }
 
+// AssignDelta replaces s with (prev − kill) ∪ gen in one pass over the three
+// sorted inputs: the SOS update SOS_{l+1} = (SOS_l − KILLₗ) ∪ GENₗ, where
+// prev is generation-sized and kill and gen are epoch-sized. The runs of
+// prev that end before the next kill or gen interval begins are copied as
+// blocks; only the intervals a delta meets go through the element-wise
+// subtract-and-merge. s must not alias an input; the inputs are left
+// untouched.
+func (s *IntervalSet) AssignDelta(prev, kill, gen *IntervalSet) {
+	p, k, g := prev.ivs, kill.ivs, gen.ivs
+	if len(k) == 0 && len(g) == 0 {
+		s.CopyFrom(prev)
+		return
+	}
+	// Subtracting splits at most len(k) intervals and the union adds at most
+	// len(g), so dst never regrows.
+	dst := getBacking(len(p) + len(k) + len(g))
+	j, m := 0, 0 // cursors into k and g
+	// put appends the next interval of the result stream, which arrives in
+	// Lo order, coalescing it into the tail.
+	put := func(iv Interval) {
+		if n := len(dst); n > 0 && iv.Lo <= dst[n-1].Hi {
+			if iv.Hi > dst[n-1].Hi {
+				dst[n-1].Hi = iv.Hi
+			}
+			return
+		}
+		dst = append(dst, iv)
+	}
+	// survivor puts a piece of prev − kill, after the gen intervals that
+	// start no later than it does.
+	survivor := func(iv Interval) {
+		for ; m < len(g) && g[m].Lo <= iv.Lo; m++ {
+			put(g[m])
+		}
+		put(iv)
+	}
+	for i := 0; i < len(p); {
+		a := p[i]
+		for j < len(k) && k[j].Hi <= a.Lo {
+			j++
+		}
+		next := ^uint64(0) // where the next delta interval begins
+		if j < len(k) {
+			next = k[j].Lo
+		}
+		if m < len(g) && g[m].Lo < next {
+			next = g[m].Lo
+		}
+		if n := len(dst); a.Hi < next && (n == 0 || dst[n-1].Hi < a.Lo) {
+			// Neither a pending delta nor a gen interval already in the tail
+			// meets a or the intervals after it up to r.
+			r := runEnd(p, i, next)
+			dst = append(dst, p[i:r]...)
+			i = r
+			continue
+		}
+		lo := a.Lo
+		for ; j < len(k) && k[j].Lo < a.Hi; j++ {
+			b := k[j]
+			if b.Lo > lo {
+				survivor(Interval{lo, b.Lo})
+			}
+			if b.Hi > lo {
+				lo = b.Hi
+			}
+			if lo >= a.Hi {
+				break // b may reach into the next interval of prev: keep it
+			}
+		}
+		if lo < a.Hi {
+			survivor(Interval{lo, a.Hi})
+		}
+		i++
+	}
+	for ; m < len(g); m++ {
+		put(g[m])
+	}
+	s.adoptSorted(dst)
+}
+
+// runEnd returns the first index r > i with p[r].Hi >= next (len(p) if none),
+// given p[i].Hi < next. It gallops, so a run costs O(log run) however long p
+// is: dense deltas do not pay a full binary search per interval.
+func runEnd(p []Interval, i int, next uint64) int {
+	step := 1
+	for i+step < len(p) && p[i+step].Hi < next {
+		i += step
+		step <<= 1
+	}
+	n := min(step, len(p)-i) - 1 // candidates p[i+1 : i+1+n]; p[i+1+n] fails or is the end
+	return i + 1 + sort.Search(n, func(x int) bool { return p[i+1+x].Hi >= next })
+}
+
 // Intersect returns a new set holding s ∩ o.
 func (s *IntervalSet) Intersect(o *IntervalSet) *IntervalSet {
 	c := &IntervalSet{}

@@ -311,3 +311,85 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 		t.Fatalf("steady-state kernel allocs/op = %v, want 0", avg)
 	}
 }
+
+// TestAssignDeltaVsReference checks the one-pass (prev − kill) ∪ gen kernel
+// against the bitmap model and, canonical form included, against the three
+// steps it fuses — over pools dirtied by every earlier round, from inline
+// sets to sets of hundreds of intervals with sparse and dense deltas.
+func TestAssignDeltaVsReference(t *testing.T) {
+	for seed := int64(0); seed < 320; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		span := []uint64{64, 256, 4096}[seed%3]
+		randSet := func(n int, maxLen uint64) (*IntervalSet, refSet) {
+			s, r := NewIntervalSet(), make(refSet)
+			for i := rng.Intn(n + 1); i > 0; i-- {
+				lo := rng.Uint64() % span
+				hi := min(lo+1+rng.Uint64()%maxLen, span)
+				s.AddRange(lo, hi)
+				r.addRange(lo, hi)
+			}
+			return s, r
+		}
+		prev, pr := randSet(int(span/4), 6)
+		delta := []int{0, 3, 40}[seed/3%3] // none, sparse, dense
+		kill, kr := randSet(delta, 24)
+		gen, gr := randSet(delta, 24)
+		prev0, kill0, gen0 := prev.Clone(), kill.Clone(), gen.Clone()
+
+		out := GetSet()
+		out.AddRange(0, 1+uint64(seed)) // stale contents must be discarded
+		out.AssignDelta(prev, kill, gen)
+
+		pr.subtract(kr)
+		pr.union(gr)
+		checkAgainstRef(t, "AssignDelta", out, pr, span)
+		want := prev.Clone()
+		want.SubtractInPlace(kill)
+		want.UnionInPlace(gen)
+		if !reflect.DeepEqual(out, want) {
+			t.Fatalf("seed %d: AssignDelta = %#v, three steps give %#v", seed, out, want)
+		}
+		if !reflect.DeepEqual(prev, prev0) || !reflect.DeepEqual(kill, kill0) || !reflect.DeepEqual(gen, gen0) {
+			t.Fatalf("seed %d: AssignDelta modified an input", seed)
+		}
+		PutSet(out)
+	}
+}
+
+// TestBackingPoolSizeClasses pins the pool fix: small overlay-sized sets and
+// generation-sized sets draw from different size classes, so alternating
+// between them neither drops a too-small backing nor parks a huge one behind
+// eight intervals — and therefore allocates nothing once warm.
+func TestBackingPoolSizeClasses(t *testing.T) {
+	for _, min := range []int{1, 8, 9, 64, 65, 1 << 16, 1<<16 + 1} {
+		b := getBacking(min)
+		if len(b) != 0 || cap(b) < min || cap(b) >= 2*max(min, minBacking) {
+			t.Fatalf("getBacking(%d): len %d cap %d", min, len(b), cap(b))
+		}
+		putBacking(b)
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside sync.Pool")
+	}
+	big := NewIntervalSet()
+	for i := uint64(0); i < 1<<16; i++ {
+		big.AddRange(0x40*i, 0x40*i+0x20)
+	}
+	run := func() {
+		small := GetSet()
+		for i := uint64(0); i < 8; i++ {
+			small.AddRange(0x40*i, 0x40*i+0x20)
+		}
+		gen := GetSet()
+		gen.CopyFrom(big)
+		if c := cap(small.ivs); c > 16 {
+			t.Fatalf("an 8-interval set sits on a %d-interval backing", c)
+		}
+		PutSet(small)
+		PutSet(gen)
+	}
+	run() // warm the pools
+	if avg := testing.AllocsPerRun(50, run); avg != 0 {
+		t.Fatalf("alternating small and generation-sized sets: %v allocs/round, want 0", avg)
+	}
+}

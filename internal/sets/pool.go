@@ -14,41 +14,55 @@ package sets
 //     sets and the scratch slices of the linear merge/subtract kernels.
 //     sync.Pool cannot hold a bare slice without boxing it on every Put (an
 //     allocation, exactly what the pool exists to avoid), so slices travel
-//     inside reusable *ivSlice boxes that cycle between two pools: boxes
-//     carrying a slice sit in backingPool, empty boxes in boxPool. Boxes are
-//     allocated only when both pools are cold.
+//     inside reusable *ivSlice boxes: boxes carrying a slice sit in the
+//     backing pool of the slice's size class, empty boxes in boxPool. Boxes
+//     are allocated only when both are cold.
+//
+//     Backings are pooled by power-of-two size class: class c holds
+//     capacities in [2^c, 2^(c+1)), a request draws from the class of its
+//     rounded-up size and a miss allocates that rounded-up size. Whatever a
+//     request pops therefore fits, and an 8-interval overlay set and a
+//     generation-sized SOS never trade backings — one mixed pool handed
+//     32 Ki-interval backings to 8-interval requests and dropped every
+//     too-small pop on the floor.
 //
 // Ownership discipline: a slice handed to putBacking must have no other
 // referent — the caller transfers ownership. Inline (small-array) backings
 // are never pooled; putBacking filters them by capacity, since an inline
 // backing's capacity is always exactly smallIvs.
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // ivSlice is the reusable box that carries a pooled []Interval.
 type ivSlice struct{ s []Interval }
 
 var (
-	boxPool     sync.Pool // empty *ivSlice boxes
-	backingPool sync.Pool // *ivSlice boxes carrying a released slice
-	setPool     sync.Pool // empty *IntervalSet values
+	boxPool      sync.Pool                    // empty *ivSlice boxes
+	backingPools [bits.UintSize + 1]sync.Pool // by size class: *ivSlice boxes carrying a released slice
+	setPool      sync.Pool                    // empty *IntervalSet values
 )
 
+// minBacking is the smallest heap backing: the first step past inline
+// storage.
+const minBacking = 2 * smallIvs
+
 // getBacking returns a zero-length []Interval with capacity at least min,
-// reusing a pooled backing when one fits.
+// reusing a pooled backing of min's size class when there is one.
 func getBacking(min int) []Interval {
-	if b, _ := backingPool.Get().(*ivSlice); b != nil {
+	if min < minBacking {
+		min = minBacking
+	}
+	c := bits.Len(uint(min - 1)) // ⌈log₂ min⌉: every backing in class c holds min
+	if b, _ := backingPools[c].Get().(*ivSlice); b != nil {
 		s := b.s
 		b.s = nil
 		boxPool.Put(b)
-		if cap(s) >= min {
-			return s[:0]
-		}
+		return s
 	}
-	if min < 8 {
-		min = 8
-	}
-	return make([]Interval, 0, min)
+	return make([]Interval, 0, 1<<c)
 }
 
 // poisonAddr fills released backings in race builds: a live aliased reader
@@ -56,10 +70,11 @@ func getBacking(min int) []Interval {
 // stale intervals.
 const poisonAddr = 0xdead_dead_dead_dead
 
-// putBacking releases a heap backing to the pool. Inline backings (capacity
-// smallIvs or less) and nil slices are ignored.
+// putBacking releases a heap backing to the pool of its size class. Nil
+// slices and inline backings (capacity smallIvs, below minBacking) are
+// ignored.
 func putBacking(s []Interval) {
-	if cap(s) <= smallIvs {
+	if cap(s) < minBacking {
 		return
 	}
 	if raceEnabled {
@@ -73,7 +88,7 @@ func putBacking(s []Interval) {
 		b = new(ivSlice)
 	}
 	b.s = s[:0]
-	backingPool.Put(b)
+	backingPools[bits.Len(uint(cap(s)))-1].Put(b) // ⌊log₂ cap⌋
 }
 
 // mapPool recycles fact-set maps. A Set is pointer-shaped, so Get/Put do not
