@@ -28,8 +28,8 @@ lint: fmt-check vet
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over every decoder and the LSOS view (the seed corpus always
-# runs in `test`).
+# Short fuzz pass over every decoder, the LSOS view and the lockset kernels
+# (the seed corpus always runs in `test`).
 fuzz:
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzStreamReader -fuzztime 30s
@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzServerFrameDecoder -fuzztime 30s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALDecoder -fuzztime 30s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 30s
+	$(GO) test ./internal/lifeguard/lockset -run XXX -fuzz FuzzLockVec -fuzztime 30s
 
 # Shorter fuzz pass for the CI gate: 10s per fuzzer, seeded from testdata/.
 fuzz-smoke:
@@ -46,6 +47,7 @@ fuzz-smoke:
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzServerFrameDecoder -fuzztime 10s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALDecoder -fuzztime 10s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 10s
+	$(GO) test ./internal/lifeguard/lockset -run XXX -fuzz FuzzLockVec -fuzztime 10s
 
 # Shard-invariance gate: every lifeguard x entry point at shards {1,2,3,8} must
 # be byte-identical to the serial reference (reports, order, final SOS), plus the

@@ -17,6 +17,7 @@ import (
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 	"butterfly/internal/lifeguard/addrcheck"
+	"butterfly/internal/lifeguard/lockset"
 	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
@@ -72,6 +73,59 @@ func steadyGrid(tb testing.TB, nthreads, perThread, slots int, pitch uint64) *ep
 	return g
 }
 
+// lockGrid builds a report-free lockset workload shaped like the
+// benchmark's genLockset: 4096 bytes, byte v guarded by lock v mod 64 and
+// only ever accessed inside a critical section of that lock (1–4 accesses
+// per section), at h = 256. As there, a prologue has every byte written under
+// its lock by one thread and read by another, so the candidates are all made
+// during the warm-up and the measured epochs only confirm them.
+func lockGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
+	tb.Helper()
+	const locs, locks = 4096, 64
+	lock := func(k int) uint64 { return 0x8000 + uint64(k)*8 }
+	b := trace.NewBuilder(nthreads)
+	for t := 0; t < nthreads; t++ {
+		b.T(trace.ThreadID(t))
+		for pass := 0; pass < 2; pass++ {
+			for k := 0; k < locks; k++ {
+				if (k+pass)%nthreads != t {
+					continue
+				}
+				b.Lock(lock(k))
+				for v := k; v < locs; v += locks {
+					if pass == 0 {
+						b.Write(0x10000+uint64(v), 1)
+					} else {
+						b.Read(0x10000+uint64(v), 1)
+					}
+				}
+				b.Unlock(lock(k))
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(t + 1)))
+		for i := 0; i < perThread; {
+			k := rng.Intn(locks)
+			b.Lock(lock(k))
+			n := 1 + rng.Intn(4)
+			for j := 0; j < n; j++ {
+				v := 0x10000 + uint64(rng.Intn(locs/locks)*locks+k)
+				if rng.Intn(5) < 2 {
+					b.Write(v, 1)
+				} else {
+					b.Read(v, 1)
+				}
+			}
+			b.Unlock(lock(k))
+			i += n + 2
+		}
+	}
+	g, err := epoch.ChunkByCount(b.Build(), 256)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 // servedAllocBudget is the same gate for the configuration butterflyd
 // actually serves on the 2-vCPU benchmark host: Parallel with Shards = 2.
 // That loop is not allocation-free yet — every sharded block pass makes its
@@ -93,21 +147,29 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	// sets of the LSOS views.
 	compact := steadyGrid(t, T, 8192, 32, 64)
 	fragmented := steadyGrid(t, T, 8192, 160, 128)
+	// The lock grid's prologue is 2,112 events a thread (9 epochs at
+	// h = 256), all of it inside the warm-up below.
+	locked := lockGrid(t, T, 128*256)
+	addr := func() core.Lifeguard { return addrcheck.New(0) }
+	locks := func() core.Lifeguard { return lockset.New() }
 	for _, tc := range []struct {
 		name   string
 		g      *epoch.Grid
+		lg     func() core.Lifeguard
 		d      core.Driver
 		budget float64
 	}{
-		{"serial", compact, core.Driver{}, steadyAllocBudget},
-		{"served", compact, core.Driver{Parallel: true, Shards: 2}, servedAllocBudget},
-		{"fragmented/serial", fragmented, core.Driver{}, steadyAllocBudget},
-		{"fragmented/served", fragmented, core.Driver{Parallel: true, Shards: 2}, servedAllocBudget},
+		{"serial", compact, addr, core.Driver{}, steadyAllocBudget},
+		{"served", compact, addr, core.Driver{Parallel: true, Shards: 2}, servedAllocBudget},
+		{"fragmented/serial", fragmented, addr, core.Driver{}, steadyAllocBudget},
+		{"fragmented/served", fragmented, addr, core.Driver{Parallel: true, Shards: 2}, servedAllocBudget},
+		{"lockset/serial", locked, locks, core.Driver{}, steadyAllocBudget},
+		{"lockset/parallel", locked, locks, core.Driver{Parallel: true, Shards: 2}, steadyAllocBudget},
 	} {
 		g := tc.g
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.d
-			d.LG = addrcheck.New(0)
+			d.LG = tc.lg()
 			inc, err := d.NewIncrementalTrimmed(T)
 			if err != nil {
 				t.Fatal(err)

@@ -22,9 +22,10 @@ package core
 // in a sharded run the driver unwraps a dead *ShardedSummary or ShardedState
 // (shard.go) and hands over each piece once, never the container. A SOS
 // generation is never the value just returned by UpdateSOS. The lifeguard
-// switches on the concrete type and ignores the kinds it does not pool — a
-// kind whose values may alias across generations (lockset's copy-on-write
-// SOS) must stay ignored.
+// switches on the concrete type and ignores the kinds it does not pool. A
+// pooled kind must own what it hands back: lockset recycles a dead SOS
+// generation's map, but never the immutable locksets that consecutive
+// generations share.
 type Recycler interface {
 	Recycle(dead any)
 }

@@ -148,7 +148,7 @@ func TestEffectiveShards(t *testing.T) {
 	for lgName, mk := range lifeguards {
 		_, sharded := mk().(core.ShardedLifeguard)
 		want := 4
-		if lgName == "taintcheck" {
+		if lgName == "taintcheck" || lgName == "lockset" {
 			want = 1
 		}
 		if sharded != (want > 1) {

@@ -18,15 +18,32 @@
 // held-lock set itself is intra-thread state, threaded exactly from block
 // to block through the head's summary (the driver guarantees the head's
 // first pass completes first).
+//
+// Representation. A lockset is an immutable sorted []uint64 of lock
+// addresses, nil meaning empty (lockvec.go). Candidates and per-block
+// location infos are values in plain maps, and a candidate's thread set is a
+// bitmask with a sorted spill for ids of 64 and up. Nothing is interned, so
+// every value is a function of the input alone and serial and parallel runs
+// agree under reflect.DeepEqual.
+//
+// The arena rule. A block summary owns a pooled arena, and every lockset the
+// summary holds is a capacity-clipped window of it: the held-set snapshot
+// taken at each Lock/Unlock, and each per-location meet whose result differs
+// from both inputs. The arena is reused once the summary is recycled, so
+// nothing outside a summary keeps a slice of its arena: UpdateSOS copies
+// every lockset it adopts into memory the SOS owns, and SecondPass meets into
+// stack scratch. SOS locksets are never written after they are made, so
+// consecutive generations share them and a dead generation's map is reused.
 package lockset
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"math/bits"
+	"slices"
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
-	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
 
@@ -46,9 +63,9 @@ func (l *Butterfly) Name() string { return "lockset" }
 
 // locInfo summarizes one block's accesses to one location.
 type locInfo struct {
-	// inter is the intersection of locks held at the block's accesses
-	// (nil = no accesses yet → universe).
-	inter sets.Set
+	// inter is the intersection of the locks held at the block's accesses,
+	// a window of the summary's arena.
+	inter []uint64
 	// write records whether any access was a store.
 	write bool
 }
@@ -58,201 +75,204 @@ type Summary struct {
 	thread trace.ThreadID
 	// entryHeld/exitHeld are the locks held at block entry/exit, threaded
 	// from head to body through the window.
-	entryHeld, exitHeld sets.Set
+	entryHeld, exitHeld []uint64
 	// perLoc summarizes accesses by location.
-	perLoc map[uint64]*locInfo
+	perLoc map[uint64]locInfo
+	// arena backs every lockset above; it is never nil, so a fresh and a
+	// recycled summary compare equal under reflect.DeepEqual.
+	arena []uint64
 }
 
-// cand is the per-location strongly ordered candidate state.
+// keep copies v into the arena and returns the copy.
+func (s *Summary) keep(v []uint64) []uint64 {
+	n := len(s.arena)
+	s.arena = append(s.arena, v...)
+	return s.seal(n)
+}
+
+// meet returns a ∩ b: an input when the result equals it, else an arena copy.
+func (s *Summary) meet(a, b []uint64) []uint64 {
+	switch {
+	case subset(a, b):
+		return a
+	case subset(b, a):
+		return b
+	}
+	n := len(s.arena)
+	s.arena = appendMeet(s.arena, a, b)
+	return s.seal(n)
+}
+
+// seal returns the arena entries from n on as a lockset; the capacity clip
+// keeps later appends out of it.
+func (s *Summary) seal(n int) []uint64 {
+	if len(s.arena) == n {
+		return nil
+	}
+	return s.arena[n:len(s.arena):len(s.arena)]
+}
+
+// threadSet is a set of thread ids: a bitmask below 64 and a sorted spill
+// from 64 up. The spill is immutable like a lockset, so candidates that
+// share it across generations stay independent.
+type threadSet struct {
+	mask  uint64
+	spill []trace.ThreadID
+}
+
+// with returns ts ∪ {t}.
+func (ts threadSet) with(t trace.ThreadID) threadSet {
+	if t < 64 {
+		ts.mask |= 1 << t
+	} else if i, found := slices.BinarySearch(ts.spill, t); !found {
+		ts.spill = slices.Insert(slices.Clip(ts.spill), i, t)
+	}
+	return ts
+}
+
+// hasOther reports whether ts holds a thread other than t.
+func (ts threadSet) hasOther(t trace.ThreadID) bool {
+	mask := ts.mask
+	if t < 64 {
+		mask &^= 1 << t
+	}
+	return mask != 0 || len(ts.spill) > 1 || len(ts.spill) == 1 && ts.spill[0] != t
+}
+
+// appendIDs appends the members of ts to ids in ascending order.
+func (ts threadSet) appendIDs(ids []int) []int {
+	for m := ts.mask; m != 0; m &= m - 1 {
+		ids = append(ids, bits.TrailingZeros64(m))
+	}
+	for _, t := range ts.spill {
+		ids = append(ids, int(t))
+	}
+	return ids
+}
+
+// cand is the per-location strongly ordered candidate state. ls is never
+// the universe: a candidate exists only once its location was accessed.
 type cand struct {
-	c       sets.Set // nil = virgin (universe: every lock still a candidate)
-	threads map[trace.ThreadID]struct{}
+	ls      []uint64
+	threads threadSet
 	write   bool
-}
-
-func (c *cand) clone() *cand {
-	nc := &cand{write: c.write, threads: make(map[trace.ThreadID]struct{}, len(c.threads))}
-	for t := range c.threads {
-		nc.threads[t] = struct{}{}
-	}
-	if c.c != nil {
-		nc.c = c.c.Clone()
-	}
-	return nc
 }
 
 // state is the SOS: per-location candidates.
 type state struct {
-	perLoc map[uint64]*cand
+	perLoc map[uint64]cand
 }
 
 // BottomState implements core.Lifeguard.
 func (l *Butterfly) BottomState() core.State {
-	return &state{perLoc: map[uint64]*cand{}}
+	return &state{perLoc: map[uint64]cand{}}
 }
 
 // StateSize implements core.StateSizer: the number of locations with a
 // tracked candidate lockset.
 func (l *Butterfly) StateSize(s core.State) int { return len(s.(*state).perLoc) }
 
-func sum(s core.Summary) *Summary {
-	if s == nil {
-		return nil
-	}
-	return s.(*Summary)
-}
-
-// intersect returns a ∩ b where nil means the universe.
-func intersect(a, b sets.Set) sets.Set {
-	switch {
-	case a == nil && b == nil:
-		return nil
-	case a == nil:
-		return b.Clone()
-	case b == nil:
-		return a.Clone()
-	default:
-		return a.Intersect(b)
-	}
-}
-
 // FirstPass implements core.Lifeguard: thread the held-lock set through the
 // block and summarize per-location lock disciplines.
 func (l *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
-	if ctx.Sharding != nil {
-		return l.firstPassSharded(b, ctx, ctx.Sharding)
-	}
 	s := getSummary()
 	s.thread = b.Thread
-	s.entryHeld = sets.GetMap()
-	if head := sum(ctx.Head); head != nil {
-		s.entryHeld.AddAll(head.exitHeld)
+	if head, _ := ctx.Head.(*Summary); head != nil {
+		s.entryHeld = s.keep(head.exitHeld)
 	}
-	held := sets.GetMap()
-	held.AddAll(s.entryHeld)
+	var buf [8]uint64
+	held := append(buf[:0], s.entryHeld...)
+	cur := s.entryHeld // the arena snapshot of held
 	for _, e := range b.Events {
 		switch e.Kind {
-		case trace.Lock:
-			held.Add(e.Addr)
-		case trace.Unlock:
-			held.Remove(e.Addr)
+		case trace.Lock, trace.Unlock:
+			n := len(held)
+			if e.Kind == trace.Lock {
+				held = insert(held, e.Addr)
+			} else {
+				held = remove(held, e.Addr)
+			}
+			if len(held) != n {
+				cur = s.keep(held)
+			}
 		case trace.Read, trace.Write:
 			for a := e.Lo(); a < e.Hi(); a++ {
-				li := s.perLoc[a]
-				if li == nil {
-					li = getLocInfo()
-					li.inter = sets.GetMap()
-					li.inter.AddAll(held)
-					s.perLoc[a] = li
+				li, ok := s.perLoc[a]
+				if ok {
+					li.inter = s.meet(li.inter, cur)
 				} else {
-					li.inter.IntersectInPlace(held)
+					li.inter = cur
 				}
 				li.write = li.write || e.Kind == trace.Write
+				s.perLoc[a] = li
 			}
 		}
 	}
-	s.exitHeld = held
+	s.exitHeld = cur
 	return s, nil
 }
 
 // SecondPass implements core.Lifeguard: check each access against the
 // candidate refined by the strongly ordered past and every wing access.
 func (l *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.Summary) []core.Report {
-	if ctx.Sharding != nil {
-		return l.secondPassSharded(b, ctx, wings, ctx.Sharding)
-	}
 	sos := ctx.SOS.(*state)
-	own := sum(ctx.Own)
-	held := sets.GetMap()
-	defer sets.PutMap(held)
-	held.AddAll(own.entryHeld)
-	// Pre-aggregate the wings per location (each location only once).
-	type wingAgg struct {
-		inter   sets.Set
-		write   bool
-		threads map[trace.ThreadID]struct{}
-	}
-	agg := map[uint64]*wingAgg{}
-	for _, w := range wings {
-		ws := sum(w)
-		for a, li := range ws.perLoc {
-			wa := agg[a]
-			if wa == nil {
-				wa = &wingAgg{inter: nil, threads: map[trace.ThreadID]struct{}{}}
-				agg[a] = wa
-			}
-			wa.inter = intersect(wa.inter, li.inter)
-			wa.write = wa.write || li.write
-			wa.threads[ws.thread] = struct{}{}
-		}
-	}
-
+	own := ctx.Own.(*Summary)
+	var heldBuf, effBuf [8]uint64
+	held := append(heldBuf[:0], own.entryHeld...)
 	var reports []core.Report
-	flagged := sets.GetMap() // one report per location per block
-	eff := sets.GetMap()     // per-byte scratch, reused
-	thr := sets.GetMap()     // per-byte thread-id scratch, reused
-	defer sets.PutMap(flagged)
-	defer sets.PutMap(eff)
-	defer sets.PutMap(thr)
+	var flagged map[uint64]bool // one report per location per block
 	for i, e := range b.Events {
 		switch e.Kind {
 		case trace.Lock:
-			held.Add(e.Addr)
+			held = insert(held, e.Addr)
 		case trace.Unlock:
-			held.Remove(e.Addr)
+			held = remove(held, e.Addr)
 		case trace.Read, trace.Write:
 			// One report per access event, covering all of its racing bytes.
 			var raceLo, raceHi uint64
-			var raceThreads map[trace.ThreadID]struct{}
+			var raceThreads []int
 			for a := e.Lo(); a < e.Hi(); a++ {
-				if flagged.Has(a) {
+				if flagged[a] {
 					continue
 				}
-				eff.Clear()
-				eff.AddAll(held)
-				thr.Clear()
-				thr.Add(uint64(b.Thread))
+				eff := append(effBuf[:0], held...)
 				write := e.Kind == trace.Write
-				if sc, ok := sos.perLoc[a]; ok {
-					if sc.c != nil {
-						eff.IntersectInPlace(sc.c)
-					}
+				sc, inSOS := sos.perLoc[a]
+				if inSOS {
+					eff = meetInto(eff, sc.ls)
 					write = write || sc.write
-					for t := range sc.threads {
-						thr.Add(uint64(t))
+				}
+				shared := inSOS && sc.threads.hasOther(b.Thread)
+				for _, w := range wings {
+					if li, ok := w.(*Summary).perLoc[a]; ok {
+						eff = meetInto(eff, li.inter)
+						write = write || li.write
+						shared = true // a wing is always another thread
 					}
 				}
-				if wa, ok := agg[a]; ok {
-					if wa.inter != nil {
-						eff.IntersectInPlace(wa.inter)
-					}
-					write = write || wa.write
-					for t := range wa.threads {
-						thr.Add(uint64(t))
-					}
-				}
-				// Accesses earlier in this block also refine (own info).
+				// Every access of this block also refines (own info).
 				if li, ok := own.perLoc[a]; ok {
-					eff.IntersectInPlace(li.inter)
+					eff = meetInto(eff, li.inter)
 					write = write || li.write
 				}
-				if eff.Empty() && thr.Len() >= 2 && write {
-					flagged.Add(a)
-					if raceThreads == nil {
-						raceLo = a
-						raceThreads = make(map[trace.ThreadID]struct{}, thr.Len())
-						for t := range thr {
-							raceThreads[trace.ThreadID(t)] = struct{}{}
-						}
-					}
-					raceHi = a + 1
+				if len(eff) != 0 || !shared || !write {
+					continue
 				}
+				if flagged == nil {
+					flagged = map[uint64]bool{}
+				}
+				flagged[a] = true
+				if raceThreads == nil {
+					raceLo = a
+					raceThreads = threadsAt(a, b.Thread, sc.threads, wings)
+				}
+				raceHi = a + 1
 			}
 			if raceThreads != nil {
 				reports = append(reports, core.Report{
 					Ref: b.Ref(i), Ev: e, Code: CodeRace,
-					Detail: fmt.Sprintf("no common lock protects [%#x,%#x) (threads: %s)",
-						raceLo, raceHi, threadList(raceThreads)),
+					Detail: fmt.Sprintf("no common lock protects [%#x,%#x) (threads: %v)",
+						raceLo, raceHi, raceThreads),
 				})
 			}
 		}
@@ -260,37 +280,41 @@ func (l *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 	return reports
 }
 
-func threadList(m map[trace.ThreadID]struct{}) string {
-	ids := make([]int, 0, len(m))
-	for t := range m {
-		ids = append(ids, int(t))
+// threadsAt lists, sorted, the threads known to have accessed a: the body's
+// own, the candidate's, and every wing's that touched it.
+func threadsAt(a uint64, self trace.ThreadID, sos threadSet, wings []core.Summary) []int {
+	ids := sos.appendIDs([]int{int(self)})
+	for _, w := range wings {
+		ws := w.(*Summary)
+		if _, ok := ws.perLoc[a]; ok {
+			ids = append(ids, int(ws.thread))
+		}
 	}
-	sort.Ints(ids)
-	return fmt.Sprint(ids)
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // UpdateSOS implements core.Lifeguard: fold the epoch's per-location
 // intersections into the candidates. Intersection is order-insensitive, so
 // no two-epoch span correction is needed (there is no KILL: candidates only
-// shrink).
+// shrink). The new generation starts as a copy of the previous one in a
+// recycled map; a lockset is copied out of a summary's arena only when its
+// candidate is new or shrinks.
 func (l *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	old := prev.(*state)
-	next := &state{perLoc: make(map[uint64]*cand, len(old.perLoc))}
-	for a, c := range old.perLoc {
-		next.perLoc[a] = c // shared until modified (copy-on-write below)
-	}
+	next := getState()
+	maps.Copy(next.perLoc, prev.(*state).perLoc)
 	for _, s := range curEpoch {
-		bs := sum(s)
+		bs := s.(*Summary)
 		for a, li := range bs.perLoc {
-			c := next.perLoc[a]
-			if c == nil {
-				c = &cand{threads: map[trace.ThreadID]struct{}{}}
-			} else if c == old.perLoc[a] {
-				c = c.clone()
+			c, ok := next.perLoc[a]
+			switch {
+			case !ok:
+				c.ls = slices.Clone(li.inter)
+			case !subset(c.ls, li.inter):
+				c.ls = slices.Clip(appendMeet(nil, c.ls, li.inter))
 			}
-			c.c = intersect(c.c, li.inter)
 			c.write = c.write || li.write
-			c.threads[bs.thread] = struct{}{}
+			c.threads = c.threads.with(bs.thread)
 			next.perLoc[a] = c
 		}
 	}

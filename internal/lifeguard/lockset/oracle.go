@@ -10,11 +10,20 @@ import (
 )
 
 // Oracle is the exact sequential lockset detector over a serialized stream
-// (the same simplified Eraser discipline as the butterfly version).
+// (the same simplified Eraser discipline as the butterfly version). It keeps
+// the map-based sets.Set representation on purpose: it is the reference, and
+// shares no code with the butterfly version's lock vectors.
 type Oracle struct {
 	held    map[trace.ThreadID]sets.Set
-	perLoc  map[uint64]*cand
+	perLoc  map[uint64]*oracleCand
 	flagged map[uint64]bool
+}
+
+// oracleCand is the oracle's per-location candidate state.
+type oracleCand struct {
+	c       sets.Set // nil = virgin (universe: every lock still a candidate)
+	threads map[trace.ThreadID]struct{}
+	write   bool
 }
 
 var _ lifeguard.Oracle = (*Oracle)(nil)
@@ -32,7 +41,7 @@ func (o *Oracle) Name() string { return "lockset-sequential" }
 // Reset implements lifeguard.Oracle.
 func (o *Oracle) Reset() {
 	o.held = map[trace.ThreadID]sets.Set{}
-	o.perLoc = map[uint64]*cand{}
+	o.perLoc = map[uint64]*oracleCand{}
 	o.flagged = map[uint64]bool{}
 }
 
@@ -58,13 +67,17 @@ func (o *Oracle) Process(ref trace.Ref, e trace.Event) []core.Report {
 		for a := e.Lo(); a < e.Hi(); a++ {
 			c := o.perLoc[a]
 			if c == nil {
-				c = &cand{threads: map[trace.ThreadID]struct{}{}}
+				c = &oracleCand{threads: map[trace.ThreadID]struct{}{}}
 				o.perLoc[a] = c
 			}
-			c.c = intersect(c.c, held)
+			if c.c == nil {
+				c.c = held.Clone()
+			} else {
+				c.c.IntersectInPlace(held)
+			}
 			c.write = c.write || e.Kind == trace.Write
 			c.threads[ref.Thread] = struct{}{}
-			if !o.flagged[a] && c.c != nil && c.c.Empty() && len(c.threads) >= 2 && c.write {
+			if !o.flagged[a] && c.c.Empty() && len(c.threads) >= 2 && c.write {
 				o.flagged[a] = true
 				reports = append(reports, core.Report{
 					Ref: ref, Ev: e, Code: CodeRace,

@@ -7,54 +7,59 @@ import (
 	"butterfly/internal/sets"
 )
 
-// Pooled per-block state (DESIGN.md §12). Lockset summaries are map-heavy —
-// held-lock sets plus a per-location table — so recycling keeps the maps (and
-// their bucket arrays) alive across blocks instead of rebuilding them every
-// tick. The SOS is NOT recycled: UpdateSOS shares unchanged candidates
-// between consecutive states (copy-on-write), so a retired state may still
-// alias the live one.
+// Pooled per-block and per-generation state (DESIGN.md §12). A recycled
+// summary keeps its location map and its arena; a recycled SOS keeps its
+// map, which the next UpdateSOS refills. Neither pool ever holds a lockset
+// someone else can still read: summary locksets live in the summary's own
+// arena, and SOS locksets are never pooled at all (consecutive generations
+// share them, and the garbage collector frees them).
 
 var (
 	summaryPool sync.Pool
-	locInfoPool sync.Pool
+	statePool   sync.Pool
 )
+
+// poisonLock fills a released arena in race builds, following the sets
+// package's poisonAddr: a live aliased reader of a recycled arena sees this
+// implausible lock instead of silently stale locksets.
+const poisonLock = 0xdead_dead_dead_dead
 
 func getSummary() *Summary {
 	if s, _ := summaryPool.Get().(*Summary); s != nil {
 		return s
 	}
-	return &Summary{perLoc: map[uint64]*locInfo{}}
+	return &Summary{perLoc: map[uint64]locInfo{}, arena: make([]uint64, 0, 64)}
 }
 
 func putSummary(s *Summary) {
-	if s == nil {
-		return
+	if sets.RaceEnabled {
+		p := s.arena[:cap(s.arena)]
+		for i := range p {
+			p[i] = poisonLock
+		}
 	}
-	sets.PutMap(s.entryHeld)
-	sets.PutMap(s.exitHeld)
 	s.entryHeld, s.exitHeld = nil, nil
-	for a, li := range s.perLoc {
-		sets.PutMap(li.inter)
-		li.inter, li.write = nil, false
-		locInfoPool.Put(li)
-		delete(s.perLoc, a)
-	}
+	clear(s.perLoc)
+	s.arena = s.arena[:0]
 	summaryPool.Put(s)
 }
 
-func getLocInfo() *locInfo {
-	if li, _ := locInfoPool.Get().(*locInfo); li != nil {
-		return li
+func getState() *state {
+	if s, _ := statePool.Get().(*state); s != nil {
+		return s
 	}
-	return &locInfo{}
+	return &state{perLoc: map[uint64]cand{}}
 }
 
 var _ core.Recycler = (*Butterfly)(nil)
 
-// Recycle implements core.Recycler for summaries only; a dead SOS falls
-// through untouched (see above).
+// Recycle implements core.Recycler for summaries and SOS generations.
 func (l *Butterfly) Recycle(dead any) {
-	if v, ok := dead.(*Summary); ok {
+	switch v := dead.(type) {
+	case *Summary:
 		putSummary(v)
+	case *state:
+		clear(v.perLoc)
+		statePool.Put(v)
 	}
 }

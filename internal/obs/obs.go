@@ -115,6 +115,7 @@ const (
 	MetricFaultInjected       = "fault.injected"              // counter: faults fired by the failpoint plane
 	MetricSessionsQuarantined = "server.sessions.quarantined" // counter: sessions isolated after a lifeguard panic
 	MetricServerWriteTimeouts = "server.write.timeouts"       // counter: slow-client write deadlines tripped
+	MetricServerIdleGCs       = "server.idle_gcs"             // counter: GCs run when the last session ended and no connection remained
 	MetricMemBudgetEstimate   = "mem.budget.estimate"         // gauge: estimated bytes held across all sessions
 	MetricMemBudgetRejects    = "mem.budget.rejects"          // counter: admissions/resumes shed with Reject(overloaded)
 	MetricMemBudgetShed       = "mem.budget.shed"             // counter: attached sessions detached to relieve memory pressure

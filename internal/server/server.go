@@ -166,6 +166,7 @@ type serverMetrics struct {
 	active, detached                                *obs.Gauge
 	accepted, rejected, resumed, evicted, completed *obs.Counter
 	quarantined, memRejects, memShed, writeTimeouts *obs.Counter
+	idleGCs                                         *obs.Counter
 	memEstimate                                     *obs.Gauge
 }
 
@@ -182,6 +183,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		memRejects:    reg.Counter(obs.MetricMemBudgetRejects),
 		memShed:       reg.Counter(obs.MetricMemBudgetShed),
 		writeTimeouts: reg.Counter(obs.MetricServerWriteTimeouts),
+		idleGCs:       reg.Counter(obs.MetricServerIdleGCs),
 		memEstimate:   reg.Gauge(obs.MetricMemBudgetEstimate),
 	}
 }
@@ -520,11 +522,23 @@ func (s *Server) degradeSession(sess *session, err error) {
 
 // handleConn runs one connection: Hello handshake, then the session loop.
 func (s *Server) handleConn(conn net.Conn) {
+	served := false // this connection ran a session
 	defer func() {
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
+		idle := served && len(s.sessions) == 0 && len(s.conns) == 0
 		s.mu.Unlock()
+		if idle {
+			// The session was the last one registered and nobody is
+			// connected: collect its heap now. A lifeguard whose steady state
+			// barely allocates triggers no GC of its own, and what the
+			// finished session left behind would otherwise stay resident
+			// through the next one. Here, unlike in evict, no frame still
+			// reaches the session.
+			s.m.idleGCs.Inc()
+			runtime.GC()
+		}
 		s.wg.Done()
 	}()
 	br := bufio.NewReader(conn)
@@ -580,6 +594,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.reject(bw, *rej)
 		return
 	}
+	served = true
 	s.serveSession(conn, br, bw, sess, h.AckedEpoch)
 	if sess.aborted {
 		s.lingerClose(conn)

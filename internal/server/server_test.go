@@ -15,6 +15,7 @@ import (
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 	"butterfly/internal/lifeguard/registry"
+	"butterfly/internal/obs"
 	"butterfly/internal/proto"
 	"butterfly/internal/server"
 	"butterfly/internal/trace"
@@ -221,6 +222,78 @@ func TestWelcomeReportsEffectiveShards(t *testing.T) {
 			t.Errorf("%s: Welcome.Shards = %d at -shards 4, want %d", lg, w.Shards, want)
 		}
 	}
+}
+
+// TestIdleGC pins when butterflyd collects a finished session's heap: in the
+// handler of a connection whose session was the last one registered, and only
+// when no other connection remains.
+func TestIdleGC(t *testing.T) {
+	g := testTrace(t, 7, 2)
+	// boot starts a server; drain shuts it down and waits for every
+	// connection handler to return, so the count it returns is final.
+	boot := func(t *testing.T) (s *server.Server, gcs *obs.Counter, drain func() int64) {
+		reg := obs.New()
+		s, err := server.Listen("127.0.0.1:0", server.Config{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- s.Serve() }()
+		gcs = reg.Counter(obs.MetricServerIdleGCs)
+		return s, gcs, func() int64 {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			s.Shutdown(ctx)
+			if err := <-served; err != nil {
+				t.Errorf("Serve: %v", err)
+			}
+			return gcs.Value()
+		}
+	}
+	session := func(t *testing.T, addr string) {
+		if _, err := client.Run(addr, client.Options{Lifeguard: "lockset"}, epoch.NewGridRows(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("sequential-sessions", func(t *testing.T) {
+		s, gcs, drain := boot(t)
+		session(t, s.Addr())
+		// The first handler may still be closing when the client returns;
+		// a second connection open by then would rightly suppress its GC.
+		for deadline := time.Now().Add(10 * time.Second); gcs.Value() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no idle GC after the first session")
+			}
+		}
+		session(t, s.Addr())
+		if got := drain(); got != 2 {
+			t.Fatalf("two sequential sessions ran %d idle GCs, want 2", got)
+		}
+	})
+	t.Run("another-attached", func(t *testing.T) {
+		s, _, drain := boot(t)
+		other, ft, payload := rawHello(t, s.Addr(), validHello())
+		if ft != proto.FrameWelcome {
+			t.Fatalf("got %v frame, want Welcome (%s)", ft, payload)
+		}
+		session(t, s.Addr())
+		other.Close() // detaches: the session stays registered
+		if got := drain(); got != 0 {
+			t.Fatalf("a session finishing beside an attached one ran %d idle GCs, want 0", got)
+		}
+	})
+	t.Run("bare-connection", func(t *testing.T) {
+		s, _, drain := boot(t)
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		if got := drain(); got != 0 {
+			t.Fatalf("a connection without a session ran %d idle GCs, want 0", got)
+		}
+	})
 }
 
 func TestRejectWhenFull(t *testing.T) {

@@ -70,6 +70,10 @@ func getBacking(min int) []Interval {
 // stale intervals.
 const poisonAddr = 0xdead_dead_dead_dead
 
+// RaceEnabled reports whether the race detector is compiled in, for pools
+// outside this package that poison released storage the same way.
+const RaceEnabled = raceEnabled
+
 // putBacking releases a heap backing to the pool of its size class. Nil
 // slices and inline backings (capacity smallIvs, below minBacking) are
 // ignored.

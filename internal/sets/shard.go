@@ -14,9 +14,8 @@ package sets
 //
 // Two partition schemes exist because the two set families index differently:
 //
-//   - Point facts (definition IDs, expression IDs, taint locations, lockset
-//     byte locations) are sharded by a mixed hash, ShardOf, so dense ID
-//     ranges and clustered addresses both balance.
+//   - Point facts (definition IDs, expression IDs) are sharded by a mixed
+//     hash, ShardOf, so dense ID ranges and clustered addresses both balance.
 //
 //   - Byte intervals are sharded by address granule: the address space is cut
 //     into ShardGranule-byte granules dealt round-robin to the shards
