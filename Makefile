@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint fuzz fuzz-smoke test-shards bench bench-obs bench-obs-smoke bench-shards bench-alloc bench-wal soak crash-soak chaos benchmark benchmark-smoke ci clean
+.PHONY: all build test race vet fmt-check lint fuzz fuzz-smoke bench bench-obs bench-obs-smoke bench-alloc bench-wal soak crash-soak chaos benchmark benchmark-smoke ci clean
 
 all: build
 
@@ -48,16 +48,6 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALDecoder -fuzztime 10s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 10s
 	$(GO) test ./internal/lifeguard/lockset -run XXX -fuzz FuzzLockVec -fuzztime 10s
-
-# Shard-invariance gate: every lifeguard x entry point at shards {1,2,3,8} must
-# be byte-identical to the serial reference (reports, order, final SOS), plus the
-# property-based per-shard SOS checks — all under the race detector.
-test-shards:
-	$(GO) test ./internal/core -race -count=1 -run 'TestDifferentialShardInvariance|TestShardPropertySOS|TestIncrementalErrFinished'
-
-# Sharded-state throughput ablation (EXPERIMENTS.md "Address sharding").
-bench-shards:
-	$(GO) test ./internal/core -run XXX -bench BenchmarkShardedThroughput -benchtime 5x -benchmem
 
 # GC-pressure gate (DESIGN.md §12, EXPERIMENTS.md "Allocation ablation").
 # TestSteadyStateAllocBudget fails the build if the warm epoch loop
@@ -131,8 +121,8 @@ bench-obs-smoke:
 
 # The gate a change must pass before it lands. `lint` keeps the tree
 # gofmt-clean and vet-clean; `race` runs the full test suite (including the
-# butterflyd soak) under the race detector; `soak`, `crash-soak`,
-# `test-shards` and `chaos` repeat the server, kill -9, shard and
+# butterflyd soak and the differential suites) under the race detector;
+# `soak`, `crash-soak` and `chaos` repeat the server, kill -9 and
 # fault-injection differentials explicitly so a cached `race` run cannot
 # mask them, `fuzz-smoke` gives each decoder fuzzer a short budget beyond
 # its checked-in seed corpus, `bench-alloc` fails the build if the
@@ -140,7 +130,7 @@ bench-obs-smoke:
 # `bench-obs-smoke` proves the instrumented driver and server paths still
 # run end to end, and `benchmark-smoke` proves the benchmark still builds
 # and verifies its reports.
-ci: lint build race soak crash-soak test-shards chaos fuzz-smoke bench-alloc bench-obs-smoke benchmark-smoke
+ci: lint build race soak crash-soak chaos fuzz-smoke bench-alloc bench-obs-smoke benchmark-smoke
 
 clean:
 	rm -f core.test server.test cpu.prof mem.prof

@@ -4,12 +4,7 @@
 //
 // Usage:
 //
-//	butterfly-bench [-exp all|table1|fig11|fig12|fig13|ablate|shards|wal] [flags]
-//
-// -exp shards runs the address-sharding ablation: a state-heavy fragmented
-// heap workload at shard counts 1, 2, 4 and 8 (-shards overrides), reporting
-// events/s and the speedup over the unsharded driver. Results are identical
-// at every shard count; only the schedule changes.
+//	butterfly-bench [-exp all|table1|fig11|fig12|fig13|ablate|wal] [flags]
 //
 // -exp wal runs the durability ablation: the same workload through the full
 // client/server stack with the session WAL at each fsync policy (off,
@@ -34,9 +29,8 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all, table1, fig11, fig12, fig13, ablate, shards, wal")
-		reps    = flag.Int("reps", 3, "repetitions per configuration for -exp shards/wal (best time wins)")
-		shards  = flag.String("shards", "", "comma-separated shard counts for -exp shards (default 1,2,4,8); elsewhere a single count for the driver")
+		exp     = flag.String("exp", "all", "experiment: all, table1, fig11, fig12, fig13, ablate, wal")
+		reps    = flag.Int("reps", 3, "repetitions per configuration for -exp wal (best time wins)")
 		scale   = flag.Float64("scale", 0, "scale factor for work and epoch sizes (0 = default 1/32)")
 		threads = flag.String("threads", "2,4,8", "comma-separated application thread counts")
 		apps    = flag.String("apps", "", "comma-separated benchmark subset (default: all six)")
@@ -80,22 +74,6 @@ func main() {
 	if *apps != "" {
 		o.Apps = strings.Split(*apps, ",")
 	}
-	var shardCounts []int
-	if *shards != "" {
-		for _, s := range strings.Split(*shards, ",") {
-			var k int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &k); err != nil || k < 1 {
-				fatalf("bad -shards value %q", s)
-			}
-			shardCounts = append(shardCounts, k)
-		}
-		if *exp != "shards" {
-			if len(shardCounts) != 1 {
-				fatalf("-shards takes a single count unless -exp shards")
-			}
-			o.Shards = shardCounts[0]
-		}
-	}
 
 	switch *exp {
 	case "table1":
@@ -127,14 +105,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Println(bench.RenderTaintAblation(rows))
-	case "shards":
-		start := time.Now()
-		rows, err := bench.ShardAblation(o, shardCounts, *reps)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("(measured in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(bench.RenderShardAblation(rows))
 	case "wal":
 		start := time.Now()
 		rows, err := bench.WALAblation(o, *reps)

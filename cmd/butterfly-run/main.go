@@ -23,12 +23,6 @@
 // -progress N heartbeats to stderr every N epochs, and -debug-addr serves
 // Prometheus /metrics, expvar and pprof while the run is live.
 //
-// With -shards K, the lifeguard's address-indexed state is partitioned
-// into K disjoint address shards and the passes and SOS update run as K
-// independent tasks (DESIGN.md §11). Results are byte-identical at any
-// count; 0 picks GOMAXPROCS unless -seq. Lifeguards that cannot shard
-// (taintcheck) run unsharded and report 1 in the -remote handshake.
-//
 // With -remote host:port, the analysis runs on a butterflyd server instead
 // of in-process: the trace (batch or -stream) is streamed over TCP epoch by
 // epoch, reports stream back, and a dropped connection resumes from the
@@ -52,7 +46,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"butterfly/internal/client"
 	"butterfly/internal/core"
@@ -73,7 +66,6 @@ func main() {
 		relaxed  = flag.Bool("relaxed", false, "taintcheck: use the relaxed-memory-model termination condition")
 		compare  = flag.Bool("compare", false, "score against the trace's ground-truth interleaving")
 		seq      = flag.Bool("seq", false, "run the driver sequentially")
-		shards   = flag.Int("shards", 0, "partition lifeguard state into this many address shards (0 = auto: GOMAXPROCS when parallel, results identical at any count; lifeguards that cannot shard report 1 in the handshake)")
 		maxShow  = flag.Int("max-reports", 20, "print at most this many reports")
 		text     = flag.Bool("text", false, "input is in text format")
 		stream   = flag.Bool("stream", false, "input is in the streaming format; analyze incrementally")
@@ -108,12 +100,6 @@ func main() {
 	}
 	if *remote != "" && *compare {
 		fatalf("-remote cannot be combined with -compare: the oracle needs the in-process driver")
-	}
-	if *shards < 0 {
-		fatalf("-shards must be >= 0")
-	}
-	if *shards == 0 && !*seq {
-		*shards = runtime.GOMAXPROCS(0)
 	}
 
 	var in io.Reader = os.Stdin
@@ -216,14 +202,14 @@ func main() {
 		}
 		nthreads = src.NumThreads()
 	case *stream:
-		d := &core.Driver{LG: lg, Parallel: !*seq, Shards: *shards, Obs: reg, Trace: rec}
+		d := &core.Driver{LG: lg, Parallel: !*seq, Obs: reg, Trace: rec}
 		res, err = d.RunStream(src)
 		if err != nil {
 			fatalf("streaming %s: %v", name, err)
 		}
 		nthreads = src.NumThreads()
 	default:
-		d := &core.Driver{LG: lg, Parallel: !*seq, Shards: *shards, Obs: reg, Trace: rec}
+		d := &core.Driver{LG: lg, Parallel: !*seq, Obs: reg, Trace: rec}
 		res = d.Run(g)
 		nthreads = g.NumThreads
 	}

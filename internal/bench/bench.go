@@ -48,9 +48,6 @@ type Options struct {
 	Cost perfmodel.CostModel
 	// Parallel runs the butterfly driver with one goroutine per thread.
 	Parallel bool
-	// Shards partitions lifeguard state into this many address shards
-	// (core.Driver.Shards); 0 or 1 runs unsharded.
-	Shards int
 }
 
 // DefaultOptions returns the nominal configuration: the paper's parameters
@@ -198,7 +195,7 @@ func (c *measureCtx) Measure(app apps.App, threads, h int) (*RunMeasurement, err
 	var memBase runtime.MemStats
 	runtime.ReadMemStats(&memBase)
 	sampler := startHeapSampler()
-	bres := (&core.Driver{LG: addrcheck.New(cfg.HeapBase), Parallel: o.Parallel, Shards: o.Shards}).Run(g)
+	bres := (&core.Driver{LG: addrcheck.New(cfg.HeapBase), Parallel: o.Parallel}).Run(g)
 	heapHigh := sampler.stop()
 	var memAfter runtime.MemStats
 	runtime.ReadMemStats(&memAfter)

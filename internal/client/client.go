@@ -325,7 +325,7 @@ func (r *run) attempt() (progress bool, err error) {
 			"next_epoch", welcome.NextEpoch, "server_recovered", welcome.Recovered)
 	} else {
 		r.log.Info("session open", "session", shortSession(welcome.Session),
-			"lifeguard", r.opts.Lifeguard, "threads", r.T, "shards", welcome.Shards,
+			"lifeguard", r.opts.Lifeguard, "threads", r.T,
 			"durable", welcome.Durable)
 	}
 

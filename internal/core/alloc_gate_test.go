@@ -126,16 +126,6 @@ func lockGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
 	return g
 }
 
-// servedAllocBudget is the same gate for the configuration butterflyd
-// actually serves on the 2-vCPU benchmark host: Parallel with Shards = 2.
-// That loop is not allocation-free yet — every sharded block pass makes its
-// per-shard row views (core.PieceRow), verdict rows (core.Verdicts) and
-// summary container, and every Sharding.Do spawns K goroutines. Measured
-// 106.7–107.4 allocs/epoch here (T = 4, go 1.24; the parent commit reads
-// 107.3–107.8); the budget is that plus ~20 %: a number for ROADMAP item
-// 4(b) to drive down, not a target.
-const servedAllocBudget = 128
-
 func TestSteadyStateAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector instruments allocations; counts are not meaningful")
@@ -153,18 +143,17 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	addr := func() core.Lifeguard { return addrcheck.New(0) }
 	locks := func() core.Lifeguard { return lockset.New() }
 	for _, tc := range []struct {
-		name   string
-		g      *epoch.Grid
-		lg     func() core.Lifeguard
-		d      core.Driver
-		budget float64
+		name string
+		g    *epoch.Grid
+		lg   func() core.Lifeguard
+		d    core.Driver
 	}{
-		{"serial", compact, addr, core.Driver{}, steadyAllocBudget},
-		{"served", compact, addr, core.Driver{Parallel: true, Shards: 2}, servedAllocBudget},
-		{"fragmented/serial", fragmented, addr, core.Driver{}, steadyAllocBudget},
-		{"fragmented/served", fragmented, addr, core.Driver{Parallel: true, Shards: 2}, servedAllocBudget},
-		{"lockset/serial", locked, locks, core.Driver{}, steadyAllocBudget},
-		{"lockset/parallel", locked, locks, core.Driver{Parallel: true, Shards: 2}, steadyAllocBudget},
+		{"serial", compact, addr, core.Driver{}},
+		{"served", compact, addr, core.Driver{Parallel: true}},
+		{"fragmented/serial", fragmented, addr, core.Driver{}},
+		{"fragmented/served", fragmented, addr, core.Driver{Parallel: true}},
+		{"lockset/serial", locked, locks, core.Driver{}},
+		{"lockset/parallel", locked, locks, core.Driver{Parallel: true}},
 	} {
 		g := tc.g
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,10 +199,10 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			perEpoch := float64(after.Mallocs-before.Mallocs) / float64(measured)
 			t.Logf("steady state: %.2f allocs/epoch over %d epochs (budget %v)",
-				perEpoch, measured, tc.budget)
-			if perEpoch > tc.budget {
+				perEpoch, measured, steadyAllocBudget)
+			if perEpoch > steadyAllocBudget {
 				t.Fatalf("steady-state allocations regressed: %.2f allocs/epoch exceeds budget %v",
-					perEpoch, tc.budget)
+					perEpoch, steadyAllocBudget)
 			}
 		})
 	}

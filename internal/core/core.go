@@ -90,13 +90,6 @@ type PassContext struct {
 	// which always exists) is non-nil exactly when aggregation is active.
 	// Set only during the second pass; the wings slice is still passed.
 	WingAggs [3]any
-	// Sharding is the run's shard scheduler when the driver executes in
-	// sharded mode (DESIGN.md §11), nil otherwise. A sharded lifeguard
-	// branches on it: non-nil means SOS is a ShardedState and Head,
-	// Epoch1Back/Epoch2Back, Own and the wings are *ShardedSummary values
-	// (shard.go), FirstPass must return a *ShardedSummary, and the pass runs
-	// its work as per-shard tasks via Sharding.Do, each on ctx.Piece(k).
-	Sharding *Sharding
 }
 
 // WingAggregator is an optional Lifeguard extension. The driver's naive
@@ -202,14 +195,11 @@ type Driver struct {
 	// barriers (the paper's lifeguard threads). When false everything runs
 	// on the calling goroutine, which is deterministic and simpler to debug.
 	Parallel bool
-	// Shards partitions the lifeguard's address-indexed state into this many
-	// disjoint address shards and runs every pass and SOS update as
-	// independent per-shard tasks (DESIGN.md §11). Takes effect only when
-	// the lifeguard implements ShardedLifeguard and K > 1; results are
-	// byte-identical to an unsharded run for every K. Shard tasks run in
-	// parallel only when Parallel is also set — Shards alone changes the
-	// state layout, not the scheduling, which is useful for deterministic
-	// debugging of the sharded representation.
+	// Shards is inert: nothing reads it. The engine's only parallelism is the
+	// T-wide row of blocks (DESIGN.md §11).
+	//
+	// Deprecated: address sharding was removed; the field remains so
+	// existing callers compile.
 	Shards int
 	// KeepHistory retains every epoch's summaries and SOS in the Result for
 	// inspection by tests and the experiment harness. Long runs should leave

@@ -176,6 +176,93 @@ func runStreamOverWire(t *testing.T, d *core.Driver, g *epoch.Grid) *core.Result
 	return res
 }
 
+// wideTrace is randomTrace over a wider heap: 64 slots × 16 B, with
+// multi-slot allocations and frees and accesses at unaligned offsets up to
+// four slots long, so event ranges straddle slot (and 64-byte) boundaries
+// and the interval sets split and coalesce where randomTrace's 8-byte slots
+// never make them.
+func wideTrace(rng *rand.Rand, nthreads int) *trace.Trace {
+	b := trace.NewBuilder(nthreads)
+	const (
+		heapBase  = 0x1000
+		heapSlots = 64
+		slotSize  = 16
+		locs      = 96
+		locks     = 3
+	)
+	slot := func() uint64 { return heapBase + uint64(rng.Intn(heapSlots))*slotSize }
+	loc := func() uint64 { return uint64(0x40 + rng.Intn(locs)) }
+	for t := 0; t < nthreads; t++ {
+		b.T(trace.ThreadID(t))
+		n := rng.Intn(80)
+		if rng.Intn(8) == 0 {
+			n = 0
+		}
+		for i := 0; i < n; i++ {
+			switch rng.Intn(16) {
+			case 0:
+				b.Alloc(slot(), slotSize*uint64(1+rng.Intn(8)))
+			case 1:
+				b.Free(slot(), slotSize*uint64(1+rng.Intn(8)))
+			case 2, 3, 4:
+				b.Read(slot()+uint64(rng.Intn(slotSize)), uint64(1+rng.Intn(4*slotSize)))
+			case 5, 6:
+				b.Write(slot()+uint64(rng.Intn(slotSize)), uint64(1+rng.Intn(4*slotSize)))
+			case 7:
+				b.Taint(loc(), uint64(1+rng.Intn(2)))
+			case 8:
+				b.Untaint(loc())
+			case 9, 10:
+				b.Unop(loc(), loc())
+			case 11:
+				b.Binop(loc(), loc(), loc())
+			case 12:
+				b.Jump(loc())
+			case 13:
+				b.Lock(uint64(1 + rng.Intn(locks)))
+			case 14:
+				b.Unlock(uint64(1 + rng.Intn(locks)))
+			default:
+				b.Nop(1)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// differentialGrid builds the input of one TestDifferentialDrivers case:
+// seeds 0–11 chunk randomTrace, seeds 12–19 chunk wideTrace.
+func differentialGrid(t *testing.T, seed int64) (*epoch.Grid, string) {
+	t.Helper()
+	var (
+		tr                   *trace.Trace
+		nthreads, h, maxSkew int
+		chunkSeed            = seed
+	)
+	if seed < 12 {
+		rng := rand.New(rand.NewSource(seed))
+		nthreads = 1 + rng.Intn(8)
+		h = []int{1, 2, 5, 16}[rng.Intn(4)]
+		if h > 1 && rng.Intn(2) == 0 {
+			maxSkew = rng.Intn(h)
+		}
+		tr = randomTrace(rng, nthreads)
+	} else {
+		chunkSeed = seed - 12
+		rng := rand.New(rand.NewSource(chunkSeed))
+		nthreads = 1 + rng.Intn(6)
+		h = []int{1, 3, 9}[rng.Intn(3)]
+		tr = wideTrace(rng, nthreads)
+		maxSkew = rng.Intn(h)
+	}
+	g, err := epoch.ChunkWithSkew(tr, h, maxSkew, chunkSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, fmt.Sprintf("seed=%d threads=%d h=%d skew=%d epochs=%d events=%d",
+		seed, nthreads, h, maxSkew, g.NumEpochs(), g.TotalEvents())
+}
+
 func TestDifferentialDrivers(t *testing.T) {
 	type variant struct {
 		name string
@@ -209,22 +296,8 @@ func TestDifferentialDrivers(t *testing.T) {
 
 	for lgName, mk := range lifeguards {
 		t.Run(lgName, func(t *testing.T) {
-			for seed := int64(0); seed < 12; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				nthreads := 1 + rng.Intn(8)
-				h := []int{1, 2, 5, 16}[rng.Intn(4)]
-				maxSkew := 0
-				if h > 1 && rng.Intn(2) == 0 {
-					maxSkew = rng.Intn(h)
-				}
-				tr := randomTrace(rng, nthreads)
-				g, err := epoch.ChunkWithSkew(tr, h, maxSkew, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := fmt.Sprintf("seed=%d threads=%d h=%d skew=%d epochs=%d events=%d",
-					seed, nthreads, h, maxSkew, g.NumEpochs(), g.TotalEvents())
-
+			for seed := int64(0); seed < 20; seed++ {
+				g, cfg := differentialGrid(t, seed)
 				want := referenceRun(mk(), g)
 
 				for _, v := range variants {

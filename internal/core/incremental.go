@@ -63,12 +63,7 @@ func (d *Driver) newIncremental(T int, trim bool) (*Incremental, error) {
 	}
 	st := &streamState{d: d, T: T, res: &Result{}}
 	st.m = d.metrics(T)
-	st.sh = d.newSharding(st.m)
-	if st.sh == nil {
-		// Sharded runs fold wings inside each per-shard task; the driver's
-		// whole-summary exclusive aggregates don't apply to sharded summaries.
-		st.wa, _ = d.LG.(WingAggregator)
-	}
+	st.wa, _ = d.LG.(WingAggregator)
 	st.fReports = make([][]Report, T)
 	st.sReports = make([][]Report, T)
 	st.wingScratch = make([][]Summary, T)
@@ -80,19 +75,11 @@ func (d *Driver) newIncremental(T int, trim bool) (*Incremental, error) {
 		// generations, so nothing may be recycled (recycle.go).
 		st.rec, _ = d.LG.(Recycler)
 	}
-	st.sosCur = d.bottomState(st.sh) // SOS₀
+	st.sosCur = d.LG.BottomState() // SOS₀
 	if d.Parallel && T > 1 {
 		st.pipe = newStreamPipeline(d.LG, T)
 	}
 	return &Incremental{st: st, trim: trim}, nil
-}
-
-// Shards returns the run's effective shard count (1 when unsharded).
-func (inc *Incremental) Shards() int {
-	if inc.st.sh == nil {
-		return 1
-	}
-	return inc.st.sh.K()
 }
 
 // NumThreads returns the row width every fed row must have.
@@ -127,7 +114,7 @@ func (inc *Incremental) MemEstimate() int64 {
 		est += int64(v) * memPerWindowEvent
 	}
 	if sizer, ok := st.d.LG.(StateSizer); ok && st.sosCur != nil {
-		est += int64(stateSize(sizer, st.sosCur)) * memPerSOSFact
+		est += int64(sizer.StateSize(st.sosCur)) * memPerSOSFact
 	}
 	return est
 }

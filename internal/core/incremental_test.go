@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -110,4 +111,36 @@ func TestIncrementalMisuse(t *testing.T) {
 	}
 	inc.Close()
 	inc.Close() // idempotent
+}
+
+// TestIncrementalErrFinished pins the misuse sentinel: feeding or finishing
+// a finished or closed incremental fails with ErrFinished, for the serial
+// and the pipelined driver alike.
+func TestIncrementalErrFinished(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		for lgName, mk := range lifeguards {
+			d := &core.Driver{LG: mk(), Parallel: parallel}
+			inc, err := d.NewIncremental(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := []*epoch.Block{{Epoch: 0, Thread: 0}, {Epoch: 0, Thread: 1}}
+			if _, err := inc.FeedEpoch(row); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := inc.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := inc.FeedEpoch([]*epoch.Block{{Epoch: 1, Thread: 0}, {Epoch: 1, Thread: 1}}); !errors.Is(err, core.ErrFinished) {
+				t.Errorf("%s parallel=%v: FeedEpoch after Finish: err = %v, want ErrFinished", lgName, parallel, err)
+			}
+			if _, err := inc.Finish(); !errors.Is(err, core.ErrFinished) {
+				t.Errorf("%s parallel=%v: double Finish: err = %v, want ErrFinished", lgName, parallel, err)
+			}
+			inc.Close()
+			if _, err := inc.Finish(); !errors.Is(err, core.ErrFinished) {
+				t.Errorf("%s parallel=%v: Finish after Close: err = %v, want ErrFinished", lgName, parallel, err)
+			}
+		}
+	}
 }

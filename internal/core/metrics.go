@@ -41,33 +41,26 @@ const (
 var stageNames = [numStages]string{"first-pass", "second-pass", "sos-update", "decode"}
 
 // Trace-row (tid) layout: the driver goroutine (SOS updates) is row 0,
-// worker t is row t+1, the decode goroutine follows the workers, and — in
-// sharded runs — shard task k gets row T+2+k.
+// worker t is row t+1, and the decode goroutine follows the workers.
 const tidDriver = 0
 
-func tidWorker(t int) int   { return t + 1 }
-func tidDecoder(T int) int  { return T + 1 }
-func tidShard(T, k int) int { return T + 2 + k }
+func tidWorker(t int) int  { return t + 1 }
+func tidDecoder(T int) int { return T + 1 }
 
 // driverMetrics caches the handles a run reports into.
 type driverMetrics struct {
 	reg   *obs.Registry      // nil when only tracing
 	trace *obs.TraceRecorder // nil when only counting
 	sizer StateSizer         // nil when the lifeguard has no size measure
-	T     int                // thread count, for the shard trace-row offset
 
 	epochs, events, blocks       *obs.Counter
 	wingFoldRows, wingFoldOps    *obs.Counter
 	prefetchStalls, decodeStalls *obs.Counter
-	shardTasks                   *obs.Counter
 	stages                       [numStages]*obs.Histogram
 	barrierWait                  *obs.Histogram
 	prefetchWait, prefetchDepth  *obs.Histogram
-	shardTaskNs                  *obs.Histogram
 	windowEvents, windowPeak     *obs.Gauge
 	sosSize, sosPeak             *obs.Gauge
-	shards                       *obs.Gauge
-	shardInflight, shardPeak     *obs.Gauge
 	gcPause, gcCycles            *obs.Gauge
 	allocsPerEpoch               *obs.Gauge
 
@@ -92,7 +85,6 @@ func (d *Driver) metrics(T int) *driverMetrics {
 	m := &driverMetrics{
 		reg:            reg,
 		trace:          d.Trace,
-		T:              T,
 		epochs:         reg.Counter(obs.MetricEpochs),
 		events:         reg.Counter(obs.MetricEvents),
 		blocks:         reg.Counter(obs.MetricBlocks),
@@ -107,11 +99,6 @@ func (d *Driver) metrics(T int) *driverMetrics {
 		windowPeak:     reg.Gauge(obs.MetricWindowPeak),
 		sosSize:        reg.Gauge(obs.MetricSOSSize),
 		sosPeak:        reg.Gauge(obs.MetricSOSPeak),
-		shardTasks:     reg.Counter(obs.MetricShardTasks),
-		shardTaskNs:    reg.Histogram(obs.MetricShardTaskNs),
-		shards:         reg.Gauge(obs.MetricShards),
-		shardInflight:  reg.Gauge(obs.MetricShardInflight),
-		shardPeak:      reg.Gauge(obs.MetricShardInflightPeak),
 		gcPause:        reg.Gauge(obs.MetricGCPauseNs),
 		gcCycles:       reg.Gauge(obs.MetricGCCycles),
 		allocsPerEpoch: reg.Gauge(obs.MetricAllocsPerEpoch),
@@ -128,11 +115,6 @@ func (d *Driver) metrics(T int) *driverMetrics {
 			d.Trace.SetThreadName(tidWorker(t), "worker "+strconv.Itoa(t))
 		}
 		d.Trace.SetThreadName(tidDecoder(T), "decoder")
-		if K := d.EffectiveShards(); K > 1 {
-			for k := 0; k < K; k++ {
-				d.Trace.SetThreadName(tidShard(T, k), "shard "+strconv.Itoa(k))
-			}
-		}
 	}
 	return m
 }
@@ -202,7 +184,7 @@ func (m *driverMetrics) sosUpdated(s State) {
 	if m == nil || m.sizer == nil {
 		return
 	}
-	size := int64(stateSize(m.sizer, s))
+	size := int64(m.sizer.StateSize(s))
 	m.sosSize.Set(size)
 	m.sosPeak.SetMax(size)
 }
@@ -215,44 +197,6 @@ func (m *driverMetrics) windowSet(events int64) {
 	}
 	m.windowEvents.Set(events)
 	m.windowPeak.SetMax(events)
-}
-
-// shardingConfigured records the run's effective shard count.
-func (m *driverMetrics) shardingConfigured(K int) {
-	if m == nil {
-		return
-	}
-	m.shards.Set(int64(K))
-}
-
-// shardTaskStart tracks the shard task queue depth: how many per-shard
-// tasks are executing concurrently, with a high-water mark.
-func (m *driverMetrics) shardTaskStart() {
-	if m == nil {
-		return
-	}
-	m.shardInflight.Add(1)
-	m.shardPeak.SetMax(m.shardInflight.Value())
-}
-
-// shardTaskEnd is the matching decrement.
-func (m *driverMetrics) shardTaskEnd() {
-	if m == nil {
-		return
-	}
-	m.shardInflight.Add(-1)
-}
-
-// shardTaskDone records one completed shard task: a histogram observation
-// and a trace span on the shard's own row.
-func (m *driverMetrics) shardTaskDone(k int, start time.Time) {
-	if m == nil {
-		return
-	}
-	d := time.Since(start)
-	m.shardTasks.Inc()
-	m.shardTaskNs.Observe(d)
-	m.trace.Span(tidShard(m.T, k), "shard-task", start, d, -1)
 }
 
 // wingFolded counts one exclusive wing-aggregate row fold over T threads

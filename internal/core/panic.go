@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// WorkerPanic is how a panic on a pipeline-worker or shard goroutine reaches
+// WorkerPanic is how a panic on a pipeline-worker goroutine reaches
 // the caller of FeedEpoch/Finish: the goroutine's panic is captured where it
 // erupts, carried across the barrier/WaitGroup join, and re-panicked on the
 // feeding goroutine wrapped in this type. The server recovers it there and

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"butterfly/internal/epoch"
@@ -77,32 +76,4 @@ func feedExpectingPanic(t *testing.T, inc *Incremental, row []*epoch.Block) (wp 
 	}()
 	inc.FeedEpoch(row) //nolint:errcheck // panics
 	return nil
-}
-
-// TestShardPanicContained proves Sharding.Do's join discipline: one
-// panicking shard task must not stop its siblings or leak the WaitGroup,
-// and the panic re-erupts on Do's caller as a *WorkerPanic.
-func TestShardPanicContained(t *testing.T) {
-	sh := &Sharding{k: 8, parallel: true}
-	var ran atomic.Int64
-	defer func() {
-		r := recover()
-		wp, ok := r.(*WorkerPanic)
-		if !ok {
-			t.Fatalf("panic value is %T (%v), want *WorkerPanic", r, r)
-		}
-		if wp.Val != "shard bug" {
-			t.Errorf("WorkerPanic.Val = %v, want the original value", wp.Val)
-		}
-		if got := ran.Load(); got != 8 {
-			t.Errorf("%d of 8 shard tasks ran to the join", got)
-		}
-	}()
-	sh.Do(func(k int) {
-		ran.Add(1)
-		if k == 3 {
-			panic("shard bug")
-		}
-	})
-	t.Fatal("Do did not re-panic")
 }

@@ -105,9 +105,6 @@ func (rd *ReachingDefs) lsos(t trace.ThreadID, ctx PassContext) sets.Set {
 // FirstPass implements Lifeguard: compute GEN_{l,t}, KILL_{l,t},
 // GEN-SIDE-OUT_{l,t} and the LSOS.
 func (rd *ReachingDefs) FirstPass(b *epoch.Block, ctx PassContext) (Summary, []Report) {
-	if ctx.Sharding != nil {
-		return rd.firstPassSharded(b, ctx)
-	}
 	effects := rd.U.BlockDefEffects(b)
 	blockSum := dataflow.BlockSummary(effects)
 	gso := sets.NewSet()
@@ -128,11 +125,6 @@ func (rd *ReachingDefs) FirstPass(b *epoch.Block, ctx PassContext) (Summary, []R
 // reaching definitions) of the wings' GEN-SIDE-OUT; IN_{l,t,i} =
 // GEN-SIDE-IN ∪ LSOS_{l,t,i}.
 func (rd *ReachingDefs) SecondPass(b *epoch.Block, ctx PassContext, wings []Summary) []Report {
-	if ctx.Sharding != nil {
-		// Sharded runs have no Check/Record hooks (CanShard), so the second
-		// pass has nothing observable to compute.
-		return nil
-	}
 	gsi := sets.NewSet()
 	for _, w := range wings {
 		gsi.AddAll(rdSum(w).GenSideOut)

@@ -91,9 +91,6 @@ func (re *ReachingExprs) lsos(t trace.ThreadID, ctx PassContext) sets.Set {
 
 // FirstPass implements Lifeguard.
 func (re *ReachingExprs) FirstPass(b *epoch.Block, ctx PassContext) (Summary, []Report) {
-	if ctx.Sharding != nil {
-		return re.firstPassSharded(b, ctx)
-	}
 	effects := re.U.BlockExprEffects(b)
 	blockSum := dataflow.BlockSummary(effects)
 	kso := sets.NewSet()
@@ -109,11 +106,6 @@ func (re *ReachingExprs) FirstPass(b *epoch.Block, ctx PassContext) (Summary, []
 // KILL-SIDE-OUT (the meet is ∪, not the classic ∩: *any* wing kill
 // invalidates an expression); IN_{l,t,i} = LSOS_{l,t,i} − KILL-SIDE-IN.
 func (re *ReachingExprs) SecondPass(b *epoch.Block, ctx PassContext, wings []Summary) []Report {
-	if ctx.Sharding != nil {
-		// Sharded runs have no Check/Record hooks (CanShard); nothing
-		// observable to compute.
-		return nil
-	}
 	ksi := sets.NewSet()
 	for _, w := range wings {
 		ksi.AddAll(reSum(w).KillSideOut)

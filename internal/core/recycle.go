@@ -11,17 +11,16 @@ package core
 //
 // Ownership contract: the driver calls Recycle only on values it is the sole
 // referent of — never on summaries still inside the window, on the current
-// SOS, on any state passed to MergeSOS (which may retain its input), or on
-// anything when Driver.KeepHistory is set (history aliases the live values).
+// SOS, on the final SOS (the Result keeps it), or on anything when
+// Driver.KeepHistory is set (history aliases the live values).
 // A recycled value must never be observed by a later pass; the
 // poison-on-release debug mode in internal/sets makes violations loud under
 // the race detector.
 
 // Recycler is implemented by lifeguards that pool their Summary, State or
-// wing-aggregate values. dead is never nil and is always an unsharded piece:
-// in a sharded run the driver unwraps a dead *ShardedSummary or ShardedState
-// (shard.go) and hands over each piece once, never the container. A SOS
-// generation is never the value just returned by UpdateSOS. The lifeguard
+// wing-aggregate values. dead is never nil, is always a value the lifeguard
+// itself returned, and is handed over exactly once. A SOS generation is
+// never the value just returned by UpdateSOS. The lifeguard
 // switches on the concrete type and ignores the kinds it does not pool. A
 // pooled kind must own what it hands back: lockset recycles a dead SOS
 // generation's map, but never the immutable locksets that consecutive

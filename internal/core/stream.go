@@ -214,7 +214,7 @@ type streamState struct {
 	// memEstimate, so it is maintained unconditionally.
 	winEvents [streamWindow]int
 
-	// panics collects the first panic erupting on a pipeline-worker or shard
+	// panics collects the first panic erupting on a pipeline-worker
 	// goroutine; exec re-panics it on the feeding goroutine (panic.go).
 	panics panicBox
 
@@ -224,8 +224,6 @@ type streamState struct {
 	// lifeguard implements WingAggregator.
 	aggs [streamWindow][]any
 	wa   WingAggregator
-	// sh is the shard scheduler when the run is sharded (DESIGN.md §11).
-	sh *Sharding
 	// sosPrev and sosCur are SOS_{l−1} and SOSₗ at tick entry.
 	sosPrev, sosCur State
 	// prevBlocks is epoch l−1's row (second-pass input).
@@ -251,10 +249,10 @@ type streamState struct {
 }
 
 // recycle hands a dead value back to the lifeguard's Recycler, if it has
-// one, unwrapping sharded containers into their pieces.
+// one.
 func (st *streamState) recycle(dead any) {
 	if st.rec != nil && dead != nil {
-		recyclePieces(st.rec, dead)
+		st.rec.Recycle(dead)
 	}
 }
 
@@ -350,7 +348,7 @@ func (st *streamState) tick(row []*epoch.Block) {
 		fBlocks:     row,
 		fOut:        st.takeSlot(l),
 		fAgg:        st.takeAggSlot(l),
-		fctx:        PassContext{SOS: st.sosCur, Epoch1Back: st.rowSums(l - 1), Epoch2Back: st.rowSums(l - 2), Sharding: st.sh},
+		fctx:        PassContext{SOS: st.sosCur, Epoch1Back: st.rowSums(l - 1), Epoch2Back: st.rowSums(l - 2)},
 		wingScratch: st.wingScratch,
 		aggScratch:  st.aggScratch,
 		rec:         st.rec,
@@ -358,7 +356,7 @@ func (st *streamState) tick(row []*epoch.Block) {
 	w := &st.work
 	if w.runS {
 		w.sBlocks = st.prevBlocks
-		w.sctx = PassContext{SOS: st.sosPrev, Epoch1Back: st.rowSums(l - 2), Epoch2Back: st.rowSums(l - 3), Sharding: st.sh}
+		w.sctx = PassContext{SOS: st.sosPrev, Epoch1Back: st.rowSums(l - 2), Epoch2Back: st.rowSums(l - 3)}
 		w.wingRows = [3][]Summary{st.rowSums(l - 2), st.rowSums(l - 1), w.fOut}
 		w.sAggs = [3][]any{st.rowAggs(l - 2), st.rowAggs(l - 1), nil} // [2] is filled post-barrier
 	}
@@ -376,10 +374,10 @@ func (st *streamState) tick(row []*epoch.Block) {
 	// tick) advances the SOS.
 	var sosNext State
 	if l == 0 {
-		sosNext = d.bottomState(st.sh)
+		sosNext = d.LG.BottomState()
 	} else {
 		start := st.m.now()
-		sosNext = d.updateSOS(st.sh, st.sosCur, st.rowSums(l-2), st.rowSums(l-1))
+		sosNext = d.LG.UpdateSOS(st.sosCur, st.rowSums(l-2), st.rowSums(l-1))
 		st.m.stageDone(stageSOSUpdate, l+1, tidDriver, start)
 		st.m.sosUpdated(sosNext)
 	}
@@ -430,7 +428,7 @@ func (st *streamState) finish() {
 		panics:  &st.panics,
 		epoch:   L,
 		sBlocks: st.prevBlocks,
-		sctx:    PassContext{SOS: st.sosPrev, Epoch1Back: st.rowSums(L - 2), Epoch2Back: st.rowSums(L - 3), Sharding: st.sh},
+		sctx:    PassContext{SOS: st.sosPrev, Epoch1Back: st.rowSums(L - 2), Epoch2Back: st.rowSums(L - 3)},
 		// Epoch L does not exist; the tail wing is clipped.
 		wingRows:    [3][]Summary{st.rowSums(L - 2), st.rowSums(L - 1), nil},
 		sAggs:       [3][]any{st.rowAggs(L - 2), st.rowAggs(L - 1), nil},
@@ -444,23 +442,20 @@ func (st *streamState) finish() {
 		st.prevBlocks = nil
 	}
 	start := st.m.now()
-	final := d.updateSOS(st.sh, st.sosCur, st.rowSums(L-2), st.rowSums(L-1))
+	final := d.LG.UpdateSOS(st.sosCur, st.rowSums(L-2), st.rowSums(L-1))
 	st.m.stageDone(stageSOSUpdate, L+1, tidDriver, start)
 	st.m.sosUpdated(final)
 	if d.KeepHistory {
 		st.res.SOSHistory = append(st.res.SOSHistory, final)
 	}
 	// SOS_{L−1} and SOS_L are dead now that the trailing update ran; final is
-	// NOT recycled — mergeSOS may retain its input as the FinalSOS.
+	// NOT recycled — it is the Result's FinalSOS.
 	if st.rec != nil {
 		st.recycle(st.sosPrev)
 		st.recycle(st.sosCur)
 		st.sosPrev, st.sosCur = nil, nil
 	}
-	// FinalSOS is always the canonical unsharded representation so results
-	// compare equal across shard counts; SOSHistory keeps the raw per-epoch
-	// states, sharded in sharded runs.
-	st.res.FinalSOS = d.mergeSOS(st.sh, final)
+	st.res.FinalSOS = final
 	// The retained window is dead too: hand the last summary rows and wing
 	// folds back so a finished session leaves its storage in the pools.
 	if st.rec != nil {
@@ -593,8 +588,8 @@ func (w *tickWork) safeFoldAggs() {
 
 // firstPass runs thread t's first pass.
 func (w *tickWork) firstPass(lg Lifeguard, t int) {
-	// core.pass erupts here — on a pipeline-worker or shard goroutine in
-	// parallel runs — so the chaos matrix proves panic containment where it
+	// core.pass erupts here — on a pipeline-worker goroutine in parallel
+	// runs — so the chaos matrix proves panic containment where it
 	// is hardest, not just on the feeding goroutine. Error policies panic
 	// too: analysis itself has no error channel.
 	if err := failpoint.Inject(failpoint.SiteCorePass); err != nil {

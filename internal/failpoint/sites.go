@@ -69,7 +69,7 @@ const (
 	SiteServerFeed = "server.feed"
 
 	// SiteCorePass fires at the top of every first-pass block analysis — a
-	// panic here erupts on a pipeline-worker or shard goroutine, proving the
+	// panic here erupts on a pipeline-worker goroutine, proving the
 	// driver's panic containment, not just the server's recover.
 	SiteCorePass = "core.pass"
 

@@ -114,9 +114,6 @@ func (a *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) *sets.Overlay {
 // it goes (LSOS_{l,t,k} = GEN ∪ (LSOS_{l,t,k−1} − KILL)); the SOS under it
 // is only read.
 func (a *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
-	if ctx.Sharding != nil {
-		return a.firstPassSharded(b, ctx, ctx.Sharding)
-	}
 	s := getSummary()
 	lsos := a.lsos(b.Thread, ctx)
 	defer sets.PutOverlay(lsos)
@@ -205,9 +202,6 @@ func (a *Butterfly) MergeWings(x, y any) any {
 // it; the S.ACCESS ∩ s-changes term flags the body's allocs/frees (the wing
 // access is flagged symmetrically when its own block is the body).
 func (a *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.Summary) []core.Report {
-	if ctx.Sharding != nil {
-		return a.secondPassSharded(b, wings, ctx.Sharding)
-	}
 	// The checks only ever ask "does [lo,hi) overlap the wing union?" —
 	// overlap against a union is overlap against any member, so with
 	// driver-folded aggregates each query probes the ≤3 window rows

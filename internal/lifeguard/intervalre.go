@@ -14,7 +14,7 @@ import (
 // Work is proportional to the epoch, not to the state. An SOS generation is
 // immutable from the moment UpdateSOS returns it until the engine's
 // streamState.recycle hands it back: nobody writes it in between — not the
-// first pass, whose T·K blocks read it concurrently, and not the next
+// first pass, whose T blocks read it concurrently, and not the next
 // UpdateSOS, which reads it as prev while writing a fresh pooled set. An
 // LSOS is therefore never a copy of the SOS but a sets.Overlay over it:
 // the head's GEN and KILL and the block's own allocations and frees live in
@@ -127,14 +127,4 @@ func epochGen(gen *sets.IntervalSet, prevEpoch, curEpoch []core.Summary, gk GenK
 	}
 	sets.PutSet(before)
 	sets.PutSet(scratch)
-}
-
-// MergeIntervalPieces is core.ShardedLifeguard.MergeSOS for an interval SOS:
-// the granule-interleaved pieces coalesce back into maximal intervals.
-func MergeIntervalPieces(pieces []core.State) core.State {
-	si := make(sets.ShardedIntervals, len(pieces))
-	for k, p := range pieces {
-		si[k] = p.(*sets.IntervalSet)
-	}
-	return si.Merge()
 }

@@ -315,7 +315,4 @@ func TestIntervalKernelEmptyInputs(t *testing.T) {
 	if got := IntervalUpdateSOS(full, nil, []core.Summary{killAll}, ivGenKill); !reflect.DeepEqual(got, core.State(want)) {
 		t.Errorf("IntervalUpdateSOS(kill everything) = %#v, want canonical empty", got)
 	}
-	if got := MergeIntervalPieces([]core.State{sets.NewIntervalSet(), sets.NewIntervalSet()}); !reflect.DeepEqual(got, core.State(want)) {
-		t.Errorf("MergeIntervalPieces(empty pieces) = %#v, want canonical empty", got)
-	}
 }

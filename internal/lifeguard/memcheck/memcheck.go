@@ -109,9 +109,6 @@ func (m *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) *sets.Overlay {
 // FirstPass implements core.Lifeguard: build the summary and run the
 // per-instruction definedness checks against the LSOS.
 func (m *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
-	if ctx.Sharding != nil {
-		return m.firstPassSharded(b, ctx, ctx.Sharding)
-	}
 	s := getSummary()
 	lsos := m.lsos(b.Thread, ctx)
 	defer sets.PutOverlay(lsos)
@@ -149,9 +146,6 @@ func (m *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 // at worst early — like the paper's "tainted early" argument, harmless to
 // soundness.)
 func (m *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.Summary) []core.Report {
-	if ctx.Sharding != nil {
-		return m.secondPassSharded(b, wings, ctx.Sharding)
-	}
 	wingKills := sets.GetSet()
 	defer sets.PutSet(wingKills)
 	for _, w := range wings {

@@ -61,12 +61,10 @@ const (
 	MetricSOSSize      = "sos.size"           // lifeguard SOS cardinality after each update
 	MetricSOSPeak      = "sos.peak_size"      // high-water mark of sos.size
 
-	// Address-range sharding (DESIGN.md §11).
-	MetricShards            = "driver.shards"       // gauge: effective shard count of the run
-	MetricShardTasks        = "shard.tasks"         // counter: per-shard tasks executed
-	MetricShardTaskNs       = "stage.shard.ns"      // histogram: one observation per shard task
-	MetricShardInflight     = "shard.inflight"      // gauge: shard tasks currently executing
-	MetricShardInflightPeak = "shard.peak_inflight" // gauge: high-water mark of shard.inflight
+	// Names left from address sharding (DESIGN.md §11). Nothing records
+	// them; they remain because the benchmark program still reads them.
+	MetricShardTasks  = "shard.tasks"    // counter: always 0
+	MetricShardTaskNs = "stage.shard.ns" // histogram: always empty
 
 	// Memory-discipline metrics (DESIGN.md §12). Instrumented drivers
 	// sample runtime.ReadMemStats every few epochs; a pooled steady state

@@ -139,9 +139,8 @@ type Welcome struct {
 	// Finished marks a session whose analysis already completed: no epochs
 	// are expected, only the Reports replay and Done follow.
 	Finished bool `json:"finished,omitempty"`
-	// Shards is the session's effective address-shard count (1 when the
-	// lifeguard runs unsharded), reported so clients can log the analysis
-	// configuration.
+	// Shards is always 1. It is kept on the wire for clients that log it;
+	// the server no longer shards lifeguard state (DESIGN.md §11).
 	Shards int `json:"shards,omitempty"`
 	// Durable marks a session whose acknowledged epochs are persisted in the
 	// server's write-ahead log (DESIGN.md §14): every Ack also survives a

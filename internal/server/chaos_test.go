@@ -83,7 +83,7 @@ var chaosMatrix = []chaosCell{
 	},
 
 	// A panicking lifeguard — whether it erupts on the feeding goroutine or
-	// on a worker/shard goroutine — quarantines its own session and nothing
+	// on a pipeline-worker goroutine — quarantines its own session and nothing
 	// else: 16 concurrent sessions, one poisoned, fifteen byte-identical.
 	{
 		name: "feed-panic-quarantine", spec: "server.feed=1*panic", sessions: 16,

@@ -25,7 +25,6 @@ type sessionRow struct {
 	TraceID   string  `json:"trace_id"`
 	Lifeguard string  `json:"lifeguard"`
 	Threads   int     `json:"threads"`
-	Shards    int     `json:"shards"`
 	Serial    bool    `json:"serial,omitempty"`
 	Attached  bool    `json:"attached"`
 	AgeS      float64 `json:"age_s"`
@@ -92,7 +91,6 @@ func (s *Server) sessionRow(sess *session, attached bool) sessionRow {
 		TraceID:          sess.traceID,
 		Lifeguard:        sess.hello.Lifeguard,
 		Threads:          sess.hello.NumThreads,
-		Shards:           sess.inc.Shards(),
 		Serial:           sess.hello.Serial,
 		Attached:         attached,
 		AgeS:             time.Since(sess.created).Seconds(),

@@ -2,8 +2,8 @@ package server
 
 // Crash recovery (DESIGN.md §14): Listen scans the durable store before the
 // listener accepts anyone and rebuilds every session that survived the
-// previous process. Because the analysis is deterministic (the
-// shard-invariance suite proves replay equality), recovery is replay: each
+// previous process. Because the analysis is deterministic (the differential
+// suites prove every way of feeding it equal), recovery is replay: each
 // logged epoch frame runs through a fresh driver via exactly the pooled
 // decode-and-feed path the live frame loop uses, regenerating the SOS, the
 // window, and — crucially — the per-tick report buffer, so a resuming

@@ -56,10 +56,6 @@ type Config struct {
 	// MaxAnalyze bounds concurrently running analysis ticks across all
 	// sessions — the worker pool. 0 → GOMAXPROCS.
 	MaxAnalyze int
-	// Shards partitions each session's lifeguard state into this many
-	// address shards (core.Driver.Shards) when the lifeguard supports it;
-	// results are identical at any count. 0 → GOMAXPROCS.
-	Shards int
 	// MaxThreads bounds a session's application thread count. 0 → 1024.
 	MaxThreads int
 	// MaxSessionBytes is the per-session wire-byte quota. 0 → unlimited.
@@ -114,9 +110,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxAnalyze <= 0 {
 		cfg.MaxAnalyze = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MaxThreads <= 0 {
 		cfg.MaxThreads = 1024
@@ -584,7 +577,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.m.accepted.Inc()
 			sess.flight.Record(obs.FlightNote, -1, 0, 0, "accepted")
 			s.log.Info("session accepted", "session", sess.shortID, "trace", sess.traceID,
-				"lifeguard", h.Lifeguard, "threads", h.NumThreads, "shards", sess.inc.Shards(),
+				"lifeguard", h.Lifeguard, "threads", h.NumThreads,
 				"remote", conn.RemoteAddr().String())
 		}
 	}
@@ -764,7 +757,7 @@ const memPerReplayReport = 64
 // report frames after it are replayed before new input is consumed.
 func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, sess *session, acked int) {
 	welcome := proto.Welcome{Session: sess.id, NextEpoch: sess.inc.NextEpoch(),
-		Finished: sess.finished, Shards: sess.inc.Shards(),
+		Finished: sess.finished, Shards: 1,
 		Durable: sess.durable(), Recovered: sess.recovered}
 	if err := proto.WriteJSON(bw, proto.FrameWelcome, welcome); err != nil {
 		s.dropSlow(sess, err)

@@ -201,12 +201,12 @@ func validHello() proto.Hello {
 	return proto.Hello{Proto: proto.Version, Lifeguard: "addrcheck", NumThreads: 2}
 }
 
-// TestWelcomeReportsEffectiveShards pins the handshake's shard count: what
-// the session actually runs with, which is 1 for a lifeguard that cannot
-// shard whatever the server was configured with.
+// TestWelcomeReportsEffectiveShards pins the handshake's shard count: the
+// server no longer shards lifeguard state, so every lifeguard's Welcome
+// reads 1 (old clients still log the field).
 func TestWelcomeReportsEffectiveShards(t *testing.T) {
-	s := startServer(t, server.Config{Shards: 4})
-	for lg, want := range map[string]int{"addrcheck": 4, "taintcheck": 1} {
+	s := startServer(t, server.Config{})
+	for _, lg := range []string{"addrcheck", "memcheck", "taintcheck", "lockset"} {
 		h := validHello()
 		h.Lifeguard = lg
 		conn, ft, payload := rawHello(t, s.Addr(), h)
@@ -218,8 +218,8 @@ func TestWelcomeReportsEffectiveShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.Close()
-		if w.Shards != want {
-			t.Errorf("%s: Welcome.Shards = %d at -shards 4, want %d", lg, w.Shards, want)
+		if w.Shards != 1 {
+			t.Errorf("%s: Welcome.Shards = %d, want 1", lg, w.Shards)
 		}
 	}
 }

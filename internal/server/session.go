@@ -215,7 +215,7 @@ func (s *Server) buildSession(h proto.Hello, id string) (*session, *proto.Reject
 		rec.SetMeta("trace_id", traceID)
 		rec.SetMeta("session", shortID)
 	}
-	d := &core.Driver{LG: lg, Parallel: !h.Serial, Shards: s.cfg.Shards, Obs: scope, Trace: rec}
+	d := &core.Driver{LG: lg, Parallel: !h.Serial, Obs: scope, Trace: rec}
 	inc, err := d.NewIncrementalTrimmed(h.NumThreads)
 	if err != nil {
 		scope.Drop()

@@ -44,8 +44,8 @@ const smallIvs = 4
 // to use.
 //
 // Canonical representation. Differential tests compare states containing
-// IntervalSets with reflect.DeepEqual across runs with different schedules,
-// shard counts and pooling histories, so the in-memory form must be a pure
+// IntervalSets with reflect.DeepEqual across runs with different schedules
+// and pooling histories, so the in-memory form must be a pure
 // function of the set's contents. Every mutator restores (via norm):
 //
 //   - empty        ⇔ ivs == nil, small zeroed, inl == false
@@ -403,8 +403,7 @@ func (s *IntervalSet) UnionInPlace(o *IntervalSet) {
 }
 
 // MergeInto folds s into dst (dst ∪= s) with the same linear-merge kernel as
-// UnionInPlace. It is the bulk-merge entry point of the sharded Merge paths
-// and the lifeguards' wing folds.
+// UnionInPlace.
 func (s *IntervalSet) MergeInto(dst *IntervalSet) {
 	dst.UnionInPlace(s)
 }

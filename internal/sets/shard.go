@@ -1,49 +1,18 @@
 package sets
 
-// Address-range sharding. The butterfly lifeguards keep their strongly
-// ordered state (SOS) and their SIDE-OUT/SIDE-IN summaries in address-indexed
-// sets; every dataflow equation in the framework (GEN, KILL, LSOS, the epoch
-// summaries of §5.1/§5.2) is elementwise over facts or bytes. Membership of a
-// fact in any derived set therefore depends only on that fact's membership in
-// the inputs, so the whole state layer can be partitioned into K disjoint
-// address shards and each shard advanced by an independent task with no
-// shared mutable maps. This file provides the two partition functions the
-// sharded driver mode (core.Driver.Shards, DESIGN.md §11) builds on, plus the
-// interval split/merge container; the per-shard state and summary containers
-// themselves are core.ShardedState and core.ShardedSummary.
+// Granule-interleaved interval partitions. The engine does not use them
+// (DESIGN.md §11): their one caller is the benchmark program's
+// sets.split_merge_ns.fragmented row, which times IntervalSet.Split and
+// ShardedIntervals.MergeInto.
 //
-// Two partition schemes exist because the two set families index differently:
-//
-//   - Point facts (definition IDs, expression IDs) are sharded by a mixed
-//     hash, ShardOf, so dense ID ranges and clustered addresses both balance.
-//
-//   - Byte intervals are sharded by address granule: the address space is cut
-//     into ShardGranule-byte granules dealt round-robin to the shards
-//     (ShardOfAddr). Granules keep small event ranges in a single shard
-//     (no per-byte fragmentation of IntervalSets) while still interleaving a
-//     clustered heap across all K shards.
-//
-// Both functions are pure: the partition depends only on (address, K), never
-// on insertion order or a seed, which is what makes shard-count a provable
-// no-op on results (the shard-invariance differential suite).
+// The address space is cut into ShardGranule-byte granules dealt
+// round-robin to K parts (ShardOfAddr). The partition is a pure function of
+// (address, K): splitting and merging back is the identity.
 
-// ShardGranule is the byte granularity of interval sharding: addresses in
-// the same granule always land in the same shard, so an event range of up to
+// ShardGranule is the byte granularity of the partition: addresses in the
+// same granule always land in the same part, so a range of up to
 // ShardGranule bytes decomposes into at most two pieces.
 const ShardGranule = 64
-
-// ShardOf maps a point fact (a packed ID or an address) to a shard in
-// [0, K). The value is mixed (splitmix64 finalizer) so that dense ID spaces
-// and power-of-two-strided addresses spread evenly for any K.
-func ShardOf(x uint64, K int) int {
-	if K <= 1 {
-		return 0
-	}
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return int(x % uint64(K))
-}
 
 // ShardOfAddr maps a byte address to its interval shard in [0, K): granules
 // are dealt round-robin.
@@ -52,24 +21,6 @@ func ShardOfAddr(addr uint64, K int) int {
 		return 0
 	}
 	return int((addr / ShardGranule) % uint64(K))
-}
-
-// SingleShardOfRange returns the interval shard holding all of [lo, hi) and
-// true when the range lies within one granule — the fast path for the small
-// event ranges that dominate traces. ok is false when the range is empty or
-// spans a granule boundary (the range may still be single-shard when K == 1
-// or granules coincide; callers fall back to ForEachShardPiece).
-func SingleShardOfRange(lo, hi uint64, K int) (shard int, ok bool) {
-	if hi <= lo {
-		return 0, false
-	}
-	if K <= 1 {
-		return 0, true
-	}
-	if lo/ShardGranule != (hi-1)/ShardGranule {
-		return 0, false
-	}
-	return ShardOfAddr(lo, K), true
 }
 
 // ForEachShardPiece calls f for every maximal sub-range of [lo, hi) that
@@ -127,20 +78,13 @@ func (s *IntervalSet) Split(K int) ShardedIntervals {
 	return si
 }
 
-// Merge returns the union of all shards as one plain IntervalSet, coalesced
-// back into maximal intervals — byte-identical to the unsharded set. The
-// shards' intervals are granule-interleaved, so unioning them one AddRange
-// at a time would shift the tail on every insert (quadratic); instead each
-// shard's already-sorted run is folded in with one linear coalescing merge
-// over pooled scratch.
-func (si ShardedIntervals) Merge() *IntervalSet {
-	out := NewIntervalSet()
-	si.MergeInto(out)
-	return out
-}
-
-// MergeInto is Merge writing into an existing set, reusing dst's storage.
-// dst's prior contents are discarded.
+// MergeInto writes the union of all shards into dst as one plain
+// IntervalSet, coalesced back into maximal intervals — byte-identical to the
+// unsharded set — reusing dst's storage; dst's prior contents are discarded.
+// The shards' intervals are granule-interleaved, so unioning them one
+// AddRange at a time would shift the tail on every insert (quadratic);
+// instead each shard's already-sorted run is folded in with one linear
+// coalescing merge over pooled scratch.
 func (si ShardedIntervals) MergeInto(dst *IntervalSet) {
 	total := 0
 	for _, s := range si {

@@ -5,45 +5,6 @@ import (
 	"testing"
 )
 
-func TestShardOfRangeAndStability(t *testing.T) {
-	for _, K := range []int{1, 2, 3, 8} {
-		for _, x := range []uint64{0, 1, 63, 64, 0x100, 0xdeadbeef, ^uint64(0)} {
-			k := ShardOf(x, K)
-			if k < 0 || k >= K {
-				t.Fatalf("ShardOf(%#x, %d) = %d out of range", x, K, k)
-			}
-			if k2 := ShardOf(x, K); k2 != k {
-				t.Fatalf("ShardOf not deterministic: %d vs %d", k, k2)
-			}
-		}
-	}
-	if ShardOf(12345, 1) != 0 {
-		t.Fatal("K=1 must map everything to shard 0")
-	}
-}
-
-func TestShardOfBalance(t *testing.T) {
-	// Dense IDs and 16-byte-strided addresses must both spread: no shard may
-	// hold more than twice its fair share.
-	for _, K := range []int{2, 3, 8} {
-		for name, gen := range map[string]func(i int) uint64{
-			"dense":   func(i int) uint64 { return uint64(i) },
-			"strided": func(i int) uint64 { return 0x10000 + uint64(i)*16 },
-		} {
-			counts := make([]int, K)
-			const N = 4096
-			for i := 0; i < N; i++ {
-				counts[ShardOf(gen(i), K)]++
-			}
-			for k, c := range counts {
-				if c > 2*N/K {
-					t.Errorf("K=%d %s: shard %d holds %d of %d", K, name, k, c, N)
-				}
-			}
-		}
-	}
-}
-
 func TestShardOfAddrGranules(t *testing.T) {
 	// All addresses within one granule share a shard; adjacent granules
 	// rotate round-robin.
@@ -58,21 +19,6 @@ func TestShardOfAddrGranules(t *testing.T) {
 		if got := ShardOfAddr(base+ShardGranule, K); got != (k0+1)%K {
 			t.Fatalf("K=%d: next granule shard = %d, want %d", K, got, (k0+1)%K)
 		}
-	}
-}
-
-func TestSingleShardOfRange(t *testing.T) {
-	if _, ok := SingleShardOfRange(10, 10, 4); ok {
-		t.Fatal("empty range must not be single-shard")
-	}
-	if k, ok := SingleShardOfRange(0x40, 0x48, 4); !ok || k != ShardOfAddr(0x40, 4) {
-		t.Fatalf("in-granule range: got (%d, %v)", k, ok)
-	}
-	if _, ok := SingleShardOfRange(0x3e, 0x42, 4); ok {
-		t.Fatal("granule-spanning range must not be single-shard")
-	}
-	if k, ok := SingleShardOfRange(0x3e, 0x142, 1); !ok || k != 0 {
-		t.Fatal("K=1 is always single-shard")
 	}
 }
 
@@ -145,7 +91,9 @@ func TestShardedIntervalsSplitMerge(t *testing.T) {
 		if total != s.Bytes() {
 			t.Fatalf("K=%d: %d bytes across shards, want %d", K, total, s.Bytes())
 		}
-		if !si.Merge().Equal(s) {
+		merged := NewIntervalSet()
+		si.MergeInto(merged)
+		if !merged.Equal(s) {
 			t.Fatalf("K=%d: merge != original", K)
 		}
 		if pieces < s.NumIntervals() {

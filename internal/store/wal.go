@@ -4,8 +4,8 @@
 //
 // The paper's epoch-framed event model is naturally log-structured: an
 // acknowledged epoch tick is exactly one durable unit of progress, and the
-// analysis folding those ticks is deterministic (the shard-invariance suite
-// proves replay equality), so the log needs to capture only the *inputs* —
+// analysis folding those ticks is deterministic (the differential suites
+// prove serial, pipelined and incremental runs equal), so the log needs to capture only the *inputs* —
 // the epoch frames, byte-for-byte as they arrived on the wire — and a crash
 // is survived by replaying them through a fresh core.Incremental. Reports
 // regenerate identically; they are never logged.
