@@ -4,12 +4,7 @@
 //
 // Usage:
 //
-//	butterfly-bench [-exp all|table1|fig11|fig12|fig13|ablate|wal] [flags]
-//
-// -exp wal runs the durability ablation: the same workload through the full
-// client/server stack with the session WAL at each fsync policy (off,
-// batched, per-ack) against the in-memory server, reporting what an Ack
-// costs once it implies persistence.
+//	butterfly-bench [-exp all|table1|fig11|fig12|fig13|ablate] [flags]
 //
 // Experiments run at a configurable scale (-scale); epoch sizes and total
 // work shrink together, preserving the churn-per-epoch ratios that drive
@@ -29,8 +24,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all, table1, fig11, fig12, fig13, ablate, wal")
-		reps    = flag.Int("reps", 3, "repetitions per configuration for -exp wal (best time wins)")
+		exp     = flag.String("exp", "all", "experiment: all, table1, fig11, fig12, fig13, ablate")
 		scale   = flag.Float64("scale", 0, "scale factor for work and epoch sizes (0 = default 1/32)")
 		threads = flag.String("threads", "2,4,8", "comma-separated application thread counts")
 		apps    = flag.String("apps", "", "comma-separated benchmark subset (default: all six)")
@@ -105,14 +99,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Println(bench.RenderTaintAblation(rows))
-	case "wal":
-		start := time.Now()
-		rows, err := bench.WALAblation(o, *reps)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("(measured in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(bench.RenderWALAblation(rows))
 	default:
 		fatalf("unknown experiment %q", *exp)
 	}

@@ -27,9 +27,9 @@
 // sessions through fresh drivers (deterministic, so state and reports
 // rebuild exactly) and clients resume from their last Ack. -fsync picks
 // the policy (per-ack, batched, off; every policy survives SIGKILL,
-// per-ack also survives power loss) and -snapshot-every the progress
-// cursor cadence. Disk errors degrade a session to in-memory instead of
-// killing it.
+// per-ack also survives power loss). Sealed log segments are never
+// rewritten. Disk errors degrade a session to in-memory instead of killing
+// it.
 //
 // Robustness (DESIGN.md §15): a panicking lifeguard quarantines only its
 // own session; -write-timeout detaches slow readers (repeat offenders are
@@ -73,7 +73,6 @@ func main() {
 
 		dataDir   = flag.String("data-dir", "", "durable session store directory: sessions survive server restarts via per-session write-ahead logs (empty = in-memory only)")
 		fsyncMode = flag.String("fsync", "batched", "WAL durability policy: per-ack (fsync before every Ack), batched (group writeback, fsync at segment seals), off")
-		snapEvery = flag.Int("snapshot-every", 0, "epochs between WAL snapshot records (0 = 256)")
 
 		memBudget    = flag.Int64("mem-budget", 0, "global analysis-state memory budget in bytes; over budget, idle sessions are shed and resumes rejected with 'overloaded' (0 = unlimited)")
 		sessBudget   = flag.Int64("session-mem-budget", 0, "per-session analysis-state memory budget in bytes; a session over budget is aborted with 'quota-mem' (0 = unlimited)")
@@ -107,11 +106,10 @@ func main() {
 			fatalf("-fsync: %v", err)
 		}
 		st, err = store.Open(store.Options{
-			Dir:           *dataDir,
-			Fsync:         policy,
-			SnapshotEvery: *snapEvery,
-			Obs:           reg,
-			Log:           log,
+			Dir:   *dataDir,
+			Fsync: policy,
+			Obs:   reg,
+			Log:   log,
 		})
 		if err != nil {
 			fatalf("-data-dir: %v", err)

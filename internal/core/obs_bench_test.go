@@ -1,8 +1,8 @@
 package core_test
 
-// Telemetry overhead guard (`make bench-obs`): the same end-to-end stream
-// pipeline as BenchmarkDriverStream, run uninstrumented, with a registry,
-// and with registry + span recorder. The nil case must track
+// Telemetry overhead benchmark (`make bench-obs-smoke` runs it once): the
+// same end-to-end stream pipeline as BenchmarkDriverStream, run
+// uninstrumented, with a registry, and with registry + span recorder. The nil case must track
 // BenchmarkDriverStream (one pointer check per stage); the instrumented
 // cases bound what -stats / -trace-out cost.
 

@@ -15,7 +15,7 @@
 // unconditionally. The drivers additionally guard their time.Now calls on
 // a single nil check per stage (see internal/core/metrics.go), keeping the
 // nil-registry hot path within noise of the uninstrumented driver — the
-// guard is `make bench-obs`.
+// benchmark's obs.registry_overhead_share measures it.
 //
 // Metric values are int64 throughout. By convention a histogram whose name
 // ends in ".ns" records durations in nanoseconds and is rendered as a
@@ -96,13 +96,12 @@ const (
 	// series exist globally and per session scope; the store.* recovery
 	// series are process-wide (recovery runs before any session scope
 	// exists).
-	MetricWALAppends     = "wal.appends"     // counter: records appended
-	MetricWALBytes       = "wal.bytes"       // counter: bytes appended (headers + payloads + CRCs)
-	MetricWALFsyncs      = "wal.fsyncs"      // counter: fsync calls issued
-	MetricWALFsyncNs     = "wal.fsync.ns"    // histogram: fsync latency
-	MetricWALSnapshots   = "wal.snapshots"   // counter: snapshot records written
-	MetricWALCompactions = "wal.compactions" // counter: sealed segments compacted
-	MetricWALDegraded    = "wal.degraded"    // counter: sessions dropped to in-memory mode on disk errors
+	MetricWALAppends   = "wal.appends"   // counter: records appended
+	MetricWALBytes     = "wal.bytes"     // counter: bytes appended (headers + payloads + CRCs)
+	MetricWALFsyncs    = "wal.fsyncs"    // counter: fsync calls issued
+	MetricWALFsyncNs   = "wal.fsync.ns"  // histogram: fsync latency
+	MetricWALSnapshots = "wal.snapshots" // counter: snapshot records written
+	MetricWALDegraded  = "wal.degraded"  // counter: sessions dropped to in-memory mode on disk errors
 
 	MetricStoreRecoveredSessions = "store.recovered.sessions" // counter: sessions rebuilt at startup
 	MetricStoreRecoveredEpochs   = "store.recovered.epochs"   // counter: epoch records replayed at startup

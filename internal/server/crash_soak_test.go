@@ -10,7 +10,6 @@ package server_test
 
 import (
 	"bytes"
-	"context"
 	"math/rand"
 	"net"
 	"os/exec"
@@ -21,8 +20,6 @@ import (
 	"butterfly/internal/client"
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
-	"butterfly/internal/server"
-	"butterfly/internal/store"
 	"butterfly/internal/trace"
 )
 
@@ -183,48 +180,6 @@ func TestCrashSoak(t *testing.T) {
 			}
 			t.Logf("survived %d SIGKILLs (%s)", killed, fsync)
 			checkRemote(t, "addrcheck", got.res, want)
-		})
-	}
-}
-
-// BenchmarkServerThroughputWAL is BenchmarkServerThroughput with the
-// durable store in each fsync policy, for the EXPERIMENTS.md durability
-// ablation: what an Ack costs once it implies persistence.
-func BenchmarkServerThroughputWAL(b *testing.B) {
-	for _, mode := range []string{"off", "batched", "per-ack"} {
-		b.Run("fsync="+mode, func(b *testing.B) {
-			fsync, err := store.ParseFsync(mode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st, err := store.Open(store.Options{Dir: b.TempDir(), Fsync: fsync})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			s, err := server.Listen("127.0.0.1:0", server.Config{MaxSessions: 1024, Store: st})
-			if err != nil {
-				b.Fatal(err)
-			}
-			go s.Serve()
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				s.Shutdown(ctx)
-			}()
-
-			g := benchGrid(b, 1)
-			b.SetBytes(int64(g.TotalEvents()))
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				res, err := client.Run(s.Addr(), client.Options{}, epoch.NewGridRows(g))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Events != g.TotalEvents() {
-					b.Fatalf("analyzed %d events, want %d", res.Events, g.TotalEvents())
-				}
-			}
 		})
 	}
 }

@@ -5,7 +5,8 @@ package server_test
 // end-to-end workload as BenchmarkServerThroughput, once with no registry
 // (scoped counters, histograms and session metrics all nil no-ops) and once
 // fully instrumented (per-session scope chained to a root registry, flight
-// recorder always on). The enabled-path budget is ≤5% (`make bench-obs`).
+// recorder always on). The enabled-path budget is ≤5%; `make
+// bench-obs-smoke` runs it once.
 
 import (
 	"context"

@@ -4,8 +4,8 @@ package server
 // listener accepts anyone and rebuilds every session that survived the
 // previous process. Because the analysis is deterministic (the differential
 // suites prove every way of feeding it equal), recovery is replay: each
-// logged epoch frame runs through a fresh driver via exactly the pooled
-// decode-and-feed path the live frame loop uses, regenerating the SOS, the
+// logged epoch frame runs through a fresh driver via the pooled decode step
+// the live frame loop uses (session.decodeEpoch), regenerating the SOS, the
 // window, and — crucially — the per-tick report buffer, so a resuming
 // client is handed the same replay frames it would have gotten had the
 // server never died.
@@ -64,11 +64,14 @@ func (s *Server) recoverSessions() error {
 	return nil
 }
 
-// rebuildSession replays one recovered log through a fresh session. The
-// stored snapshot cursor cross-checks the replay: if the regenerated
-// report count or Done totals diverge from what the dead process durably
-// recorded, determinism has been violated somewhere and the session is
-// discarded rather than resumed into a lie.
+// rebuildSession replays one recovered log through a fresh session. Replay
+// regenerates the session's counters too: its byte-quota usage is the wire
+// size of every replayed Epoch frame (plus the End frame of a finished
+// session), exactly what the live loop charged for them. The stored
+// snapshot cursor cross-checks the replay: if the regenerated byte count,
+// report count or Done totals fall short of or diverge from what the dead
+// process durably recorded, determinism has been violated somewhere and the
+// session is discarded rather than resumed into a lie.
 func (s *Server) rebuildSession(rec *store.Recovered) (*session, error) {
 	h := rec.Meta.Hello
 	sess, rej := s.buildSession(h, rec.ID)
@@ -82,21 +85,10 @@ func (s *Server) rebuildSession(rec *store.Recovered) (*session, error) {
 		return nil, err
 	}
 	err := rec.Replay(func(num int, payload []byte) error {
-		blocks := sess.rows.Get(h.NumThreads)
-		for t, b := range blocks {
-			sess.evRow[t] = b.Events[:0]
-		}
-		gotNum, row, err := proto.DecodeEpochInto(payload, h.NumThreads, sess.evRow)
+		gotNum, blocks, err := sess.decodeEpoch(payload)
 		if err != nil {
-			return fmt.Errorf("epoch %d: %w", num, err)
+			return fmt.Errorf("epoch record %d: %w", num, err)
 		}
-		for t, b := range blocks {
-			b.Events = row[t]
-		}
-		if gotNum != sess.inc.NextEpoch() {
-			return fmt.Errorf("epoch %d out of order (expected %d)", gotNum, sess.inc.NextEpoch())
-		}
-		sess.rb.Stamp(blocks)
 		// The same containment the live feed path has: a lifeguard panic
 		// while replaying a poisoned log must discard this one session,
 		// never abort the whole recovery (and with it, the process start).
@@ -109,13 +101,20 @@ func (s *Server) rebuildSession(rec *store.Recovered) (*session, error) {
 		}
 		sess.recordReports(gotNum, reps)
 		sess.epochs++
+		sess.bytesIn += wireBytes(payload)
 		return nil
 	})
 	if err != nil {
 		return discard(fmt.Errorf("replay: %w", err))
 	}
+	if rec.Finished {
+		sess.bytesIn += wireBytes(nil) // the End frame
+	}
 	if rec.HasSnapshot {
-		sess.bytesIn = rec.Snapshot.BytesIn
+		if sess.bytesIn < rec.Snapshot.BytesIn {
+			return discard(fmt.Errorf("replay regenerated %d wire bytes, cursor says >= %d",
+				sess.bytesIn, rec.Snapshot.BytesIn))
+		}
 		if sess.nreports < rec.Snapshot.Reports {
 			return discard(fmt.Errorf("replay regenerated %d reports, cursor says >= %d",
 				sess.nreports, rec.Snapshot.Reports))

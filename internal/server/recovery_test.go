@@ -529,3 +529,96 @@ func waitForEmptyStore(t *testing.T, dir string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// sendUntilError streams epochs from..NumEpochs-1, each waiting for its Ack,
+// and returns the epoch whose frame drew an Error with the given code (-1 if
+// every epoch was acked).
+func (p *protoSession) sendUntilError(g *epoch.Grid, from int, code string) int {
+	p.t.Helper()
+	for l := from; l < g.NumEpochs(); l++ {
+		p.sendEpoch(g, l)
+		for acked := false; !acked; {
+			ft, payload, err := proto.ReadFrame(p.br)
+			if err != nil {
+				p.t.Fatalf("waiting for ack %d: %v", l, err)
+			}
+			switch ft {
+			case proto.FrameAck:
+				acked = true
+			case proto.FrameReports:
+				p.addReports(payload)
+			case proto.FrameError:
+				var e proto.ErrorMsg
+				if err := json.Unmarshal(payload, &e); err != nil {
+					p.t.Fatal(err)
+				}
+				if e.Code != code {
+					p.t.Fatalf("epoch %d drew error %+v, want code %q", l, e, code)
+				}
+				return l
+			default:
+				p.t.Fatalf("unexpected %v frame while waiting for ack %d", ft, l)
+			}
+		}
+	}
+	return -1
+}
+
+// TestRecoveredByteQuota: a session's -max-session-bytes usage survives a
+// restart exactly, even with no cursor record in its log. The quota must
+// trip at the same epoch as in a run that never restarted.
+func TestRecoveredByteQuota(t *testing.T) {
+	g := pickTrace(t, 1200, 2, 6)
+	n := g.NumEpochs()
+	// The quota admits epochs 0..n-2 and trips on the last one.
+	var quota int64
+	for l := 0; l < n; l++ {
+		row := make([][]trace.Event, len(g.Blocks[l]))
+		for th, b := range g.Blocks[l] {
+			row[th] = b.Events
+		}
+		payload, err := proto.EncodeEpoch(l, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quota += int64(len(payload)) + 5
+	}
+	quota--
+	so := store.Options{SnapshotEvery: 1 << 20} // no cursor records at all
+	cfg := server.Config{MaxSessionBytes: quota}
+	h := proto.Hello{Lifeguard: "addrcheck", NumThreads: 2, AckedEpoch: -1}
+
+	straight := startDurable(t, t.TempDir(), obs.New(), so, cfg)
+	p0 := dialSession(t, straight.s.Addr())
+	if _, rej := p0.hello(h); rej != nil {
+		t.Fatalf("hello rejected: %+v", rej)
+	}
+	wantAt := p0.sendUntilError(g, 0, "quota-bytes")
+	if wantAt != n-1 {
+		t.Fatalf("uninterrupted run tripped the byte quota at epoch %d, want %d", wantAt, n-1)
+	}
+
+	rs := startDurable(t, t.TempDir(), obs.New(), so, cfg)
+	p1 := dialSession(t, rs.s.Addr())
+	w, rej := p1.hello(h)
+	if rej != nil {
+		t.Fatalf("hello rejected: %+v", rej)
+	}
+	half := n / 2
+	for l := 0; l < half; l++ {
+		p1.sendEpoch(g, l)
+		p1.drainUntilAck(l)
+	}
+	p1.conn.Close()
+	rs.restart(so)
+
+	h.Resume = w.Session
+	h.AckedEpoch = half - 1
+	p2 := dialSession(t, rs.s.Addr())
+	if w2, rej := p2.hello(h); rej != nil || !w2.Recovered {
+		t.Fatalf("resume after restart = %+v, %+v", w2, rej)
+	}
+	if got := p2.sendUntilError(g, half, "quota-bytes"); got != wantAt {
+		t.Fatalf("recovered session tripped the byte quota at epoch %d, want %d", got, wantAt)
+	}
+}

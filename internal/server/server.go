@@ -799,7 +799,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 			return
 		}
 		sess.sm.framesIn.Inc()
-		frameBytes := int64(len(payload)) + 5
+		frameBytes := wireBytes(payload)
 		sess.sm.bytesIn.Add(frameBytes)
 		sess.bytesIn += frameBytes
 		if s.cfg.MaxSessionBytes > 0 && sess.bytesIn > s.cfg.MaxSessionBytes {
@@ -810,21 +810,9 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 
 		switch ft {
 		case proto.FrameEpoch:
-			blocks := sess.rows.Get(sess.hello.NumThreads)
-			for t, b := range blocks {
-				sess.evRow[t] = b.Events[:0]
-			}
-			num, row, err := proto.DecodeEpochInto(payload, sess.hello.NumThreads, sess.evRow)
+			num, blocks, err := sess.decodeEpoch(payload)
 			if err != nil {
-				s.sessionError(bw, sess, "protocol", "bad epoch frame: "+err.Error())
-				return
-			}
-			for t, b := range blocks {
-				b.Events = row[t]
-			}
-			if num != sess.inc.NextEpoch() {
-				s.sessionError(bw, sess, "protocol",
-					fmt.Sprintf("epoch %d out of order (expected %d)", num, sess.inc.NextEpoch()))
+				s.sessionError(bw, sess, "protocol", err.Error())
 				return
 			}
 			sess.epochs++
@@ -833,7 +821,6 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 					fmt.Sprintf("session exceeded %d-epoch quota", s.cfg.MaxSessionEpochs))
 				return
 			}
-			sess.rb.Stamp(blocks)
 			tick0 := time.Now()
 			s.acquire()
 			wait := time.Since(tick0)

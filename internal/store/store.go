@@ -198,18 +198,17 @@ func (st *Store) DegradedCounter() *obs.Counter { return st.m.degraded }
 // walMetrics are the per-session WAL handles, resolved from the session's
 // obs scope so every write also feeds the process-wide series.
 type walMetrics struct {
-	appends, bytes, fsyncs, snapshots, compactions *obs.Counter
-	fsyncNs                                        *obs.Histogram
+	appends, bytes, fsyncs, snapshots *obs.Counter
+	fsyncNs                           *obs.Histogram
 }
 
 func newWALMetrics(scope *obs.Registry) walMetrics {
 	return walMetrics{
-		appends:     scope.Counter(obs.MetricWALAppends),
-		bytes:       scope.Counter(obs.MetricWALBytes),
-		fsyncs:      scope.Counter(obs.MetricWALFsyncs),
-		snapshots:   scope.Counter(obs.MetricWALSnapshots),
-		compactions: scope.Counter(obs.MetricWALCompactions),
-		fsyncNs:     scope.Histogram(obs.MetricWALFsyncNs),
+		appends:   scope.Counter(obs.MetricWALAppends),
+		bytes:     scope.Counter(obs.MetricWALBytes),
+		fsyncs:    scope.Counter(obs.MetricWALFsyncs),
+		snapshots: scope.Counter(obs.MetricWALSnapshots),
+		fsyncNs:   scope.Histogram(obs.MetricWALFsyncNs),
 	}
 }
 
@@ -222,15 +221,13 @@ type Log struct {
 	dir string
 	id  string
 
-	seq       int // current segment number
-	f         *os.File
-	bw        *bufio.Writer
-	size      int64 // bytes written to the current segment
-	sealedAny bool  // a sealed segment may be waiting for compaction
+	seq  int // current segment number
+	f    *os.File
+	bw   *bufio.Writer
+	size int64 // bytes written to the current segment
 
 	sinceSync int
 	sinceSnap int
-	snapsHere int // snapshot records in the current segment
 
 	scratch [recHdrLen + recTrailerLen]byte
 	err     error // sticky first failure
@@ -285,7 +282,7 @@ func (l *Log) openSegment(seq int) error {
 	if err != nil {
 		return l.fail(err)
 	}
-	l.seq, l.f, l.size, l.snapsHere = seq, f, 0, 0
+	l.seq, l.f, l.size = seq, f, 0
 	// store.write faults (short writes, errors) hit the segment file under
 	// the buffer, so an injected torn record looks exactly like a real one:
 	// flushed partially, then failed. The stub build returns f unchanged.
@@ -371,7 +368,7 @@ func (l *Log) AppendEpoch(payload []byte, snap Snapshot) error {
 		}
 	}
 	if l.size >= l.st.o.SegmentBytes {
-		if err := l.rotate(snap); err != nil {
+		if err := l.rotate(); err != nil {
 			return err
 		}
 	}
@@ -409,7 +406,6 @@ func (l *Log) appendSnapshot(snap Snapshot) error {
 		return err
 	}
 	l.sinceSnap = 0
-	l.snapsHere++
 	l.m.snapshots.Inc()
 	return nil
 }
@@ -439,11 +435,11 @@ func (l *Log) AppendFinish(done proto.Done, snap Snapshot) error {
 	return nil
 }
 
-// rotate seals the current segment (flush + sync), compacts it, and opens
-// the next one, opening with a fresh snapshot so every sealed prefix is
-// fully snapshotted: recovery state at any segment boundary is described by
-// the snapshot just past it.
-func (l *Log) rotate(snap Snapshot) error {
+// rotate seals the current segment (flush, and sync unless the policy is
+// off) and opens the next one. A sealed segment is never opened for writing
+// again: it keeps its cursor records, and recovery takes the latest cursor
+// in the valid prefix from whichever segment holds it.
+func (l *Log) rotate() error {
 	if err := failpoint.Inject(failpoint.SiteStoreRotate); err != nil {
 		return l.fail(err)
 	}
@@ -455,82 +451,11 @@ func (l *Log) rotate(snap Snapshot) error {
 			return err
 		}
 	}
-	sealed, sealedHadSnaps := l.seq, l.snapsHere > 0
 	if err := l.f.Close(); err != nil {
 		return l.fail(err)
 	}
 	l.f = nil
-	if err := l.openSegment(sealed + 1); err != nil {
-		return err
-	}
-	if err := l.appendSnapshot(snap); err != nil {
-		return err
-	}
-	// The sealed segment's snapshots are now superseded by the one ahead of
-	// it; compact them away. Epoch records (and the meta record of segment
-	// 1) always survive — they are the replay input.
-	if sealedHadSnaps {
-		if err := l.compact(sealed); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// compact rewrites a sealed segment keeping only meta and epoch records,
-// atomically (write temp, fsync, rename). Superseded snapshot records are
-// the only thing dropped today; this is also where snapshot-anchored prefix
-// truncation would slot in if lifeguard state ever learns to serialize.
-func (l *Log) compact(seq int) error {
-	path := filepath.Join(l.dir, segName(seq))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return l.fail(err)
-	}
-	tmp, err := os.CreateTemp(l.dir, segName(seq)+".compact-*")
-	if err != nil {
-		return l.fail(err)
-	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 64<<10)
-	var hdr [segHdrLen]byte
-	copy(hdr[:], segMagic)
-	hdr[segHdrLen-1] = segVersion
-	if _, err := bw.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return l.fail(err)
-	}
-	var scratch [recHdrLen + recTrailerLen]byte
-	_, scanErr := scanSegment(data, func(typ byte, payload []byte) error {
-		if typ != recMeta && typ != recEpoch {
-			return nil
-		}
-		_, err := appendRecord(bw, scratch[:], typ, payload)
-		return err
-	})
-	if scanErr != nil {
-		// A sealed segment must scan clean; leave it alone if it doesn't.
-		tmp.Close()
-		return l.fail(fmt.Errorf("compacting sealed segment %d: %w", seq, scanErr))
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return l.fail(err)
-	}
-	if l.st.o.Fsync != FsyncOff {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return l.fail(err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return l.fail(err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return l.fail(err)
-	}
-	l.m.compactions.Inc()
-	return nil
+	return l.openSegment(l.seq + 1)
 }
 
 // Close flushes, syncs (policy permitting) and closes the log, leaving the

@@ -18,6 +18,10 @@
 //	payload    (n−1 bytes)
 //	uint32 BE  CRC32C over the 5 header bytes and the payload
 //
+// Segments are append-only: once the log rotates past a segment, that file
+// is never written, truncated or renamed again while the session lives.
+// Only boot recovery truncates, and only the torn tail of the last segment.
+//
 // A torn tail — the record a crash cut mid-write — fails its CRC (or runs
 // out of bytes) and recovery stops cleanly at the last valid record. Only
 // un-acknowledged work can be lost that way: every Ack is preceded by the
@@ -51,9 +55,9 @@ const (
 	// frame, so appending is a copy and replaying reuses the server decoder.
 	recEpoch = byte(2)
 	// recSnapshot is a JSON Snapshot: the progress cursor at the checkpoint
-	// boundary (last-acked tick, counters). Later snapshots supersede
-	// earlier ones; compaction strips superseded snapshots from sealed
-	// segments.
+	// boundary (last-acked tick, counters). Recovery keeps the latest one in
+	// the valid prefix, whichever segment holds it; superseded cursors stay
+	// where they were written (about 80 bytes per SnapshotEvery epochs).
 	recSnapshot = byte(3)
 	// recFinish marks End processed: JSON proto.Done. Recovery re-runs
 	// Finish on the replayed driver and cross-checks the stored totals.

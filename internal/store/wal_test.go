@@ -1,13 +1,14 @@
 package store
 
 // White-box coverage of the WAL: record/segment codec roundtrips, crash
-// artifacts (torn tails, bit flips), rotation + compaction, the recovery
-// scan, resume-after-crash appends, and the directory lock. The fuzz
+// artifacts (torn tails, bit flips), rotation and sealed-segment
+// immutability, the recovery scan, resume-after-crash appends, and the directory lock. The fuzz
 // harness in fuzz_test.go hammers the same scanner with adversarial bytes;
 // the server-level recovery differential lives in internal/server.
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -227,52 +228,115 @@ func TestRecoverBitFlip(t *testing.T) {
 	}
 }
 
-func TestRotationAndCompaction(t *testing.T) {
-	st := openStore(t, Options{Dir: t.TempDir(), SnapshotEvery: 2, SegmentBytes: 512})
+// segmentDigests hashes every segment below the open one, keyed by number.
+func segmentDigests(t *testing.T, st *Store, id string, open int) map[int][32]byte {
+	t.Helper()
+	out := map[int][32]byte{}
+	for seq := 1; seq < open; seq++ {
+		data, err := os.ReadFile(filepath.Join(st.Dir(), id, segName(seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[seq] = sha256.Sum256(data)
+	}
+	return out
+}
+
+// segmentRecords sums the encoded bytes of one segment's records of type
+// typ, and returns the segment's size.
+func segmentRecords(t *testing.T, path string, typ byte) (recBytes, size int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scanSegment(data, func(got byte, payload []byte) error {
+		if got == typ {
+			recBytes += recHdrLen + len(payload) + recTrailerLen
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("segment %s does not scan clean: %v", path, err)
+	}
+	return recBytes, len(data)
+}
+
+// TestRotation pins the log's one structural invariant: a sealed segment is
+// written once and never rewritten, yet recovery still finds every epoch
+// and the latest cursor, wherever rotation left them; and the cursors it
+// keeps are a negligible share of the log.
+func TestRotation(t *testing.T) {
+	t.Run("sealed-immutable", testRotationSealedImmutable)
+	t.Run("cursor-share", testRotationCursorShare)
+}
+
+func testRotationSealedImmutable(t *testing.T) {
+	const snapEvery = 40 // more epochs than one 512-byte segment holds
+	st := openStore(t, Options{Dir: t.TempDir(), SnapshotEvery: snapEvery, SegmentBytes: 512})
 	id := testID(4)
 	l, err := st.Create(id, testMeta(id), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := appendEpochs(t, l, 0, 50)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	entries, err := os.ReadDir(filepath.Join(st.Dir(), id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) < 3 {
-		t.Fatalf("only %d segments after 50 epochs at 512-byte segments; rotation broken", len(entries))
-	}
-	// Every sealed segment (all but the last) is compacted: superseded
-	// snapshot records stripped, meta and epoch records intact.
-	for i, e := range entries {
-		if i == len(entries)-1 {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(st.Dir(), id, e.Name()))
+	// Append until a segment has been opened after the latest cursor, so
+	// the open segment holds none. At every seal, the sealed segment must
+	// extend the bytes it held before the sealing append, and every earlier
+	// sealed segment must hash as it did at its own seal.
+	var want [][]byte
+	sealed := map[int][32]byte{}
+	lastSnap, lastSnapSeq := -1, 0
+	for num := 0; lastSnapSeq == 0 || l.seq == lastSnapSeq; num++ {
+		seq := l.seq
+		path := filepath.Join(st.Dir(), id, segName(seq))
+		before, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps := 0
-		if _, err := scanSegment(data, func(typ byte, _ []byte) error {
-			if typ == recSnapshot {
-				snaps++
+		want = append(want, appendEpochs(t, l, num, 1)...)
+		if l.sinceSnap == 0 {
+			lastSnap, lastSnapSeq = num, seq
+		}
+		if l.seq != seq {
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}); err != nil {
-			t.Fatalf("sealed segment %s does not scan clean: %v", e.Name(), err)
+			if !bytes.HasPrefix(after, before) {
+				t.Fatalf("sealing segment %d rewrote bytes it already held", seq)
+			}
+			now := segmentDigests(t, st, id, l.seq)
+			for s, sum := range sealed {
+				if now[s] != sum {
+					t.Fatalf("sealed segment %d changed when segment %d was sealed", s, seq)
+				}
+			}
+			sealed = now
 		}
-		if snaps != 0 {
-			t.Fatalf("sealed segment %s still holds %d snapshot records after compaction", e.Name(), snaps)
+		if num > 10*snapEvery {
+			t.Fatal("no segment opened after a cursor; rotation broken")
 		}
+	}
+	open := l.seq
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sealed) < 3 {
+		t.Fatalf("only %d sealed segments after %d epochs at 512-byte segments", len(sealed), len(want))
+	}
+	now := segmentDigests(t, st, id, open)
+	for s, sum := range sealed {
+		if now[s] != sum {
+			t.Fatalf("sealed segment %d changed between its seal and Close", s)
+		}
+	}
+	if n, _ := segmentRecords(t, filepath.Join(st.Dir(), id, segName(open)), recSnapshot); n != 0 {
+		t.Fatalf("open segment %d holds a cursor; the test needs it to hold none", open)
 	}
 
 	rec := recoverOne(t, st)
-	if rec.Epochs != 50 {
-		t.Fatalf("recovered %d epochs across segments, want 50", rec.Epochs)
+	if rec.Epochs != len(want) {
+		t.Fatalf("recovered %d epochs across segments, want %d", rec.Epochs, len(want))
 	}
 	got := replayAll(t, rec)
 	for i := range got {
@@ -280,8 +344,50 @@ func TestRotationAndCompaction(t *testing.T) {
 			t.Fatalf("epoch %d payload diverged across rotation", i)
 		}
 	}
-	if !rec.HasSnapshot || rec.Snapshot.Acked < 40 {
-		t.Fatalf("snapshot cursor did not advance: %+v", rec.Snapshot)
+	if !rec.HasSnapshot || rec.Snapshot.Acked != lastSnap {
+		t.Fatalf("recovered cursor %+v (has=%v), want the one at epoch %d in segment %d",
+			rec.Snapshot, rec.HasSnapshot, lastSnap, lastSnapSeq)
+	}
+}
+
+// testRotationCursorShare: under default options and ~10 B/event epochs
+// (1024 events per epoch), cursor records are at most 0.1 % of the log's
+// bytes — the reason sealed segments keep them instead of being
+// rewritten.
+func testRotationCursorShare(t *testing.T) {
+	st := openStore(t, Options{Dir: t.TempDir(), Fsync: FsyncOff})
+	id := testID(10)
+	l, err := st.Create(id, testMeta(id), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, 1024*10)
+	var bytesIn int64
+	for num := 0; num < 512; num++ {
+		p := epochPayload(num, body)
+		bytesIn += int64(len(p)) + 5
+		snap := Snapshot{Acked: num, Epochs: int64(num + 1), BytesIn: bytesIn, Reports: 3 * num}
+		if err := l.AppendEpoch(p, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := l.seq
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if open < 2 {
+		t.Fatalf("no rotation at default segment size after %d bytes", bytesIn)
+	}
+	var cursors, total int
+	for seq := 1; seq <= open; seq++ {
+		n, size := segmentRecords(t, filepath.Join(st.Dir(), id, segName(seq)), recSnapshot)
+		cursors += n
+		total += size
+	}
+	share := float64(cursors) / float64(total)
+	t.Logf("cursor records: %d of %d log bytes (%.4f %%)", cursors, total, 100*share)
+	if cursors == 0 || share > 0.001 {
+		t.Fatalf("cursor records are %.4f %% of the log, want (0, 0.1 %%]", 100*share)
 	}
 }
 
