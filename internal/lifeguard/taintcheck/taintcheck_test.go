@@ -317,3 +317,37 @@ func TestStatusString(t *testing.T) {
 		t.Fatal("merge lattice wrong")
 	}
 }
+
+// TestMaxStepsPerCheck: the step budget bounds one Check invocation, so a
+// use's verdict cannot depend on how many checks ran before it in the
+// block. Every jump below costs one chain step (the wing's x ← {y}, with y
+// clean); a budget shared across the block would flag the third jump on.
+func TestMaxStepsPerCheck(t *testing.T) {
+	const x, y = 0x10, 0x20
+	b := trace.NewBuilder(2)
+	b.T(0)
+	for i := 0; i < 16; i++ {
+		b.Jump(x)
+	}
+	b.T(1).Unop(x, y)
+	tr := b.Build()
+	for _, lg := range []*Butterfly{
+		{SC: true, TwoPhase: true, MaxSteps: 2},
+		{SC: false, TwoPhase: true, MaxSteps: 2},
+		{SC: true, TwoPhase: false, MaxSteps: 2},
+	} {
+		if res := run(t, lg, tr, 32); len(res.Reports) != 0 {
+			t.Errorf("SC=%v TwoPhase=%v MaxSteps=%d: clean jumps flagged: %v",
+				lg.SC, lg.TwoPhase, lg.MaxSteps, res.Reports)
+		}
+	}
+	// A chain longer than the budget is still conservatively tainted (in
+	// program order, so the SC counters allow it).
+	long := trace.NewBuilder(2).
+		T(0).Jump(x).
+		T(1).Unop(0x30, 0x40).Unop(y, 0x30).Unop(x, y).
+		Build()
+	if res := run(t, &Butterfly{SC: true, TwoPhase: true, MaxSteps: 2}, long, 32); len(res.Reports) != 1 {
+		t.Errorf("exhausted budget did not flag conservatively: %v", res.Reports)
+	}
+}
