@@ -18,6 +18,7 @@ import (
 	"butterfly/internal/epoch"
 	"butterfly/internal/lifeguard/addrcheck"
 	"butterfly/internal/lifeguard/lockset"
+	"butterfly/internal/lifeguard/taintcheck"
 	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
@@ -126,6 +127,51 @@ func lockGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
 	return g
 }
 
+// taintGrid builds a report-free TaintCheck workload shaped like the
+// benchmark's genTaint at h = 256: 4096 locations, location i written only
+// by thread i mod nthreads, with taint sources, untaints, and unary and
+// binary assignments whose sources are drawn from anywhere, so the Check
+// resolver chases chains through the head and the wings. Jumps, the only
+// uses that report, go to a separate region only ever written by untaints
+// and stores, so no use is tainted and the gate measures the analysis, not
+// report formatting.
+func taintGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
+	tb.Helper()
+	const locs, clean = 4096, 256
+	loc := func(i int) uint64 { return 0x10000 + uint64(i)*8 }
+	safe := func(i int) uint64 { return 0x100000 + uint64(i)*8 }
+	b := trace.NewBuilder(nthreads)
+	for t := 0; t < nthreads; t++ {
+		b.T(trace.ThreadID(t))
+		rng := rand.New(rand.NewSource(int64(t + 1)))
+		for i := 0; i < perThread; i++ {
+			own := loc(rng.Intn(locs/nthreads)*nthreads + t)
+			any := func() uint64 { return loc(rng.Intn(locs)) }
+			switch p := rng.Intn(100); {
+			case p < 2:
+				b.Taint(own, 1)
+			case p < 12:
+				b.Untaint(own)
+			case p < 50:
+				b.Unop(own, any())
+			case p < 70:
+				b.Binop(own, any(), any())
+			case p < 75:
+				b.Write(safe(rng.Intn(clean/nthreads)*nthreads+t), 8)
+			case p < 85:
+				b.Jump(safe(rng.Intn(clean)))
+			default:
+				b.Nop(1)
+			}
+		}
+	}
+	g, err := epoch.ChunkByCount(b.Build(), 256)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func TestSteadyStateAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector instruments allocations; counts are not meaningful")
@@ -140,8 +186,10 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	// The lock grid's prologue is 2,112 events a thread (9 epochs at
 	// h = 256), all of it inside the warm-up below.
 	locked := lockGrid(t, T, 128*256)
+	tainted := taintGrid(t, T, 96*256)
 	addr := func() core.Lifeguard { return addrcheck.New(0) }
 	locks := func() core.Lifeguard { return lockset.New() }
+	taint := func() core.Lifeguard { return taintcheck.New() }
 	for _, tc := range []struct {
 		name string
 		g    *epoch.Grid
@@ -154,6 +202,8 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		{"fragmented/served", fragmented, addr, core.Driver{Parallel: true}},
 		{"lockset/serial", locked, locks, core.Driver{}},
 		{"lockset/parallel", locked, locks, core.Driver{Parallel: true}},
+		{"taintcheck/serial", tainted, taint, core.Driver{}},
+		{"taintcheck/parallel", tainted, taint, core.Driver{Parallel: true}},
 	} {
 		g := tc.g
 		t.Run(tc.name, func(t *testing.T) {
@@ -168,6 +218,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 			// Feed through the same pooled-row path the server uses:
 			// decode-style copy into recycled backings, stamp, feed, and let
 			// the driver hand rows back to the pool as the window slides.
+			var reports []core.Report
 			var pool epoch.RowPool
 			rb := epoch.NewRowBuilder(T)
 			inc.SetRowRecycler(pool.Put)
@@ -177,9 +228,11 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 					b.Events = append(b.Events[:0], g.Blocks[l][t2].Events...)
 				}
 				rb.Stamp(blocks)
-				if _, err := inc.FeedEpoch(blocks); err != nil {
+				reps, err := inc.FeedEpoch(blocks)
+				if err != nil {
 					t.Fatalf("epoch %d: %v", l, err)
 				}
+				reports = append(reports, reps...)
 			}
 
 			const warm = 32
@@ -200,6 +253,9 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 			perEpoch := float64(after.Mallocs-before.Mallocs) / float64(measured)
 			t.Logf("steady state: %.2f allocs/epoch over %d epochs (budget %v)",
 				perEpoch, measured, steadyAllocBudget)
+			if len(reports) != 0 {
+				t.Fatalf("the grid is not report-free: %v", reports[0])
+			}
 			if perEpoch > steadyAllocBudget {
 				t.Fatalf("steady-state allocations regressed: %.2f allocs/epoch exceeds budget %v",
 					perEpoch, steadyAllocBudget)

@@ -14,14 +14,30 @@
 // memory models. Resolution is split into two phases (Lemma 6.3) to avoid
 // concluding taint through orderings that violate the butterfly assumptions
 // (e.g. an epoch-3 taint flowing backwards through an epoch-1 assignment).
+//
+// Representation (DESIGN.md §12): a block summary holds its transfer
+// functions by value in one slice sorted by (destination, index) and its
+// LASTCHECK conclusions as a sorted (location, status) vector, both looked
+// up by binary search behind a per-block bit filter. An SOS generation is
+// an immutable sorted []uint64, written once by UpdateSOS in a single
+// linear merge of the previous generation with the epoch's LASTCHECK
+// vectors; the LSOS is a view that answers each query from the head's
+// LASTCHECK, the generation and epoch l−2, never a copy. The resolver's SC
+// counters are a per-thread position array set and restored along the
+// depth-first search, and its relaxed path a small stack. Summaries,
+// generations and resolvers are pooled and report details are interned by
+// address, so a warm epoch allocates nothing. Only the sequential oracle
+// keeps a map-backed set; the one map outside it is that detail cache.
 package taintcheck
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
-	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
 
@@ -72,13 +88,13 @@ const (
 	tfnBinop                  // x ← {a, b}
 )
 
-// tfn is one transfer function x_{l,t,i} ← s.
+// tfn is one transfer function x_{l,t,i} ← s, held by value in its block's
+// summary.
 type tfn struct {
-	idx  int // instruction index within the block
-	ref  trace.Ref
 	loc  uint64 // destination x
-	kind tfnKind
 	srcs [2]uint64
+	idx  int // instruction index within the block
+	kind tfnKind
 }
 
 func (f *tfn) sources() []uint64 {
@@ -92,35 +108,107 @@ func (f *tfn) sources() []uint64 {
 }
 
 // Summary is TaintCheck's per-block summary: the block's transfer functions
-// indexed by destination, plus the LASTCHECK conclusions filled in during
-// the second pass (consumed by the SOS update).
+// sorted by (destination, index), plus the LASTCHECK conclusions filled in
+// during the second pass (consumed by the SOS update and later LSOS views).
+// Every lookup is a binary search over locs, behind a bit filter that
+// answers most misses (a wing that never writes x) with one load.
 type Summary struct {
 	epoch  int
 	thread trace.ThreadID
-	// writes maps each destination location to its transfer functions in
+	// tfns holds every transfer function of the block, sorted by (loc,
+	// idx): the functions writing one location are a contiguous run in
 	// block order.
-	writes map[uint64][]*tfn
-	// lastCheck is LASTCHECK(x, l, t): the resolved status of the last
-	// write to x in this block; locations the block never writes are absent
-	// (∅). Written during this block's second pass, read afterwards by
-	// UpdateSOS and later LSOS computations — never concurrently.
-	lastCheck map[uint64]Status
+	tfns []tfn
+	// locs lists the locations the block writes, sorted; runs[i] is where
+	// locs[i]'s run starts in tfns (runs[len(locs)] = len(tfns)).
+	locs []uint64
+	runs []int32
+	// last[i] is LASTCHECK(locs[i], l, t); locations the block never writes
+	// are absent (∅). FirstPass sets every entry Unknown and the block's
+	// second pass fills each one in as it walks the block, so until then
+	// Unknown means "not written yet". Read afterwards by UpdateSOS and
+	// later LSOS views — never concurrently with the writes.
+	last []Status
+	// filter has bit filterBit(x) set for every x in locs.
+	filter [filterWords]uint64
+	// reports backs the slice SecondPass returns; the driver copies a
+	// pass's reports out before the summary can be recycled.
+	reports []core.Report
 }
 
-// span returns LASTCHECK(x, (l−1, l), t): the conclusion of the last check
-// spanning the previous block (head) and this block.
-func span(head, cur *Summary, x uint64) Status {
-	if cur != nil {
-		if s, ok := cur.lastCheck[x]; ok {
-			return s
-		}
+// filterWords sizes the per-block miss filter: 1,024 bits, about a fifth
+// set by a block writing 200 locations.
+const filterWords = 16
+
+func filterBit(x uint64) uint64 { return (x * 0x9e3779b97f4a7c15) >> (64 - 10) }
+
+// slot returns the index of x in locs, or -1 if the block never writes x.
+func (s *Summary) slot(x uint64) int {
+	if b := filterBit(x); s.filter[b>>6]&(1<<(b&63)) == 0 {
+		return -1
 	}
-	if head != nil {
-		if s, ok := head.lastCheck[x]; ok {
-			return s
-		}
+	return search(s.locs, x)
+}
+
+// b2i compiles to a flag set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return Unknown // ∅
+	return 0
+}
+
+// search returns the index of x in the sorted xs, or -1. The halving loop
+// has no data-dependent branch, so a mispredicted comparison costs nothing;
+// on the benchmark's taint traffic that made the feed loop about a quarter
+// faster than the textbook search.
+func search(xs []uint64, x uint64) int {
+	n := len(xs)
+	if n == 0 {
+		return -1
+	}
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		base += half * b2i(xs[base+half] <= x)
+		n -= half
+	}
+	if xs[base] == x {
+		return base
+	}
+	return -1
+}
+
+// writes returns the block's transfer functions for x, in block order.
+func (s *Summary) writes(x uint64) []tfn {
+	i := s.slot(x)
+	if i < 0 {
+		return nil
+	}
+	return s.tfns[s.runs[i]:s.runs[i+1]]
+}
+
+// status returns LASTCHECK(x) for this block: Unknown (∅) when the block
+// never writes x, or has not written it yet during its own second pass.
+func (s *Summary) status(x uint64) Status {
+	if s == nil {
+		return Unknown
+	}
+	if i := s.slot(x); i >= 0 {
+		return s.last[i]
+	}
+	return Unknown
+}
+
+// sos is one SOS generation: the locations believed tainted, an immutable
+// sorted slice (nil when empty, so equal generations compare equal whatever
+// their history). Each UpdateSOS writes a fresh generation into a recycled
+// backing; a dead one returns through Recycle.
+type sos struct{ locs []uint64 }
+
+// has reports whether x is in the generation.
+func (s *sos) has(x uint64) bool {
+	return search(s.locs, x) >= 0
 }
 
 // Butterfly is the butterfly-analysis TaintCheck lifeguard.
@@ -139,6 +227,35 @@ type Butterfly struct {
 	// MaxSteps bounds the work of one Check invocation; on exhaustion the
 	// check conservatively returns ⊥. Zero means the default (4096).
 	MaxSteps int
+
+	details detailCache
+}
+
+// detailCache interns report details by address. A workload flags the same
+// critical use over and over, and whoever keeps its reports (butterflyd
+// keeps a session's for replay) then holds one Detail string per address
+// rather than one per report; a repeated report costs no allocation.
+type detailCache struct {
+	mu     sync.Mutex
+	byAddr map[uint64]string
+}
+
+// fill sets the Detail of each report, a tainted critical use of Ev.Addr.
+func (c *detailCache) fill(reports []core.Report) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.byAddr == nil {
+		c.byAddr = map[uint64]string{}
+	}
+	for i := range reports {
+		x := reports[i].Ev.Addr
+		d, ok := c.byAddr[x]
+		if !ok {
+			d = fmt.Sprintf("value at %#x may be tainted at a critical use", x)
+			c.byAddr[x] = d
+		}
+		reports[i].Detail = d
+	}
 }
 
 var _ core.Lifeguard = (*Butterfly)(nil)
@@ -154,11 +271,11 @@ func NewRelaxed() *Butterfly { return &Butterfly{SC: false, TwoPhase: true} }
 func (tc *Butterfly) Name() string { return "taintcheck" }
 
 // BottomState implements core.Lifeguard: nothing is tainted initially.
-func (tc *Butterfly) BottomState() core.State { return sets.NewSet() }
+func (tc *Butterfly) BottomState() core.State { return &sos{} }
 
 // StateSize implements core.StateSizer: the number of tainted locations in
 // the SOS.
-func (tc *Butterfly) StateSize(s core.State) int { return s.(sets.Set).Len() }
+func (tc *Butterfly) StateSize(s core.State) int { return len(s.(*sos).locs) }
 
 func sum(s core.Summary) *Summary {
 	if s == nil {
@@ -174,9 +291,7 @@ func (tc *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summa
 	s := getSummary()
 	s.epoch, s.thread = b.Epoch, b.Thread
 	add := func(i int, loc uint64, kind tfnKind, srcs [2]uint64) {
-		f := getTfn()
-		f.idx, f.ref, f.loc, f.kind, f.srcs = i, b.Ref(i), loc, kind, srcs
-		s.writes[loc] = append(s.writes[loc], f)
+		s.tfns = append(s.tfns, tfn{loc: loc, srcs: srcs, idx: i, kind: kind})
 	}
 	for i, e := range b.Events {
 		switch e.Kind {
@@ -197,72 +312,49 @@ func (tc *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summa
 			add(i, e.Addr, tfnUntaint, [2]uint64{})
 		}
 	}
+	slices.SortFunc(s.tfns, func(a, b tfn) int {
+		if c := cmp.Compare(a.loc, b.loc); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	for i, f := range s.tfns {
+		if i == 0 || f.loc != s.tfns[i-1].loc {
+			s.addLoc(f.loc, i)
+		}
+	}
+	s.runs = append(s.runs, int32(len(s.tfns)))
 	return s, nil
 }
 
-// lsos computes the set of addresses believed tainted at the start of block
-// (l, t): the reaching-definitions LSOS (§5.1.2) instantiated with
-// LASTCHECK-derived GEN/KILL:
-//
-//	GEN_{l−1,t}  = {x : LASTCHECK(x, l−1, t) = ⊥}
-//	KILL_{l−1,t} = {x : LASTCHECK(x, l−1, t) = ⊤}
-//	LSOS = GEN_{l−1,t} ∪ (SOSₗ − KILL_{l−1,t})
-//	     ∪ {x ∈ SOSₗ ∩ KILL_{l−1,t} : ∃t'≠t, LASTCHECK(x, l−2, t') = ⊥}
-func (tc *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) sets.Set {
-	sos := ctx.SOS.(sets.Set)
-	head := sum(ctx.Head)
-	if head == nil {
-		return sos.Clone()
-	}
-	out := sets.NewSet()
-	for x, st := range head.lastCheck {
-		if st == Bot {
-			out.Add(x)
-		}
-	}
-	for x := range sos {
-		st, killed := head.lastCheck[x]
-		if !killed || st != Top {
-			out.Add(x)
-			continue
-		}
-		// Head untainted x, but an epoch l−2 taint in another thread may
-		// interleave after the head's untaint.
-		for tt, s2 := range ctx.Epoch2Back {
-			if trace.ThreadID(tt) == t || s2 == nil {
-				continue
-			}
-			if st2, ok := sum(s2).lastCheck[x]; ok && st2 == Bot {
-				out.Add(x)
-				break
-			}
-		}
-	}
-	return out
+// addLoc appends x, the next location in ascending order, whose run of
+// transfer functions starts at tfns[run].
+func (s *Summary) addLoc(x uint64, run int) {
+	s.locs = append(s.locs, x)
+	s.runs = append(s.runs, int32(run))
+	s.last = append(s.last, Unknown)
+	b := filterBit(x)
+	s.filter[b>>6] |= 1 << (b & 63)
 }
 
 // SecondPass implements core.Lifeguard: walk the block, resolving each
 // write's taint with the Check algorithm and flagging tainted critical uses.
-// The block's LASTCHECK conclusions are recorded in its own summary.
+// Each write's conclusion goes straight into the block's own LASTCHECK
+// entry, which doubles as the resolved status of locally written locations
+// for the uses that follow it.
 func (tc *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.Summary) []core.Report {
 	own := sum(ctx.Own)
-	r := &resolver{
-		tc:   tc,
-		body: own,
-		head: sum(ctx.Head),
-		lsos: tc.lsos(b.Thread, ctx),
-	}
-	for _, w := range wings {
-		r.wings = append(r.wings, sum(w))
-	}
+	r := getResolver()
+	defer putResolver(r)
+	r.start(tc, own, ctx, wings)
+	set := func(x uint64, st Status) { own.last[own.slot(x)] = st }
 
-	var reports []core.Report
-	local := map[uint64]Status{} // resolved status of locally written locs
+	reports := own.reports[:0]
 	for i, e := range b.Events {
 		switch e.Kind {
 		case trace.TaintSrc:
 			for a := e.Lo(); a < e.Hi(); a++ {
-				local[a] = Bot
+				set(a, Bot)
 			}
 		case trace.Untaint, trace.Write:
 			// The value written is untainted (a constant or register value
@@ -270,25 +362,22 @@ func (tc *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []co
 			// location is accounted for at use sites, and cross-thread
 			// interference with this conclusion is handled by the
 			// ∀t' guard in the KILLₗ formula.
-			local[e.Addr] = Top
+			set(e.Addr, Top)
 		case trace.AssignUn:
-			local[e.Addr] = r.resolveUse(e.Src1, i, local)
+			set(e.Addr, r.resolveUse(e.Src1, i))
 		case trace.AssignBin:
-			local[e.Addr] = merge(
-				r.resolveUse(e.Src1, i, local),
-				r.resolveUse(e.Src2, i, local))
+			set(e.Addr, merge(r.resolveUse(e.Src1, i), r.resolveUse(e.Src2, i)))
 		case trace.Jump:
-			if r.resolveUse(e.Addr, i, local) == Bot {
-				reports = append(reports, core.Report{
-					Ref: b.Ref(i), Ev: e, Code: CodeTaintedUse,
-					Detail: fmt.Sprintf("value at %#x may be tainted at a critical use", e.Addr),
-				})
+			if r.resolveUse(e.Addr, i) == Bot {
+				reports = append(reports, core.Report{Ref: b.Ref(i), Ev: e, Code: CodeTaintedUse})
 			}
 		}
 	}
-	for x, st := range local {
-		own.lastCheck[x] = st
+	own.reports = reports
+	if len(reports) == 0 {
+		return nil
 	}
+	tc.details.fill(reports)
 	return reports
 }
 
@@ -299,39 +388,71 @@ func (tc *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []co
 //	KILLₗ = ⋃ₜ {x : LASTCHECK(x, l, t) = ⊤ ∧
 //	             ∀t'≠t, LASTCHECK(x, (l−1,l), t') ∈ {⊤, ∅}}
 //	SOS'  = GENₗ ∪ (SOS − KILLₗ)
+//
+// One linear merge computes it: the T sorted LASTCHECK vectors are walked
+// together in location order, and the previous generation is copied across
+// into a recycled backing up to each concluded location. A location some
+// thread concluded ⊥ is in GENₗ, so no thread concluded ⊥ at a location
+// tested for KILLₗ: the ∀t' guard reduces to the threads with no conclusion
+// there, whose span is the head's.
 func (tc *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	sos := prev.(sets.Set)
-	gen := sets.NewSet()
-	kill := sets.NewSet()
-	T := len(curEpoch)
-	for t := 0; t < T; t++ {
-		st := sum(curEpoch[t])
-		for x, s := range st.lastCheck {
-			if s == Bot {
-				gen.Add(x)
-				continue
-			}
-			if s != Top {
-				continue
-			}
-			ok := true
-			for tt := 0; tt < T; tt++ {
-				if tt == t {
-					continue
-				}
-				var head *Summary
-				if prevEpoch != nil {
-					head = sum(prevEpoch[tt])
-				}
-				if sp := span(head, sum(curEpoch[tt]), x); sp == Bot {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				kill.Add(x)
+	old := prev.(*sos).locs
+	next := getSOS()
+	out := next.locs[:0]
+	var curBuf [16]*Summary
+	var atBuf [16]int
+	cur, at := curBuf[:0], atBuf[:0] // at[t]: thread t's cursor into its LASTCHECK
+	for _, c := range curEpoch {
+		cur, at = append(cur, sum(c)), append(at, 0)
+	}
+	i := 0 // cursor into the previous generation
+	for {
+		// x: the smallest location a thread still has a conclusion for.
+		x, found := uint64(0), false
+		for t, s := range cur {
+			if at[t] < len(s.locs) && (!found || s.locs[at[t]] < x) {
+				x, found = s.locs[at[t]], true
 			}
 		}
+		if !found {
+			break
+		}
+		gen, top := false, false
+		for t, s := range cur {
+			if at[t] < len(s.locs) && s.locs[at[t]] == x {
+				gen = gen || s.last[at[t]] == Bot
+				top = top || s.last[at[t]] == Top
+				at[t]++
+			}
+		}
+		kill := !gen && top
+		for t, s := range cur {
+			if !kill {
+				break
+			}
+			if at[t] > 0 && s.locs[at[t]-1] == x {
+				continue // concluded x this epoch, and not ⊥
+			}
+			if prevEpoch != nil && sum(prevEpoch[t]).status(x) == Bot {
+				kill = false
+			}
+		}
+		for i < len(old) && old[i] < x {
+			out = append(out, old[i])
+			i++
+		}
+		inOld := i < len(old) && old[i] == x
+		if inOld {
+			i++
+		}
+		if gen || (inOld && !kill) {
+			out = append(out, x)
+		}
 	}
-	return gen.Union(sos.Difference(kill))
+	out = append(out, old[i:]...)
+	if len(out) == 0 {
+		out = nil
+	}
+	next.locs = out
+	return next
 }
