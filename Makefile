@@ -28,8 +28,9 @@ lint: fmt-check vet
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over every decoder, the LSOS view, the lockset kernels and
-# the taintcheck SOS merge (the seed corpus always runs in `test`).
+# Short fuzz pass over every decoder, the LSOS view, the lockset kernels, the
+# taintcheck SOS merge, the report detail builder and the Reports codec (the
+# seed corpus always runs in `test`).
 fuzz:
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzStreamReader -fuzztime 30s
@@ -39,6 +40,8 @@ fuzz:
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 30s
 	$(GO) test ./internal/lifeguard/lockset -run XXX -fuzz FuzzLockVec -fuzztime 30s
 	$(GO) test ./internal/lifeguard/taintcheck -run XXX -fuzz FuzzTaintSOS -fuzztime 30s
+	$(GO) test ./internal/lifeguard -run XXX -fuzz FuzzReportDetail -fuzztime 30s
+	$(GO) test ./internal/proto -run XXX -fuzz FuzzReportsJSON -fuzztime 30s
 
 # Shorter fuzz pass for the CI gate: 10s per fuzzer, seeded from testdata/.
 fuzz-smoke:
@@ -50,6 +53,8 @@ fuzz-smoke:
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 10s
 	$(GO) test ./internal/lifeguard/lockset -run XXX -fuzz FuzzLockVec -fuzztime 10s
 	$(GO) test ./internal/lifeguard/taintcheck -run XXX -fuzz FuzzTaintSOS -fuzztime 10s
+	$(GO) test ./internal/lifeguard -run XXX -fuzz FuzzReportDetail -fuzztime 10s
+	$(GO) test ./internal/proto -run XXX -fuzz FuzzReportsJSON -fuzztime 10s
 
 # GC-pressure gate (DESIGN.md §12, EXPERIMENTS.md "Allocation ablation").
 # TestSteadyStateAllocBudget fails the build if the warm epoch loop

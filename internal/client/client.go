@@ -437,12 +437,15 @@ func (r *run) readWelcome(br *bufio.Reader) (*proto.Welcome, error) {
 
 // readLoop consumes server frames until Done or a transport error.
 func (r *run) readLoop(br *bufio.Reader) {
+	// One payload buffer serves every frame: each case below decodes (and
+	// so copies out of) the payload before the next Read.
+	fr := proto.NewFrameReader(br)
 	for {
 		if err := failpoint.Inject(failpoint.SiteClientRead); err != nil {
 			r.setConnErr(fmt.Errorf("client: connection lost: %w", err))
 			return
 		}
-		ft, payload, err := proto.ReadFrame(br)
+		ft, payload, err := fr.Read()
 		if err != nil {
 			r.setConnErr(fmt.Errorf("client: connection lost: %w", err))
 			return
@@ -626,7 +629,14 @@ func (r *run) assemble() *core.Result {
 		ticks = append(ticks, tick)
 	}
 	sort.Ints(ticks)
+	n := 0
+	for _, reps := range r.reports {
+		n += len(reps)
+	}
 	res := &core.Result{Epochs: r.done.Epochs, Events: r.done.Events}
+	if n > 0 {
+		res.Reports = make([]core.Report, 0, n)
+	}
 	for _, tick := range ticks {
 		res.Reports = append(res.Reports, r.reports[tick]...)
 	}

@@ -32,12 +32,6 @@ type Incremental struct {
 	st       *streamState
 	finished bool
 	closed   bool
-
-	// trim, when set, stops the Result from accumulating reports across
-	// feeds: FeedEpoch returns each tick's reports and the retained Result
-	// keeps only counters. Long-lived sessions need this — a server must not
-	// hold every report of an unbounded trace in memory.
-	trim bool
 }
 
 // NewIncremental returns a push-mode streaming driver over T threads. The
@@ -61,7 +55,11 @@ func (d *Driver) newIncremental(T int, trim bool) (*Incremental, error) {
 	if trim && d.KeepHistory {
 		return nil, fmt.Errorf("core: KeepHistory is incompatible with trimmed incremental mode")
 	}
-	st := &streamState{d: d, T: T, res: &Result{}}
+	// trim stops the Result from accumulating reports across feeds:
+	// FeedEpoch returns each tick's reports and the retained Result keeps
+	// only counters. Long-lived sessions need this — a server must not hold
+	// every report of an unbounded trace in memory.
+	st := &streamState{d: d, T: T, res: &Result{}, trim: trim}
 	st.m = d.metrics(T)
 	st.wa, _ = d.LG.(WingAggregator)
 	st.fReports = make([][]Report, T)
@@ -79,7 +77,7 @@ func (d *Driver) newIncremental(T int, trim bool) (*Incremental, error) {
 	if d.Parallel && T > 1 {
 		st.pipe = newStreamPipeline(d.LG, T)
 	}
-	return &Incremental{st: st, trim: trim}, nil
+	return &Incremental{st: st}, nil
 }
 
 // NumThreads returns the row width every fed row must have.
@@ -173,14 +171,13 @@ func (inc *Incremental) Close() {
 	}
 }
 
-// takeReports returns the reports appended since index n0, copying and
-// truncating in trim mode so the retained Result stays bounded.
+// takeReports returns the reports appended since index n0. In trim mode
+// they are the tick's own slice (collect), which the Result lets go of so
+// it stays bounded.
 func (inc *Incremental) takeReports(n0 int) []Report {
 	reps := inc.st.res.Reports[n0:]
-	if !inc.trim {
-		return reps
+	if inc.st.trim {
+		inc.st.res.Reports = nil
 	}
-	out := append([]Report(nil), reps...)
-	inc.st.res.Reports = inc.st.res.Reports[:n0]
-	return out
+	return reps
 }

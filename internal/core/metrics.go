@@ -63,6 +63,7 @@ type driverMetrics struct {
 	sosSize, sosPeak             *obs.Gauge
 	gcPause, gcCycles            *obs.Gauge
 	allocsPerEpoch               *obs.Gauge
+	reportCounters               map[string]*obs.Counter // by report code, filled on first use
 
 	// GC sampling state, touched only by the single goroutine that calls
 	// epochDone (the feeding goroutine).
@@ -209,14 +210,31 @@ func (m *driverMetrics) wingFolded(T int) {
 	m.wingFoldOps.Add(int64(3 * T))
 }
 
-// countReports bumps the per-code report counters. Called from the single
-// collector goroutine, so the map lookup inside Counter is uncontended;
-// reports are rare next to events either way.
+// countReports bumps the per-code report counters. A firing lifeguard can
+// report on half of all events, so this runs per report: each run of equal
+// codes costs one cached-handle lookup and one atomic add, and a code's
+// counter is resolved from the registry (a name concatenation and a locked
+// map lookup) once per run of the driver. Called from the single collector
+// goroutine, so the cache needs no lock.
 func (m *driverMetrics) countReports(reps []Report) {
 	if m == nil || m.reg == nil {
 		return
 	}
-	for i := range reps {
-		m.reg.Counter(obs.ReportsPrefix + reps[i].Code).Inc()
+	for i := 0; i < len(reps); {
+		code := reps[i].Code
+		j := i + 1
+		for j < len(reps) && reps[j].Code == code {
+			j++
+		}
+		c, ok := m.reportCounters[code]
+		if !ok {
+			if m.reportCounters == nil {
+				m.reportCounters = map[string]*obs.Counter{}
+			}
+			c = m.reg.Counter(obs.ReportsPrefix + code)
+			m.reportCounters[code] = c
+		}
+		c.Add(int64(j - i))
+		i = j
 	}
 }

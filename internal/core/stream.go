@@ -241,6 +241,10 @@ type streamState struct {
 	wingScratch [][]Summary
 	aggScratch  []any
 
+	// trim hands each tick's reports to the caller instead of accumulating
+	// them in res (Incremental's trimmed mode).
+	trim bool
+
 	// Recycling hooks (recycle.go). rec is the lifeguard's Recycler, set only
 	// when KeepHistory is off — history aliases the live values. recycleRow
 	// is the caller's block-row hook (Incremental.SetRowRecycler).
@@ -509,8 +513,23 @@ func (st *streamState) exec(w *tickWork) {
 	}
 }
 
-// collect appends a tick's reports in (pass, thread) order.
+// collect appends a tick's reports in (pass, thread) order. In trim mode
+// the Result holds one tick's reports at a time, which the caller keeps, so
+// each tick gets a fresh slice of exactly the tick's length.
 func (st *streamState) collect(w *tickWork) {
+	if st.trim {
+		n := 0
+		for _, reps := range w.fReports {
+			n += len(reps)
+		}
+		for _, reps := range w.sReports {
+			n += len(reps)
+		}
+		st.res.Reports = nil
+		if n > 0 {
+			st.res.Reports = make([]Report, 0, n)
+		}
+	}
 	for _, reps := range w.fReports {
 		st.res.Reports = append(st.res.Reports, reps...)
 		st.m.countReports(reps)

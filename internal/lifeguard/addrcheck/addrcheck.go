@@ -16,8 +16,6 @@
 package addrcheck
 
 import (
-	"fmt"
-
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 	"butterfly/internal/lifeguard"
@@ -117,9 +115,10 @@ func (a *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 	s := getSummary()
 	lsos := a.lsos(b.Thread, ctx)
 	defer sets.PutOverlay(lsos)
-	var reports []core.Report
-	flag := func(i int, code, detail string) {
-		reports = append(reports, core.Report{Ref: b.Ref(i), Ev: b.Events[i], Code: code, Detail: detail})
+	details := lifeguard.GetDetails()
+	// flag reports event i under code, with the detail just written.
+	flag := func(i int, code string) {
+		details.Report(core.Report{Ref: b.Ref(i), Ev: b.Events[i], Code: code})
 	}
 	for i, e := range b.Events {
 		if !a.relevant(e) {
@@ -130,11 +129,13 @@ func (a *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 		case trace.Read, trace.Write:
 			s.Access.AddRange(lo, hi)
 			if !lsos.ContainsRange(lo, hi) {
-				flag(i, CodeUnallocAccess, fmt.Sprintf("%v of [%#x,%#x) not within allocated memory", e.Kind, lo, hi))
+				details.Str(e.Kind.String()).Str(" of ").Range(lo, hi).Str(" not within allocated memory")
+				flag(i, CodeUnallocAccess)
 			}
 		case trace.Alloc:
 			if lsos.OverlapsRange(lo, hi) {
-				flag(i, CodeDoubleAlloc, fmt.Sprintf("allocation of [%#x,%#x) overlaps allocated memory", lo, hi))
+				details.Str("allocation of ").Range(lo, hi).Str(" overlaps allocated memory")
+				flag(i, CodeDoubleAlloc)
 			}
 			lsos.AddRange(lo, hi)
 			s.Gen.AddRange(lo, hi)
@@ -142,7 +143,8 @@ func (a *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 			s.GenAny.AddRange(lo, hi)
 		case trace.Free:
 			if !lsos.ContainsRange(lo, hi) {
-				flag(i, CodeUnallocFree, fmt.Sprintf("free of [%#x,%#x) not within allocated memory", lo, hi))
+				details.Str("free of ").Range(lo, hi).Str(" not within allocated memory")
+				flag(i, CodeUnallocFree)
 			}
 			lsos.RemoveRange(lo, hi)
 			s.Kill.AddRange(lo, hi)
@@ -150,7 +152,7 @@ func (a *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 			s.KillAny.AddRange(lo, hi)
 		}
 	}
-	return s, reports
+	return s, details.Finish()
 }
 
 // wingAgg is AddrCheck's driver-maintained wing aggregate (the SIDE-IN
@@ -250,7 +252,7 @@ func (a *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 		}
 		return false
 	}
-	var reports []core.Report
+	details := lifeguard.GetDetails()
 	for i, e := range b.Events {
 		if !a.relevant(e) {
 			continue
@@ -258,22 +260,21 @@ func (a *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 		lo, hi := e.Lo(), e.Hi()
 		switch e.Kind {
 		case trace.Read, trace.Write:
-			if changed(lo, hi) {
-				reports = append(reports, core.Report{
-					Ref: b.Ref(i), Ev: e, Code: CodeIsolation,
-					Detail: fmt.Sprintf("%v of [%#x,%#x) concurrent with an allocation-state change", e.Kind, lo, hi),
-				})
+			if !changed(lo, hi) {
+				continue
 			}
+			details.Str(e.Kind.String()).Str(" of ").Range(lo, hi).Str(" concurrent with an allocation-state change")
 		case trace.Alloc, trace.Free:
-			if changed(lo, hi) || accessed(lo, hi) {
-				reports = append(reports, core.Report{
-					Ref: b.Ref(i), Ev: e, Code: CodeIsolation,
-					Detail: fmt.Sprintf("%v of [%#x,%#x) concurrent with a conflicting operation", e.Kind, lo, hi),
-				})
+			if !changed(lo, hi) && !accessed(lo, hi) {
+				continue
 			}
+			details.Str(e.Kind.String()).Str(" of ").Range(lo, hi).Str(" concurrent with a conflicting operation")
+		default:
+			continue
 		}
+		details.Report(core.Report{Ref: b.Ref(i), Ev: e, Code: CodeIsolation})
 	}
-	return reports
+	return details.Finish()
 }
 
 // UpdateSOS implements core.Lifeguard with the reaching-expressions epoch

@@ -37,13 +37,13 @@
 package lockset
 
 import (
-	"fmt"
 	"maps"
 	"math/bits"
 	"slices"
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
+	"butterfly/internal/lifeguard"
 	"butterfly/internal/trace"
 )
 
@@ -219,7 +219,8 @@ func (l *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 	own := ctx.Own.(*Summary)
 	var heldBuf, effBuf [8]uint64
 	held := append(heldBuf[:0], own.entryHeld...)
-	var reports []core.Report
+	details := lifeguard.GetDetails()
+	var threadBuf [8]int        // scratch for a report's thread list
 	var flagged map[uint64]bool // one report per location per block
 	for i, e := range b.Events {
 		switch e.Kind {
@@ -264,26 +265,24 @@ func (l *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 				flagged[a] = true
 				if raceThreads == nil {
 					raceLo = a
-					raceThreads = threadsAt(a, b.Thread, sc.threads, wings)
+					raceThreads = threadsAt(threadBuf[:0], a, b.Thread, sc.threads, wings)
 				}
 				raceHi = a + 1
 			}
 			if raceThreads != nil {
-				reports = append(reports, core.Report{
-					Ref: b.Ref(i), Ev: e, Code: CodeRace,
-					Detail: fmt.Sprintf("no common lock protects [%#x,%#x) (threads: %v)",
-						raceLo, raceHi, raceThreads),
-				})
+				details.Str("no common lock protects ").Range(raceLo, raceHi).
+					Str(" (threads: ").Ints(raceThreads).Str(")")
+				details.Report(core.Report{Ref: b.Ref(i), Ev: e, Code: CodeRace})
 			}
 		}
 	}
-	return reports
+	return details.Finish()
 }
 
-// threadsAt lists, sorted, the threads known to have accessed a: the body's
-// own, the candidate's, and every wing's that touched it.
-func threadsAt(a uint64, self trace.ThreadID, sos threadSet, wings []core.Summary) []int {
-	ids := sos.appendIDs([]int{int(self)})
+// threadsAt appends to ids, sorted, the threads known to have accessed a:
+// the body's own, the candidate's, and every wing's that touched it.
+func threadsAt(ids []int, a uint64, self trace.ThreadID, sos threadSet, wings []core.Summary) []int {
+	ids = sos.appendIDs(append(ids, int(self)))
 	for _, w := range wings {
 		ws := w.(*Summary)
 		if _, ok := ws.perLoc[a]; ok {

@@ -23,8 +23,6 @@
 package memcheck
 
 import (
-	"fmt"
-
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 	"butterfly/internal/lifeguard"
@@ -112,7 +110,7 @@ func (m *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 	s := getSummary()
 	lsos := m.lsos(b.Thread, ctx)
 	defer sets.PutOverlay(lsos)
-	var reports []core.Report
+	details := lifeguard.GetDetails()
 	for i, e := range b.Events {
 		if !m.relevant(e) {
 			continue
@@ -122,10 +120,8 @@ func (m *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 		case trace.Read:
 			s.Reads.AddRange(lo, hi)
 			if !lsos.ContainsRange(lo, hi) {
-				reports = append(reports, core.Report{
-					Ref: b.Ref(i), Ev: e, Code: CodeUndefRead,
-					Detail: fmt.Sprintf("read of [%#x,%#x) may see uninitialized memory", lo, hi),
-				})
+				details.Str("read of ").Range(lo, hi).Str(" may see uninitialized memory")
+				details.Report(core.Report{Ref: b.Ref(i), Ev: e, Code: CodeUndefRead})
 			}
 		case trace.Write:
 			lsos.AddRange(lo, hi)
@@ -138,7 +134,7 @@ func (m *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 			s.KillAny.AddRange(lo, hi)
 		}
 	}
-	return s, reports
+	return s, details.Finish()
 }
 
 // SecondPass implements core.Lifeguard: flag reads racing a definedness
@@ -154,19 +150,17 @@ func (m *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 	if wingKills.Empty() {
 		return nil
 	}
-	var reports []core.Report
+	details := lifeguard.GetDetails()
 	for i, e := range b.Events {
 		if e.Kind != trace.Read || !m.relevant(e) {
 			continue
 		}
 		if wingKills.OverlapsRange(e.Lo(), e.Hi()) {
-			reports = append(reports, core.Report{
-				Ref: b.Ref(i), Ev: e, Code: CodeIsolation,
-				Detail: fmt.Sprintf("read of [%#x,%#x) concurrent with a definedness change", e.Lo(), e.Hi()),
-			})
+			details.Str("read of ").Range(e.Lo(), e.Hi()).Str(" concurrent with a definedness change")
+			details.Report(core.Report{Ref: b.Ref(i), Ev: e, Code: CodeIsolation})
 		}
 	}
-	return reports
+	return details.Finish()
 }
 
 // UpdateSOS implements core.Lifeguard with the §5.2 epoch summary over

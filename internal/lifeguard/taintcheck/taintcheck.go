@@ -32,12 +32,12 @@ package taintcheck
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sync"
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
+	"butterfly/internal/lifeguard"
 	"butterfly/internal/trace"
 )
 
@@ -251,7 +251,9 @@ func (c *detailCache) fill(reports []core.Report) {
 		x := reports[i].Ev.Addr
 		d, ok := c.byAddr[x]
 		if !ok {
-			d = fmt.Sprintf("value at %#x may be tainted at a critical use", x)
+			var buf [64]byte
+			b := lifeguard.AppendHex(append(buf[:0], "value at "...), x)
+			d = string(append(b, " may be tainted at a critical use"...))
 			c.byAddr[x] = d
 		}
 		reports[i].Detail = d

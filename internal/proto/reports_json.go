@@ -1,8 +1,10 @@
 package proto
 
 import (
+	"bytes"
 	"encoding/json"
 	"strconv"
+	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -25,21 +27,33 @@ type reportsAlias Reports
 
 // MarshalJSON encodes the frame without reflection.
 func (r Reports) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 32+len(r.Reports)*192)
+	n := 32
+	for i := range r.Reports {
+		// Keys and punctuation take 116 bytes, the numbers typically under
+		// 60; escapes are rare.
+		n += 176 + len(r.Reports[i].Code) + len(r.Reports[i].Detail)
+	}
+	return r.AppendJSON(make([]byte, 0, n)), nil
+}
+
+// AppendJSON appends the frame's JSON encoding — MarshalJSON's bytes — to
+// b. Writers that keep b between frames encode without allocating once it
+// has grown to their largest frame.
+func (r Reports) AppendJSON(b []byte) []byte {
 	b = append(b, `{"epoch":`...)
 	b = strconv.AppendInt(b, int64(r.Epoch), 10)
 	b = append(b, `,"reports":`...)
 	if r.Reports == nil {
-		return append(b, `null}`...), nil
+		return append(b, `null}`...)
 	}
 	b = append(b, '[')
-	for i, rep := range r.Reports {
+	for i := range r.Reports {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendReport(b, &rep)
+		b = appendReport(b, &r.Reports[i])
 	}
-	return append(b, `]}`...), nil
+	return append(b, `]}`...)
 }
 
 func appendReport(b []byte, rep *core.Report) []byte {
@@ -70,6 +84,24 @@ func appendReport(b []byte, rep *core.Report) []byte {
 
 const hexDigits = "0123456789abcdef"
 
+// htmlSafe marks the ASCII bytes a JSON string holds verbatim:
+// encoding/json's htmlSafeSet.
+var htmlSafe = func() (safe [utf8.RuneSelf]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		safe[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return safe
+}()
+
+// strPlain marks the bytes the decoder copies without a second look: ASCII
+// that neither ends a string, nor escapes, nor is a control byte.
+var strPlain = func() (plain [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		plain[c] = c != '"' && c != '\\'
+	}
+	return plain
+}()
+
 // appendJSONString mirrors encoding/json's string encoder with HTML
 // escaping on: quote, backslash and controls are escaped (\n, \r, \t get
 // short forms), '<', '>' and '&' become \u00XX, invalid UTF-8 becomes
@@ -80,7 +112,7 @@ func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			if htmlSafe[c] {
 				i++
 				continue
 			}
@@ -190,117 +222,118 @@ func (s *rscan) int64v() (int64, bool) {
 // uint64v consumes a decimal unsigned integer, rejecting overflow so the
 // fallback parser gets to produce the error.
 func (s *rscan) uint64v() (uint64, bool) {
-	start := s.i
+	b, i := s.b, s.i
 	var v uint64
-	for s.i < len(s.b) {
-		c := s.b[s.i]
-		if c < '0' || c > '9' {
+	for ; i < len(b); i++ {
+		d := uint64(b[i] - '0')
+		if d > 9 {
 			break
 		}
 		if v > (1<<64-1)/10 {
 			return 0, false
 		}
-		v = v*10 + uint64(c-'0')
-		if v < uint64(c-'0') {
+		v = v*10 + d
+		if v < d {
 			return 0, false
 		}
-		s.i++
 	}
-	if s.i == start {
+	if i == s.i {
 		return 0, false
 	}
+	s.i = i
 	return v, true
 }
 
-// str consumes a quoted JSON string. The returned string is always a copy:
-// frame payloads live in reused decoder buffers.
-func (s *rscan) str() (string, bool) {
-	if s.i >= len(s.b) || s.b[s.i] != '"' {
-		return "", false
+// appendStr consumes a quoted JSON string and appends its decoded bytes to
+// dst (never aliasing the frame: payloads live in reused decoder buffers).
+// It decodes as encoding/json does — escapes, surrogate pairs, and each
+// invalid UTF-8 byte as U+FFFD — so the fast path and the fallback agree on
+// every string both accept.
+func (s *rscan) appendStr(dst []byte) ([]byte, bool) {
+	b, i := s.b, s.i // locals: this loop is the decoder's hottest
+	if i >= len(b) || b[i] != '"' {
+		return dst, false
 	}
-	s.i++
-	start := s.i
-	for s.i < len(s.b) {
-		switch c := s.b[s.i]; {
-		case c == '"':
-			out := string(s.b[start:s.i])
-			s.i++
-			return out, true
-		case c == '\\':
-			return s.strSlow(start)
-		case c < 0x20:
-			return "", false
-		default:
-			s.i++
+	i++
+	start := i
+	for i < len(b) {
+		c := b[i]
+		if strPlain[c] {
+			i++
+			continue
 		}
-	}
-	return "", false
-}
-
-// strSlow finishes a string containing escapes, decoding from start with a
-// scratch buffer.
-func (s *rscan) strSlow(start int) (string, bool) {
-	out := append([]byte(nil), s.b[start:s.i]...)
-	for s.i < len(s.b) {
-		c := s.b[s.i]
 		switch {
 		case c == '"':
-			s.i++
-			return string(out), true
+			s.i = i + 1
+			return append(dst, b[start:i]...), true
 		case c < 0x20:
-			return "", false
-		case c != '\\':
-			out = append(out, c)
-			s.i++
-		default:
-			s.i++
-			if s.i >= len(s.b) {
-				return "", false
+			return dst, false
+		case c == '\\':
+			dst = append(dst, b[start:i]...)
+			s.i = i
+			var ok bool
+			if dst, ok = s.appendEscape(dst); !ok {
+				return dst, false
 			}
-			e := s.b[s.i]
-			s.i++
-			switch e {
-			case '"', '\\', '/':
-				out = append(out, e)
-			case 'b':
-				out = append(out, '\b')
-			case 'f':
-				out = append(out, '\f')
-			case 'n':
-				out = append(out, '\n')
-			case 'r':
-				out = append(out, '\r')
-			case 't':
-				out = append(out, '\t')
-			case 'u':
-				hi, ok := s.hex4()
-				if !ok {
-					return "", false
-				}
-				r := hi
-				if utf16.IsSurrogate(hi) {
-					// Like encoding/json: an unpaired surrogate becomes
-					// U+FFFD and whatever follows it — even another
-					// escape — is reprocessed on its own.
-					save := s.i
-					r = utf8.RuneError
-					if s.lit(`\u`) {
-						if lo, ok := s.hex4(); ok {
-							if dec := utf16.DecodeRune(hi, lo); dec != utf8.RuneError {
-								r = dec
-								save = s.i
-							}
-						}
-					}
-					s.i = save
-				}
-				out = utf8.AppendRune(out, r)
-			default:
-				return "", false
+			i, start = s.i, s.i
+		default: // non-ASCII
+			r, size := utf8.DecodeRune(b[i:])
+			if r == utf8.RuneError && size == 1 {
+				dst = append(append(dst, b[start:i]...), "\uFFFD"...)
+				start = i + 1
 			}
+			i += size
 		}
 	}
-	return "", false
+	return dst, false
+}
+
+// appendEscape consumes one backslash escape and appends what it decodes to.
+func (s *rscan) appendEscape(dst []byte) ([]byte, bool) {
+	s.i++ // the backslash
+	if s.i >= len(s.b) {
+		return dst, false
+	}
+	e := s.b[s.i]
+	s.i++
+	switch e {
+	case '"', '\\', '/':
+		return append(dst, e), true
+	case 'b':
+		return append(dst, '\b'), true
+	case 'f':
+		return append(dst, '\f'), true
+	case 'n':
+		return append(dst, '\n'), true
+	case 'r':
+		return append(dst, '\r'), true
+	case 't':
+		return append(dst, '\t'), true
+	case 'u':
+		hi, ok := s.hex4()
+		if !ok {
+			return dst, false
+		}
+		r := hi
+		if utf16.IsSurrogate(hi) {
+			// Like encoding/json: an unpaired surrogate becomes U+FFFD and
+			// whatever follows it — even another escape — is reprocessed on
+			// its own.
+			save := s.i
+			r = utf8.RuneError
+			if s.lit(`\u`) {
+				if lo, ok := s.hex4(); ok {
+					if dec := utf16.DecodeRune(hi, lo); dec != utf8.RuneError {
+						r = dec
+						save = s.i
+					}
+				}
+			}
+			s.i = save
+		}
+		return utf8.AppendRune(dst, r), true
+	}
+	return dst, false
 }
 
 // hex4 consumes four hex digits.
@@ -326,9 +359,41 @@ func (s *rscan) hex4() (rune, bool) {
 	return r, true
 }
 
+// reportsScratch is a frame decode's working memory: every report's decoded
+// Detail bytes back to back, and where each one ends.
+type reportsScratch struct {
+	buf  []byte
+	ends []int
+}
+
+var reportsScratchPool = sync.Pool{New: func() any { return new(reportsScratch) }}
+
+// reportKey opens every report record. A JSON string cannot hold an
+// unescaped quote, so in the fast shape its occurrences count the records.
+var reportKey = []byte(`{"Ref":`)
+
+// minReportJSON is the length of the shortest encoded report (all numbers
+// 0, both strings empty). Capping the record count at len/minReportJSON
+// keeps a forged frame of bare keys from sizing a slice larger than
+// itself.
+const minReportJSON = 124
+
 // parseReportsFast parses the exact MarshalJSON shape. ok=false means
 // "not that shape" (or malformed), never a partial result.
+//
+// A frame costs a fixed number of allocations whatever its length: the
+// Reports slice, sized up front by counting records; one string holding
+// every Detail, which each report slices; and one string per change of
+// Code from the previous report — a firing lifeguard repeats one code.
 func parseReportsFast(data []byte) (Reports, bool) {
+	sc := reportsScratchPool.Get().(*reportsScratch)
+	r, ok := sc.parse(data)
+	sc.buf, sc.ends = sc.buf[:0], sc.ends[:0]
+	reportsScratchPool.Put(sc)
+	return r, ok
+}
+
+func (sc *reportsScratch) parse(data []byte) (Reports, bool) {
 	s := rscan{b: data}
 	var r Reports
 	if !s.lit(`{"epoch":`) {
@@ -350,8 +415,11 @@ func parseReportsFast(data []byte) (Reports, bool) {
 		if !s.lit(`[`) {
 			return Reports{}, false
 		}
+		n := min(bytes.Count(data[s.i:], reportKey), len(data)/minReportJSON)
+		r.Reports = make([]core.Report, 0, n)
+		code := ""
 		for {
-			rep, ok := s.report()
+			rep, ok := s.report(sc, &code)
 			if !ok {
 				return Reports{}, false
 			}
@@ -368,11 +436,20 @@ func parseReportsFast(data []byte) (Reports, bool) {
 	if s.i != len(s.b) {
 		return Reports{}, false
 	}
+	if len(sc.ends) > 0 {
+		details, start := string(sc.buf), 0
+		for i, end := range sc.ends {
+			r.Reports[i].Detail = details[start:end]
+			start = end
+		}
+	}
 	return r, true
 }
 
-// report parses one core.Report in marshaled field order.
-func (s *rscan) report() (core.Report, bool) {
+// report parses one core.Report in marshaled field order. Its Detail goes
+// to the frame scratch (parse assigns it at the end); its Code reuses *code,
+// the previous report's, when the bytes are equal.
+func (s *rscan) report(sc *reportsScratch, code *string) (core.Report, bool) {
 	var rep core.Report
 	num := func(key string, dst *uint64) bool {
 		if !s.lit(key) {
@@ -413,19 +490,24 @@ func (s *rscan) report() (core.Report, bool) {
 	if !s.lit(`},"Code":`) {
 		return core.Report{}, false
 	}
-	code, ok := s.str()
-	if !ok {
+	// The code decodes past the details so far and is cut off again.
+	mark := len(sc.buf)
+	var ok bool
+	if sc.buf, ok = s.appendStr(sc.buf); !ok {
 		return core.Report{}, false
 	}
-	rep.Code = code
+	if raw := sc.buf[mark:]; string(raw) != *code {
+		*code = string(raw)
+	}
+	rep.Code = *code
+	sc.buf = sc.buf[:mark]
 	if !s.lit(`,"Detail":`) {
 		return core.Report{}, false
 	}
-	det, ok := s.str()
-	if !ok {
+	if sc.buf, ok = s.appendStr(sc.buf); !ok {
 		return core.Report{}, false
 	}
-	rep.Detail = det
+	sc.ends = append(sc.ends, len(sc.buf))
 	if !s.lit(`}`) {
 		return core.Report{}, false
 	}

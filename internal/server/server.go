@@ -735,7 +735,7 @@ func (s *Server) quarantine(bw *bufio.Writer, sess *session, err error) {
 // and this session should be detached to stop the inflow (only ever when a
 // sibling is attached — the last session always gets to finish).
 func (s *Server) noteMemUsage(sess *session) (abort string, shed bool) {
-	est := sess.inc.MemEstimate() + int64(sess.nreports)*memPerReplayReport
+	est := sess.inc.MemEstimate() + sess.replayBytes
 	total := s.memTotal.Add(est - sess.memEst.Swap(est))
 	s.m.memEstimate.Set(total)
 	if s.cfg.SessionMemBudget > 0 && est > s.cfg.SessionMemBudget {
@@ -749,9 +749,6 @@ func (s *Server) noteMemUsage(sess *session) (abort string, shed bool) {
 	return "", shed
 }
 
-// memPerReplayReport is the estimated bytes one buffered replay report pins.
-const memPerReplayReport = 64
-
 // serveSession drives one attached session until the trace completes or the
 // connection drops. acked is the client's last received Ack (−1 for none):
 // report frames after it are replayed before new input is consumed.
@@ -763,8 +760,15 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 		s.dropSlow(sess, err)
 		return
 	}
+	// Reports frames encode into one buffer reused for the whole attach: a
+	// firing lifeguard sends one every tick.
+	var repBuf []byte
+	writeReports := func(r proto.Reports) error {
+		repBuf = r.AppendJSON(repBuf[:0])
+		return proto.WriteFrame(bw, proto.FrameReports, repBuf)
+	}
 	for _, rep := range sess.replayAfter(acked) {
-		if err := proto.WriteJSON(bw, proto.FrameReports, rep); err != nil {
+		if err := writeReports(rep); err != nil {
 			s.dropSlow(sess, err)
 			return
 		}
@@ -854,7 +858,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 				}
 			}
 			if len(reps) > 0 {
-				if err := proto.WriteJSON(bw, proto.FrameReports, proto.Reports{Epoch: num, Reports: reps}); err != nil {
+				if err := writeReports(proto.Reports{Epoch: num, Reports: reps}); err != nil {
 					s.dropSlow(sess, err)
 					return
 				}
@@ -909,7 +913,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 				}
 			}
 			if len(res.Reports) > 0 {
-				if err := proto.WriteJSON(bw, proto.FrameReports, proto.Reports{Epoch: res.Epochs, Reports: res.Reports}); err != nil {
+				if err := writeReports(proto.Reports{Epoch: res.Epochs, Reports: res.Reports}); err != nil {
 					s.dropSlow(sess, err)
 					return
 				}

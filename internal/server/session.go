@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
@@ -70,6 +71,9 @@ type session struct {
 	replay []proto.Reports
 	// nreports counts all reports ever produced (the Done total).
 	nreports int
+	// replayBytes estimates what replay pins: each report's struct and its
+	// Detail text.
+	replayBytes int64
 
 	bytesIn int64
 	epochs  int64
@@ -321,4 +325,7 @@ func (sess *session) recordReports(tick int, reps []core.Report) {
 	}
 	sess.replay = append(sess.replay, proto.Reports{Epoch: tick, Reports: reps})
 	sess.nreports += len(reps)
+	for i := range reps {
+		sess.replayBytes += int64(unsafe.Sizeof(reps[i])) + int64(len(reps[i].Detail))
+	}
 }
