@@ -300,6 +300,96 @@ func TestSoakKillAndResume(t *testing.T) {
 	}
 }
 
+// floodTrace builds report-heavy AddrCheck traffic: every thread allocates
+// 64 slots, then reads them so that every other read lands in the gap behind
+// a slot, which fills Reports frames with hundreds of reports per tick.
+func floodTrace(t *testing.T, nthreads, perThread int) *epoch.Grid {
+	t.Helper()
+	b := trace.NewBuilder(nthreads)
+	for th := 0; th < nthreads; th++ {
+		b.T(trace.ThreadID(th))
+		base := uint64(0x10000 + th*0x100000)
+		for s := uint64(0); s < 64; s++ {
+			b.Alloc(base+s*128, 64)
+		}
+		for i := uint64(0); i < uint64(perThread); i++ {
+			b.Read(base+(i%64)*128+(i%2)*64, 1+i%8)
+		}
+	}
+	g, err := epoch.ChunkByCount(b.Build(), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestSoakReportFlood runs report-heavy sessions at once, half of them
+// through a connection-killing proxy, so the session's reused encode buffer, replay after
+// resume and the client's one-string-per-frame decoding all run under
+// contention; every session must still match the oracle report for report.
+func TestSoakReportFlood(t *testing.T) {
+	sessions, perThread := 6, 4096
+	if testing.Short() {
+		sessions, perThread = 4, 1024
+	}
+	s := startServer(t, server.Config{
+		MaxSessions: sessions,
+		MaxAnalyze:  2,
+		DetachGrace: time.Minute,
+	})
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			g := floodTrace(t, 2+i%3, perThread)
+			want := oracleRun(t, "addrcheck", g)
+			if len(want.Reports) < perThread {
+				errs <- fmt.Errorf("session %d: %d reports, the traffic is not report-heavy", i, len(want.Reports))
+				return
+			}
+			addr, conns := s.Addr(), func() int64 { return 1 }
+			if i%2 == 1 {
+				proxy := newChaosProxy(t, s.Addr(), 4096)
+				addr, conns = proxy.addr(), proxy.conns
+			}
+			got, err := client.Run(addr, client.Options{
+				Lifeguard:   "addrcheck",
+				MaxRetries:  60,
+				BaseBackoff: time.Millisecond,
+				MaxBackoff:  5 * time.Millisecond,
+			}, epoch.NewGridRows(g))
+			if err != nil {
+				errs <- fmt.Errorf("session %d after %d conns: %w", i, conns(), err)
+				return
+			}
+			if got.Epochs != want.Epochs || got.Events != want.Events ||
+				len(got.Reports) != len(want.Reports) {
+				errs <- fmt.Errorf("session %d after %d conns: %d epochs, %d events, %d reports; want %d, %d, %d",
+					i, conns(), got.Epochs, got.Events, len(got.Reports), want.Epochs, want.Events, len(want.Reports))
+				return
+			}
+			for j := range got.Reports {
+				if got.Reports[j] != want.Reports[j] {
+					errs <- fmt.Errorf("session %d after %d conns: report %d = %v, want %v",
+						i, conns(), j, got.Reports[j], want.Reports[j])
+					return
+				}
+			}
+			t.Logf("session %d: %d reports over %d conns", i, len(got.Reports), conns())
+			errs <- nil
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // BenchmarkServerThroughput measures end-to-end events/sec through the full
 // stack (client encode → TCP loopback → server decode → incremental driver
 // → report stream) at several concurrency levels.
