@@ -37,7 +37,14 @@ const steadyAllocBudget = 8
 // allocation — a formatted detail, a counter name — shows up as +32 here.
 const reportingBlockAllocBudget = 3
 
-// steadyGrid builds a report-free AddrCheck workload: every thread
+// smallRowsAllocBudget is the tighter budget of the h = 32 grid, serial
+// and adaptive Parallel alike: measured 0.2–0.3 allocs/epoch on both. A
+// tick fanned out to the workers allocates a barrier channel per crossing
+// (2.4 allocs/epoch measured with fan-out pinned), so a small tick that
+// stops running inline fails here.
+const smallRowsAllocBudget = 1
+
+// steadyTrace builds a report-free AddrCheck workload: every thread
 // allocates its slots up front, then reads and writes only allocated
 // memory, with occasional free/realloc churn so interval kernels do real
 // work. No reports means the gate measures the driver, not report
@@ -45,8 +52,7 @@ const reportingBlockAllocBudget = 3
 // thread's slots coalesce and the SOS is a handful of intervals that never
 // leave inline storage; at a wider pitch every slot is an interval of its
 // own and the SOS is nthreads × slots intervals on pooled heap backings.
-func steadyGrid(tb testing.TB, nthreads, perThread, slots int, pitch uint64) *epoch.Grid {
-	tb.Helper()
+func steadyTrace(nthreads, perThread, slots int, pitch uint64) *trace.Trace {
 	b := trace.NewBuilder(nthreads)
 	const (
 		heapBase = 0x10000
@@ -74,21 +80,16 @@ func steadyGrid(tb testing.TB, nthreads, perThread, slots int, pitch uint64) *ep
 			}
 		}
 	}
-	g, err := epoch.ChunkByCount(b.Build(), 64)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return g
+	return b.Build()
 }
 
-// reportGrid builds an AddrCheck workload that reports on half of its
+// reportTrace builds an AddrCheck workload that reports on half of its
 // accesses, like the benchmark's report-flood: each thread allocates its own
 // 64-byte slots one every 128 bytes, then reads and writes them, and every
 // other access lands in the gap behind a slot. Threads keep to their own
 // slots, so the reports are first-pass ones: every block reports, and its
 // reports cost what reportingBlockAllocBudget allows.
-func reportGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
-	tb.Helper()
+func reportTrace(nthreads, perThread int) *trace.Trace {
 	const heapBase, slots, slotSize, pitch = 0x10000, 32, 64, 128
 	b := trace.NewBuilder(nthreads)
 	for t := 0; t < nthreads; t++ {
@@ -110,21 +111,16 @@ func reportGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
 			}
 		}
 	}
-	g, err := epoch.ChunkByCount(b.Build(), 64)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return g
+	return b.Build()
 }
 
-// lockGrid builds a report-free lockset workload shaped like the
+// lockTrace builds a report-free lockset workload shaped like the
 // benchmark's genLockset: 4096 bytes, byte v guarded by lock v mod 64 and
 // only ever accessed inside a critical section of that lock (1–4 accesses
 // per section), at h = 256. As there, a prologue has every byte written under
 // its lock by one thread and read by another, so the candidates are all made
 // during the warm-up and the measured epochs only confirm them.
-func lockGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
-	tb.Helper()
+func lockTrace(nthreads, perThread int) *trace.Trace {
 	const locs, locks = 4096, 64
 	lock := func(k int) uint64 { return 0x8000 + uint64(k)*8 }
 	b := trace.NewBuilder(nthreads)
@@ -163,14 +159,10 @@ func lockGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
 			i += n + 2
 		}
 	}
-	g, err := epoch.ChunkByCount(b.Build(), 256)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return g
+	return b.Build()
 }
 
-// taintGrid builds a report-free TaintCheck workload shaped like the
+// taintTrace builds a report-free TaintCheck workload shaped like the
 // benchmark's genTaint at h = 256: 4096 locations, location i written only
 // by thread i mod nthreads, with taint sources, untaints, and unary and
 // binary assignments whose sources are drawn from anywhere, so the Check
@@ -178,8 +170,7 @@ func lockGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
 // uses that report, go to a separate region only ever written by untaints
 // and stores, so no use is tainted and the gate measures the analysis, not
 // report formatting.
-func taintGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
-	tb.Helper()
+func taintTrace(nthreads, perThread int) *trace.Trace {
 	const locs, clean = 4096, 256
 	loc := func(i int) uint64 { return 0x10000 + uint64(i)*8 }
 	safe := func(i int) uint64 { return 0x100000 + uint64(i)*8 }
@@ -208,7 +199,13 @@ func taintGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
 			}
 		}
 	}
-	g, err := epoch.ChunkByCount(b.Build(), 256)
+	return b.Build()
+}
+
+// chunk cuts tr into epochs of h events per thread.
+func chunk(tb testing.TB, tr *trace.Trace, h int) *epoch.Grid {
+	tb.Helper()
+	g, err := epoch.ChunkByCount(tr, h)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -224,32 +221,43 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	// fragmented one whose SOS is 640 intervals: there every generation and
 	// every kernel scratch is a pooled heap backing, beside the few-interval
 	// sets of the LSOS views.
-	compact := steadyGrid(t, T, 8192, 32, 64)
-	fragmented := steadyGrid(t, T, 8192, 160, 128)
+	compact := chunk(t, steadyTrace(T, 8192, 32, 64), 64)
+	fragmented := chunk(t, steadyTrace(T, 8192, 160, 128), 64)
+	// The same heap in rows of 32 events a thread, far below tickGrain: an
+	// adaptive Parallel driver runs these ticks inline and must cost what
+	// the serial driver costs.
+	small := chunk(t, steadyTrace(T, 8192, 32, 64), 32)
 	// The lock grid's prologue is 2,112 events a thread (9 epochs at
 	// h = 256), all of it inside the warm-up below.
-	locked := lockGrid(t, T, 128*256)
-	tainted := taintGrid(t, T, 96*256)
-	reporting := reportGrid(t, T, 8192)
+	locked := chunk(t, lockTrace(T, 128*256), 256)
+	tainted := chunk(t, taintTrace(T, 96*256), 256)
+	reporting := chunk(t, reportTrace(T, 8192), 64)
 	addr := func() core.Lifeguard { return addrcheck.New(0) }
 	locks := func() core.Lifeguard { return lockset.New() }
 	taint := func() core.Lifeguard { return taintcheck.New() }
+	// Most grids here are below tickGrain too; their parallel cases pin
+	// fan-out so the gate keeps covering the workers and barriers.
+	fanout := core.Driver{Parallel: true}
+	core.SetTickSchedule(&fanout, core.ScheduleFanout)
 	for _, tc := range []struct {
-		name string
-		g    *epoch.Grid
-		lg   func() core.Lifeguard
-		d    core.Driver
+		name   string
+		g      *epoch.Grid
+		lg     func() core.Lifeguard
+		d      core.Driver
+		budget float64 // 0: steadyAllocBudget
 	}{
-		{"serial", compact, addr, core.Driver{}},
-		{"served", compact, addr, core.Driver{Parallel: true}},
-		{"fragmented/serial", fragmented, addr, core.Driver{}},
-		{"fragmented/served", fragmented, addr, core.Driver{Parallel: true}},
-		{"lockset/serial", locked, locks, core.Driver{}},
-		{"lockset/parallel", locked, locks, core.Driver{Parallel: true}},
-		{"taintcheck/serial", tainted, taint, core.Driver{}},
-		{"taintcheck/parallel", tainted, taint, core.Driver{Parallel: true}},
-		{"addrcheck/reporting/serial", reporting, addr, core.Driver{}},
-		{"addrcheck/reporting/parallel", reporting, addr, core.Driver{Parallel: true}},
+		{"serial", compact, addr, core.Driver{}, 0},
+		{"served", compact, addr, fanout, 0},
+		{"fragmented/serial", fragmented, addr, core.Driver{}, 0},
+		{"fragmented/served", fragmented, addr, fanout, 0},
+		{"addrcheck/small-rows/serial", small, addr, core.Driver{}, smallRowsAllocBudget},
+		{"addrcheck/small-rows", small, addr, core.Driver{Parallel: true}, smallRowsAllocBudget},
+		{"lockset/serial", locked, locks, core.Driver{}, 0},
+		{"lockset/parallel", locked, locks, fanout, 0},
+		{"taintcheck/serial", tainted, taint, core.Driver{}, 0},
+		{"taintcheck/parallel", tainted, taint, fanout, 0},
+		{"addrcheck/reporting/serial", reporting, addr, core.Driver{}, 0},
+		{"addrcheck/reporting/parallel", reporting, addr, fanout, 0},
 	} {
 		g := tc.g
 		t.Run(tc.name, func(t *testing.T) {
@@ -309,6 +317,9 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			perEpoch := float64(after.Mallocs-before.Mallocs) / float64(measured)
 			budget := float64(steadyAllocBudget)
+			if tc.budget != 0 {
+				budget = tc.budget
+			}
 			if g == reporting {
 				// Every block of this grid reports; the others may not.
 				if reportingBlocks != measured*T {

@@ -192,8 +192,10 @@ type Driver struct {
 	// LG is the lifeguard to run.
 	LG Lifeguard
 	// Parallel runs each pass with one goroutine per thread, separated by
-	// barriers (the paper's lifeguard threads). When false everything runs
-	// on the calling goroutine, which is deterministic and simpler to debug.
+	// barriers (the paper's lifeguard threads), for every tick that reads
+	// at least a fixed number of events per thread; smaller ticks run
+	// inline (DESIGN.md §8). When false everything runs on the calling
+	// goroutine, which is deterministic and simpler to debug.
 	Parallel bool
 	// Shards is inert: nothing reads it. The engine's only parallelism is the
 	// T-wide row of blocks (DESIGN.md §11).
@@ -215,6 +217,10 @@ type Driver struct {
 	// Chrome trace-event export (obs.TraceRecorder.WriteJSON), making the
 	// pipelined F(l)/S(l−1)/SOS overlap visible in Perfetto.
 	Trace *obs.TraceRecorder
+
+	// sched overrides the grain-adaptive tick schedule of a Parallel
+	// driver; only core's tests set it.
+	sched tickSchedule
 }
 
 // Result is the outcome of a run.

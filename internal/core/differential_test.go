@@ -40,6 +40,21 @@ var lifeguards = map[string]func() core.Lifeguard{
 // be empty — so the grid gets ragged tails and empty blocks.
 func randomTrace(rng *rand.Rand, nthreads int) *trace.Trace {
 	b := trace.NewBuilder(nthreads)
+	for t := 0; t < nthreads; t++ {
+		b.T(trace.ThreadID(t))
+		n := rng.Intn(60)
+		if rng.Intn(8) == 0 {
+			n = 0 // occasionally an empty thread
+		}
+		for i := 0; i < n; i++ {
+			randomEvent(b, rng)
+		}
+	}
+	return b.Build()
+}
+
+// randomEvent appends one event of randomTrace's mix to b's current thread.
+func randomEvent(b *trace.Builder, rng *rand.Rand) {
 	const (
 		heapBase  = 0x100
 		heapSlots = 8
@@ -49,42 +64,32 @@ func randomTrace(rng *rand.Rand, nthreads int) *trace.Trace {
 	)
 	slot := func() uint64 { return heapBase + uint64(rng.Intn(heapSlots))*slotSize }
 	loc := func() uint64 { return uint64(0x40 + rng.Intn(locs)) }
-	for t := 0; t < nthreads; t++ {
-		b.T(trace.ThreadID(t))
-		n := rng.Intn(60)
-		if rng.Intn(8) == 0 {
-			n = 0 // occasionally an empty thread
-		}
-		for i := 0; i < n; i++ {
-			switch rng.Intn(16) {
-			case 0:
-				b.Alloc(slot(), slotSize)
-			case 1:
-				b.Free(slot(), slotSize)
-			case 2, 3, 4:
-				b.Read(slot(), uint64(1+rng.Intn(slotSize)))
-			case 5, 6:
-				b.Write(slot(), uint64(1+rng.Intn(slotSize)))
-			case 7:
-				b.Taint(loc(), uint64(1+rng.Intn(2)))
-			case 8:
-				b.Untaint(loc())
-			case 9, 10:
-				b.Unop(loc(), loc())
-			case 11:
-				b.Binop(loc(), loc(), loc())
-			case 12:
-				b.Jump(loc())
-			case 13:
-				b.Lock(uint64(1 + rng.Intn(locks)))
-			case 14:
-				b.Unlock(uint64(1 + rng.Intn(locks)))
-			default:
-				b.Nop(1)
-			}
-		}
+	switch rng.Intn(16) {
+	case 0:
+		b.Alloc(slot(), slotSize)
+	case 1:
+		b.Free(slot(), slotSize)
+	case 2, 3, 4:
+		b.Read(slot(), uint64(1+rng.Intn(slotSize)))
+	case 5, 6:
+		b.Write(slot(), uint64(1+rng.Intn(slotSize)))
+	case 7:
+		b.Taint(loc(), uint64(1+rng.Intn(2)))
+	case 8:
+		b.Untaint(loc())
+	case 9, 10:
+		b.Unop(loc(), loc())
+	case 11:
+		b.Binop(loc(), loc(), loc())
+	case 12:
+		b.Jump(loc())
+	case 13:
+		b.Lock(uint64(1 + rng.Intn(locks)))
+	case 14:
+		b.Unlock(uint64(1 + rng.Intn(locks)))
+	default:
+		b.Nop(1)
 	}
-	return b.Build()
 }
 
 // referenceRun is the oracle of the differential suites: a serial
@@ -263,6 +268,26 @@ func differentialGrid(t *testing.T, seed int64) (*epoch.Grid, string) {
 		seed, nthreads, h, maxSkew, g.NumEpochs(), g.TotalEvents())
 }
 
+// schedules are the three ways a Parallel driver may run its ticks. Nearly
+// every differential grid is far below tickGrain, so without the pinned
+// schedules the adaptive rule would keep them all inline and the workers
+// untested.
+var schedules = []struct {
+	name string
+	s    core.TickSchedule
+}{
+	{"adaptive", core.ScheduleAdaptive},
+	{"inline", core.ScheduleInline},
+	{"fanout", core.ScheduleFanout},
+}
+
+// parallelDriver returns a Parallel driver over lg pinned to schedule s.
+func parallelDriver(lg core.Lifeguard, s core.TickSchedule) *core.Driver {
+	d := &core.Driver{LG: lg, Parallel: true}
+	core.SetTickSchedule(d, s)
+	return d
+}
+
 func TestDifferentialDrivers(t *testing.T) {
 	type variant struct {
 		name string
@@ -272,9 +297,6 @@ func TestDifferentialDrivers(t *testing.T) {
 		{"run-serial", func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
 			return (&core.Driver{LG: lg}).Run(g)
 		}},
-		{"run-parallel", func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
-			return (&core.Driver{LG: lg, Parallel: true}).Run(g)
-		}},
 		{"stream-serial", func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
 			res, err := (&core.Driver{LG: lg}).RunStream(epoch.NewGridRows(g))
 			if err != nil {
@@ -282,16 +304,23 @@ func TestDifferentialDrivers(t *testing.T) {
 			}
 			return res
 		}},
-		{"stream-pipelined", func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
-			res, err := (&core.Driver{LG: lg, Parallel: true}).RunStream(epoch.NewGridRows(g))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}},
-		{"stream-wire", func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
-			return runStreamOverWire(t, &core.Driver{LG: lg, Parallel: true}, g)
-		}},
+	}
+	for _, sc := range schedules {
+		s := sc.s
+		variants = append(variants,
+			variant{"run-parallel/" + sc.name, func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
+				return parallelDriver(lg, s).Run(g)
+			}},
+			variant{"stream-pipelined/" + sc.name, func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
+				res, err := parallelDriver(lg, s).RunStream(epoch.NewGridRows(g))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}},
+			variant{"stream-wire/" + sc.name, func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
+				return runStreamOverWire(t, parallelDriver(lg, s), g)
+			}})
 	}
 
 	for lgName, mk := range lifeguards {
@@ -332,16 +361,96 @@ func TestDifferentialReportOrder(t *testing.T) {
 	}
 	for lgName, mk := range lifeguards {
 		want := referenceRun(mk(), g)
-		par := (&core.Driver{LG: mk(), Parallel: true}).Run(g)
-		str, err := (&core.Driver{LG: mk(), Parallel: true}).RunStream(epoch.NewGridRows(g))
-		if err != nil {
-			t.Fatal(err)
+		for _, sc := range schedules {
+			par := parallelDriver(mk(), sc.s).Run(g)
+			str, err := parallelDriver(mk(), sc.s).RunStream(epoch.NewGridRows(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(par.Reports, want.Reports) {
+				t.Errorf("%s/%s: parallel Run report order differs from the reference", lgName, sc.name)
+			}
+			if !reflect.DeepEqual(str.Reports, want.Reports) {
+				t.Errorf("%s/%s: stream report order differs from the reference", lgName, sc.name)
+			}
 		}
-		if !reflect.DeepEqual(par.Reports, want.Reports) {
-			t.Errorf("%s: parallel Run report order differs from the reference", lgName)
+	}
+}
+
+// straddleGrid builds a T-thread grid from per-epoch row sizes: every
+// thread's block in epoch l holds about sizes[l] events of randomTrace's
+// mix, and the row exactly T·sizes[l] (the per-thread offsets cancel, so
+// blocks are ragged but row totals are known). Heartbeats cut the epochs.
+func straddleGrid(t *testing.T, T int, sizes []int, seed int64) *epoch.Grid {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	offset := []int{-1, 1, -2, 2}
+	b := trace.NewBuilder(T)
+	for th := 0; th < T; th++ {
+		b.T(trace.ThreadID(th))
+		for l, n := range sizes {
+			if l > 0 {
+				b.Heartbeat()
+			}
+			if n >= 2 && T%len(offset) == 0 {
+				n += offset[th%len(offset)]
+			}
+			for i := 0; i < n; i++ {
+				randomEvent(b, rng)
+			}
 		}
-		if !reflect.DeepEqual(str.Reports, want.Reports) {
-			t.Errorf("%s: stream report order differs from the reference", lgName)
+	}
+	g, err := epoch.ChunkByHeartbeat(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// straddleCases are row-size patterns (events per thread, T = 4) whose
+// ticks cross tickGrain both ways within one run. A tick reads row l plus
+// row l−1; the trailing tick reads the last row. fanout lists, for every
+// tick of the run including the trailing one, whether the adaptive rule
+// sends it to the workers.
+var straddleCases = []struct {
+	name   string
+	sizes  []int
+	fanout []bool
+}{
+	// Reads per thread: 300 316 8 8 204 240 42 302 | 300.
+	{"fanout-ends", []int{300, 16, 4, 4, 200, 40, 2, 300},
+		[]bool{true, true, false, false, false, false, false, true, true}},
+	// Reads per thread: 4 304 304 104 300 400 204 | 4.
+	{"inline-ends", []int{4, 300, 4, 100, 200, 200, 4},
+		[]bool{false, true, true, false, true, true, false, false}},
+}
+
+// TestDifferentialGrainStraddle runs grids whose rows straddle tickGrain,
+// so one adaptive run switches between inline and fanned-out ticks —
+// including at tick 0 and at the trailing tick — and must still match the
+// reference (and the serial driver) exactly.
+func TestDifferentialGrainStraddle(t *testing.T) {
+	const T = 4
+	for _, tc := range straddleCases {
+		g := straddleGrid(t, T, tc.sizes, 7)
+		for lgName, mk := range lifeguards {
+			want := referenceRun(mk(), g)
+			serial := (&core.Driver{LG: mk()}).Run(g)
+			for _, sc := range schedules {
+				for name, got := range map[string]*core.Result{
+					"run":    parallelDriver(mk(), sc.s).Run(g),
+					"stream": runStreamOverWire(t, parallelDriver(mk(), sc.s), g),
+				} {
+					for _, ref := range []*core.Result{want, serial} {
+						if got.Epochs != ref.Epochs || got.Events != ref.Events ||
+							!reflect.DeepEqual(got.Reports, ref.Reports) ||
+							!reflect.DeepEqual(got.FinalSOS, ref.FinalSOS) {
+							t.Fatalf("%s %s %s/%s: result diverges (%d reports, want %d)",
+								tc.name, lgName, name, sc.name, len(got.Reports), len(ref.Reports))
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -24,8 +24,9 @@ var ErrFinished = errors.New("core: incremental driver is finished")
 // re-feeding from the next epoch, without replaying the whole trace.
 //
 // Feeding is single-threaded: FeedEpoch, Finish and Close must be called
-// from one goroutine at a time (internally each feed still fans out to the
-// per-thread pipeline workers when the driver is Parallel). An Incremental
+// from one goroutine at a time (internally a feed still fans out to the
+// per-thread pipeline workers when the driver is Parallel and the tick is
+// large enough, tickGrain). An Incremental
 // produces, over the same rows, exactly the reports RunStream would — same
 // contents, same order — which the differential and soak tests pin down.
 type Incremental struct {

@@ -56,6 +56,7 @@ type driverMetrics struct {
 	epochs, events, blocks       *obs.Counter
 	wingFoldRows, wingFoldOps    *obs.Counter
 	prefetchStalls, decodeStalls *obs.Counter
+	ticksInline, ticksFanout     *obs.Counter
 	stages                       [numStages]*obs.Histogram
 	barrierWait                  *obs.Histogram
 	prefetchWait, prefetchDepth  *obs.Histogram
@@ -93,6 +94,8 @@ func (d *Driver) metrics(T int) *driverMetrics {
 		wingFoldOps:    reg.Counter(obs.MetricWingFoldOps),
 		prefetchStalls: reg.Counter(obs.MetricPrefetchStall),
 		decodeStalls:   reg.Counter(obs.MetricDecodeStall),
+		ticksInline:    reg.Counter(obs.MetricTicksInline),
+		ticksFanout:    reg.Counter(obs.MetricTicksFanout),
 		barrierWait:    reg.Histogram(obs.MetricBarrierWaitNs),
 		prefetchWait:   reg.Histogram(obs.MetricPrefetchWait),
 		prefetchDepth:  reg.Histogram(obs.MetricPrefetchDepth),
@@ -146,6 +149,19 @@ func (m *driverMetrics) barrierDone(start time.Time) {
 		return
 	}
 	m.barrierWait.Observe(time.Since(start))
+}
+
+// tickRan counts one tick (an epoch tick or the trailing one) by where its
+// passes ran: on the workers, or inline on the feeding goroutine.
+func (m *driverMetrics) tickRan(fanout bool) {
+	if m == nil {
+		return
+	}
+	if fanout {
+		m.ticksFanout.Inc()
+	} else {
+		m.ticksInline.Inc()
+	}
 }
 
 // epochDone advances the run counters after an epoch is fully analyzed and

@@ -110,6 +110,61 @@ func TestObsDifferential(t *testing.T) {
 	}
 }
 
+// TestObsTickCounters pins driver.ticks.inline and driver.ticks.fanout on
+// grids of known row sizes: tick by tick, an adaptive Parallel driver puts
+// exactly the ticks that read tickGrain·T events on its workers, a serial
+// driver runs every tick inline (a pinned schedule has no workers to use),
+// and the pinned schedules do what they say.
+func TestObsTickCounters(t *testing.T) {
+	const T = 4
+	for _, tc := range straddleCases {
+		g := straddleGrid(t, T, tc.sizes, 7)
+		for _, cfg := range []struct {
+			name     string
+			parallel bool
+			sched    core.TickSchedule
+			fanout   func(tick int) bool
+		}{
+			{"adaptive", true, core.ScheduleAdaptive, func(k int) bool { return tc.fanout[k] }},
+			{"inline", true, core.ScheduleInline, func(int) bool { return false }},
+			{"fanout", true, core.ScheduleFanout, func(int) bool { return true }},
+			{"serial", false, core.ScheduleFanout, func(int) bool { return false }},
+		} {
+			reg := obs.New()
+			d := &core.Driver{LG: lifeguards["addrcheck"](), Parallel: cfg.parallel, Obs: reg}
+			core.SetTickSchedule(d, cfg.sched)
+			inc, err := d.NewIncremental(T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inline, fanout := reg.Counter(obs.MetricTicksInline), reg.Counter(obs.MetricTicksFanout)
+			var wantIn, wantFan int64
+			check := func(tick int) {
+				if cfg.fanout(tick) {
+					wantFan++
+				} else {
+					wantIn++
+				}
+				if inline.Value() != wantIn || fanout.Value() != wantFan {
+					t.Fatalf("%s %s tick %d: inline/fanout = %d/%d, want %d/%d",
+						tc.name, cfg.name, tick, inline.Value(), fanout.Value(), wantIn, wantFan)
+				}
+			}
+			for l, row := range g.Blocks {
+				if _, err := inc.FeedEpoch(row); err != nil {
+					t.Fatal(err)
+				}
+				check(l)
+			}
+			if _, err := inc.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			check(len(g.Blocks))
+			inc.Close()
+		}
+	}
+}
+
 // TestObsSOSSize checks the StateSizer plumbing: a lifeguard whose SOS has
 // a size measure reports a non-trivial peak on a workload that accumulates
 // state.

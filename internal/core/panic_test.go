@@ -36,7 +36,9 @@ func (p *panickyLifeguard) UpdateSOS(prev State, prevEpoch, curEpoch []Summary) 
 // barriers — and the driver must still shut down cleanly.
 func TestWorkerPanicContained(t *testing.T) {
 	g := gridOf(t, 4, 6, 3)
-	d := &Driver{LG: &panickyLifeguard{epoch: 2, thread: 3}, Parallel: true}
+	// The grid is far below tickGrain: pin fan-out so the panic erupts on a
+	// worker goroutine.
+	d := &Driver{LG: &panickyLifeguard{epoch: 2, thread: 3}, Parallel: true, sched: scheduleFanout}
 	inc, err := d.NewIncremental(g.NumThreads)
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +61,27 @@ func TestWorkerPanicContained(t *testing.T) {
 	}
 	// The worker goroutines survived the boxed panic: Close's channel
 	// shutdown would hang (and time the test out) if one had died.
+	inc.Close()
+}
+
+// TestInlineTickPanicSurfaces covers the other side of the grain rule: a
+// Parallel driver running a small tick inline panics on the feeding
+// goroutine itself, as the serial driver does, and its idle workers still
+// shut down.
+func TestInlineTickPanicSurfaces(t *testing.T) {
+	g := gridOf(t, 4, 6, 3)
+	inc, err := (&Driver{LG: &panickyLifeguard{epoch: 0, thread: 1}, Parallel: true}).NewIncremental(g.NumThreads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "lifeguard bug" {
+				t.Errorf("recovered %v, want the lifeguard's own panic value", r)
+			}
+		}()
+		inc.FeedEpoch(g.Blocks[0]) //nolint:errcheck // panics
+	}()
 	inc.Close()
 }
 

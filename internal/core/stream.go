@@ -13,8 +13,9 @@ import (
 // This file implements the engine: the one implementation of the two-pass
 // schedule. streamState advances one epoch row per tick and, in parallel
 // mode, keeps T persistent lifeguard workers alive for the whole run,
-// signalling them once per epoch. Each tick overlaps the stages the sliding
-// window permits:
+// signalling them once per tick that reads enough events to pay for it
+// (tickGrain); smaller ticks run inline. Each tick overlaps the stages the
+// sliding window permits:
 //
 //	decode(l+1..l+2) ∥ [ first-pass(l) → barrier → second-pass(l−1) ] → SOS-update(l−1)
 //
@@ -62,6 +63,30 @@ const streamWindow = 4
 // streamPrefetch is how many decoded epoch rows may be in flight between
 // the decode goroutine and the analysis pipeline.
 const streamPrefetch = 2
+
+// tickGrain is the per-thread event count at which a Parallel driver fans a
+// tick out to its workers: a tick whose two passes read fewer than
+// tickGrain·T events (row l, plus row l−1 for the second pass) runs inline
+// on the feeding goroutine instead. Below it, one signal, two barrier
+// crossings and a join per worker cost more than the passes save; the
+// break-even measured by BenchmarkTickGrain (EXPERIMENTS.md "Grain-adaptive
+// ticks") sits near h = 128, that is 256 tick events per thread.
+//
+// The rule reads event counts only — never timing, GOMAXPROCS or load — so
+// a given stream takes the same schedule on every host, and it is a
+// constant, not a knob: schedules change cost, never results.
+const tickGrain = 256
+
+// tickSchedule picks how a Parallel driver runs its ticks. Production
+// drivers always use the adaptive rule; core's tests pin the other two to
+// keep both paths covered on any grid (export_test.go).
+type tickSchedule uint8
+
+const (
+	scheduleAdaptive tickSchedule = iota // fan out once a tick reads tickGrain·T events
+	scheduleInline                       // every tick on the feeding goroutine
+	scheduleFanout                       // every tick on the workers
+)
 
 // RunStream executes the two-pass butterfly algorithm over a stream of
 // epoch rows, retaining only the sliding window (Summaries/SOSHistory are
@@ -340,6 +365,10 @@ func (st *streamState) tick(row []*epoch.Block) {
 		rowEvents += b.Len()
 	}
 	st.res.Events += rowEvents
+	readEvents := rowEvents
+	if l >= 1 {
+		readEvents += st.winEvents[(l-1)%streamWindow]
+	}
 	// Reassigning the persistent tickWork wholesale zeroes every field the
 	// tick does not set, so nothing stale leaks between epochs.
 	st.work = tickWork{
@@ -364,7 +393,7 @@ func (st *streamState) tick(row []*epoch.Block) {
 		w.wingRows = [3][]Summary{st.rowSums(l - 2), st.rowSums(l - 1), w.fOut}
 		w.sAggs = [3][]any{st.rowAggs(l - 2), st.rowAggs(l - 1), nil} // [2] is filled post-barrier
 	}
-	st.exec(w)
+	st.exec(w, readEvents)
 	// Publish epoch l's summaries only now: the window slot may still hold
 	// epoch l−4, which second-pass(l−1) must not see in its wings.
 	st.sums[l%streamWindow] = w.fOut
@@ -439,7 +468,7 @@ func (st *streamState) finish() {
 		wingScratch: st.wingScratch,
 	}
 	w := &st.work
-	st.exec(w)
+	st.exec(w, st.winEvents[(L-1)%streamWindow])
 	st.collect(w)
 	if st.recycleRow != nil && st.prevBlocks != nil {
 		st.recycleRow(st.prevBlocks)
@@ -476,8 +505,23 @@ func (st *streamState) finish() {
 	}
 }
 
-// exec runs one tick's passes, pipelined when workers exist.
-func (st *streamState) exec(w *tickWork) {
+// fanOut reports whether a tick whose passes read events events runs on the
+// workers rather than inline (tickGrain).
+func (st *streamState) fanOut(events int) bool {
+	if st.pipe == nil {
+		return false
+	}
+	switch st.d.sched {
+	case scheduleInline:
+		return false
+	case scheduleFanout:
+		return true
+	}
+	return events >= tickGrain*st.T
+}
+
+// exec runs one tick's passes, on the workers when fanOut says so.
+func (st *streamState) exec(w *tickWork, events int) {
 	if w.runF {
 		w.fReports = st.fReports
 	}
@@ -486,7 +530,9 @@ func (st *streamState) exec(w *tickWork) {
 		w.sOwn = st.rowSums(st.l - 1)
 		w.sReports = st.sReports
 	}
-	if st.pipe != nil {
+	fan := st.fanOut(events)
+	st.m.tickRan(fan)
+	if fan {
 		st.pipe.run(w)
 		// A panic on a worker goroutine was boxed so the tick's barriers
 		// could complete; surface it here, on the feeding goroutine, where
@@ -494,8 +540,8 @@ func (st *streamState) exec(w *tickWork) {
 		w.panics.rethrow()
 		return
 	}
-	// Serial: all first passes, then all second passes — the same order the
-	// barrier enforces in pipelined mode.
+	// Inline: all first passes, then all second passes — the same order the
+	// barrier enforces on the workers.
 	if w.runF {
 		for t := 0; t < st.T; t++ {
 			start := w.m.now()

@@ -42,6 +42,8 @@ const (
 	MetricWingFoldOps   = "wing.fold_ops"          // AddWing/MergeWings calls performed by those folds
 	MetricPrefetchStall = "prefetch.stalls"        // analysis found the prefetch queue empty
 	MetricDecodeStall   = "prefetch.decode_stalls" // decoder found the prefetch queue full
+	MetricTicksInline   = "driver.ticks.inline"    // ticks whose passes ran on the feeding goroutine
+	MetricTicksFanout   = "driver.ticks.fanout"    // ticks whose passes ran on the T workers
 	// ReportsPrefix + <report code> counts reports by kind (e.g.
 	// "reports.addrcheck.concurrent-metadata-change").
 	ReportsPrefix = "reports."
@@ -85,6 +87,7 @@ const (
 	MetricSessionsCompleted = "server.sessions.completed" // sessions that reached Done
 	MetricServerBytesIn     = "server.bytes_in"           // wire bytes received across all sessions
 	MetricServerFramesIn    = "server.frames_in"          // frames received across all sessions
+	MetricServerAckFlushes  = "server.ack_flushes"        // socket flushes after Acks (several Acks may share one)
 	MetricServerReportsOut  = "server.reports_out"        // reports streamed back to clients
 
 	// Per-epoch service latencies (histograms, DESIGN.md §13). Both exist

@@ -318,6 +318,19 @@ func (fr *FrameReader) Read() (FrameType, []byte, error) {
 	return FrameType(tb), buf, nil
 }
 
+// Ready reports whether a complete frame — the 4-byte length and the whole
+// body it announces — already sits in the read buffer, so the next Read
+// returns without touching the connection. A writer that defers a flush
+// while Ready holds delays its output by at most one buffer of input.
+func (fr *FrameReader) Ready() bool {
+	n := fr.br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := fr.br.Peek(4)
+	return uint64(n) >= 4+uint64(binary.BigEndian.Uint32(hdr))
+}
+
 // cut rewrites a clean io.EOF mid-frame into io.ErrUnexpectedEOF while
 // keeping any other error (network resets and the like) in the chain
 // alongside the sentinel.

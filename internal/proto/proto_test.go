@@ -187,3 +187,60 @@ func TestHelloTraceIDRoundTrip(t *testing.T) {
 		t.Errorf("legacy Hello TraceID = %q, want empty", legacy.TraceID)
 	}
 }
+
+// scriptedReader hands out its chunks one per Read call, so a test decides
+// exactly what a bufio.Reader has buffered.
+type scriptedReader struct{ chunks [][]byte }
+
+func (r *scriptedReader) Read(p []byte) (int, error) {
+	if len(r.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.chunks[0])
+	if r.chunks[0] = r.chunks[0][n:]; len(r.chunks[0]) == 0 {
+		r.chunks = r.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestFrameReaderReady pins Ready: true exactly when the next frame's
+// length and whole body are buffered, never for a header alone, a partial
+// body, or a frame larger than the buffer.
+func TestFrameReaderReady(t *testing.T) {
+	frame := func(ft FrameType, n int) []byte {
+		var b bytes.Buffer
+		if err := WriteFrame(&b, ft, bytes.Repeat([]byte{7}, n)); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	a, b, c, big := frame(FrameEpoch, 40), frame(FrameEpoch, 50), frame(FrameEpoch, 60), frame(FrameEpoch, 10<<10)
+	first := append(append(append([]byte{}, a...), b...), c[:2]...) // A, B, half of C's length
+	src := &scriptedReader{chunks: [][]byte{first, c[2:20], c[20:], append(frame(FrameAck, 3), big...)}}
+	fr := NewFrameReader(bufio.NewReaderSize(src, 4096))
+	steps := []struct {
+		size  int  // payload length Read must return
+		ready bool // Ready after that Read
+	}{
+		{40, true},  // B sits whole behind A
+		{50, false}, // two bytes of C's length
+		{60, false}, // C's body arrived in two more reads; nothing behind it
+		{3, false},  // a 10 KiB frame can never sit whole in a 4 KiB buffer
+		{10 << 10, false},
+	}
+	if fr.Ready() {
+		t.Fatal("Ready before any input arrived")
+	}
+	for i, st := range steps {
+		_, p, err := fr.Read()
+		if err != nil || len(p) != st.size {
+			t.Fatalf("step %d: read %d bytes, err %v; want %d", i, len(p), err, st.size)
+		}
+		if got := fr.Ready(); got != st.ready {
+			t.Fatalf("step %d: Ready() = %v, want %v", i, got, st.ready)
+		}
+	}
+	if _, _, err := fr.Read(); err != io.EOF {
+		t.Fatalf("exhausted stream: got %v, want io.EOF", err)
+	}
+}

@@ -47,6 +47,11 @@ type chaosCell struct {
 	wantQuarantined int64            // required server.sessions.quarantined
 	minHits         map[string]int64 // site → minimum injected-fault count
 	minDegraded     int64            // required wal.degraded floor
+
+	// fanout gives every session blocks of 256 events a thread, so every
+	// tick but the trailing one reads enough to run on the pipeline
+	// workers; the tiny default traces run every tick inline.
+	fanout bool
 }
 
 // chaosMatrix covers every registered failpoint site with at least one
@@ -91,9 +96,10 @@ var chaosMatrix = []chaosCell{
 		minHits: map[string]int64{failpoint.SiteServerFeed: 1},
 	},
 	{
-		name: "worker-panic-quarantine", spec: "core.pass=1*panic",
-		wantFail: 1, failLike: "(quarantined)", wantQuarantined: 1,
-		minHits: map[string]int64{failpoint.SiteCorePass: 1},
+		name: "worker-panic-quarantine", spec: "core.pass=1*panic", fanout: true,
+		wantFail: 1, failLike: "(quarantined): lifeguard panicked; session isolated: worker panic",
+		wantQuarantined: 1,
+		minHits:         map[string]int64{failpoint.SiteCorePass: 1},
 	},
 
 	// Connection-plane faults are the client's problem to survive: detach,
@@ -185,6 +191,9 @@ func runChaosCell(t *testing.T, cell chaosCell, fs store.Fsync) {
 	for i := range loads {
 		name := names[i%len(names)]
 		g := testTrace(t, int64(7000+i), 1+i%6)
+		if cell.fanout {
+			g = floodTrace(t, 2+i%3, 512)
+		}
 		loads[i] = workload{lifeguard: name, g: g, want: oracleRun(t, name, g)}
 	}
 

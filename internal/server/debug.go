@@ -47,6 +47,7 @@ type sessionRow struct {
 	WindowEvents int64 `json:"window_events"`
 	BytesIn      int64 `json:"bytes_in"`
 	FramesIn     int64 `json:"frames_in"`
+	AckFlushes   int64 `json:"ack_flushes"`
 	ReportsOut   int64 `json:"reports_out"`
 
 	// Quota usage (limits 0 = unlimited).
@@ -103,6 +104,7 @@ func (s *Server) sessionRow(sess *session, attached bool) sessionRow {
 		WindowEvents:     sess.sm.windowEvents.Value(),
 		BytesIn:          sess.sm.bytesIn.Value(),
 		FramesIn:         sess.sm.framesIn.Value(),
+		AckFlushes:       sess.sm.ackFlushes.Value(),
 		ReportsOut:       sess.sm.reportsOut.Value(),
 		QuotaBytesLimit:  s.cfg.MaxSessionBytes,
 		QuotaEpochsLimit: s.cfg.MaxSessionEpochs,

@@ -135,6 +135,7 @@ type sessionsAnswer struct {
 		Epochs       int64  `json:"epochs"`
 		BytesIn      int64  `json:"bytes_in"`
 		FramesIn     int64  `json:"frames_in"`
+		AckFlushes   int64  `json:"ack_flushes"`
 		FlightEvents int    `json:"flight_events"`
 		FeedNs       struct {
 			P50 int64 `json:"p50"`
@@ -213,6 +214,9 @@ func TestIntrospectionEndpoints(t *testing.T) {
 		t.Errorf("/sessions counters: epochs=%d frames_in=%d bytes_in=%d, want 2/2/>0",
 			row.Epochs, row.FramesIn, row.BytesIn)
 	}
+	if row.AckFlushes != 2 { // lock-step: nothing is buffered behind either frame
+		t.Errorf("/sessions ack_flushes = %d, want 2", row.AckFlushes)
+	}
 	if row.FeedNs.Max <= 0 {
 		t.Errorf("feed_ns.max = %d, want > 0 after two fed epochs", row.FeedNs.Max)
 	}
@@ -251,6 +255,16 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(metrics, "\nbutterfly_server_bytes_in ") {
 		t.Errorf("/metrics lacks the chained global server.bytes_in")
+	}
+	// Two empty 2-thread rows: both ticks ran inline, each Ack had a flush.
+	for _, line := range []string{
+		"butterfly_session_" + shortID + "_server_ack_flushes 2",
+		"\nbutterfly_driver_ticks_inline 2\n",
+		"\nbutterfly_driver_ticks_fanout 0\n",
+	} {
+		if !strings.Contains(metrics, line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
 	}
 
 	// SIGQUIT-style dump while live.

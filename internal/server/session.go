@@ -117,6 +117,7 @@ type session struct {
 // handles are nil (safe no-ops) when the server runs without a registry.
 type sessionMetrics struct {
 	epochs, bytesIn, framesIn, reportsOut *obs.Counter
+	ackFlushes                            *obs.Counter
 	feedNs, waitNs                        *obs.Histogram
 	windowEvents                          *obs.Gauge
 }
@@ -126,6 +127,7 @@ func newSessionMetrics(scope *obs.Registry) sessionMetrics {
 		epochs:       scope.Counter(obs.MetricEpochs),
 		bytesIn:      scope.Counter(obs.MetricServerBytesIn),
 		framesIn:     scope.Counter(obs.MetricServerFramesIn),
+		ackFlushes:   scope.Counter(obs.MetricServerAckFlushes),
 		reportsOut:   scope.Counter(obs.MetricServerReportsOut),
 		feedNs:       scope.Histogram(obs.MetricServerFeedNs),
 		waitNs:       scope.Histogram(obs.MetricServerAcquireWaitNs),
