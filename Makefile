@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint fuzz fuzz-smoke bench bench-obs-smoke bench-alloc soak crash-soak chaos benchmark benchmark-smoke ci clean
+.PHONY: all build test race vet fmt-check fuzz-list-check lint fuzz fuzz-smoke bench bench-obs-smoke bench-alloc soak crash-soak chaos benchmark benchmark-smoke ci clean
 
 all: build
 
@@ -22,14 +22,28 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Static gate: formatting plus go vet, the cheap checks a change runs first.
-lint: fmt-check vet
+# Fuzzer gate: fail (and name the offenders) if any `func Fuzz*` in the tree
+# has no line in fuzz-smoke running it from its own package, so a fuzzer that
+# moves or is renamed cannot silently drop out of `ci` (`go test -fuzz` that
+# matches no fuzzer passes).
+fuzz-list-check:
+	@smoke=$$(sed -n '/^fuzz-smoke:/,/^$$/p' $(firstword $(MAKEFILE_LIST))); \
+	missing=$$(grep -rEo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+' . | \
+		sed -E 's#^(.*)/[^/]*:func (Fuzz.*)#\1 \2#' | \
+		while read dir name; do \
+			echo "$$smoke" | grep -qF -- "$$dir -run XXX -fuzz $$name " || echo "$$dir $$name"; \
+		done); \
+	if [ -n "$$missing" ]; then echo "fuzzers missing from fuzz-smoke:"; echo "$$missing"; exit 1; fi
+
+# Static gate: formatting, go vet and the fuzzer list, the cheap checks a
+# change runs first.
+lint: fmt-check vet fuzz-list-check
 
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over every decoder, the LSOS view, the lockset kernels, the
-# taintcheck SOS merge, the report detail builder and the Reports codec (the
+# Short fuzz pass over every decoder, the LSOS view, the sorted-vector
+# kernels, the taintcheck SOS merge, the report detail builder and the Reports codec (the
 # seed corpus always runs in `test`).
 fuzz:
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzReadBinary -fuzztime 30s
@@ -38,7 +52,7 @@ fuzz:
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzServerFrameDecoder -fuzztime 30s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALDecoder -fuzztime 30s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 30s
-	$(GO) test ./internal/lifeguard/lockset -run XXX -fuzz FuzzLockVec -fuzztime 30s
+	$(GO) test ./internal/sets -run XXX -fuzz FuzzSortedVec -fuzztime 30s
 	$(GO) test ./internal/lifeguard/taintcheck -run XXX -fuzz FuzzTaintSOS -fuzztime 30s
 	$(GO) test ./internal/lifeguard -run XXX -fuzz FuzzReportDetail -fuzztime 30s
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzReportsJSON -fuzztime 30s
@@ -51,7 +65,7 @@ fuzz-smoke:
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzServerFrameDecoder -fuzztime 10s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALDecoder -fuzztime 10s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 10s
-	$(GO) test ./internal/lifeguard/lockset -run XXX -fuzz FuzzLockVec -fuzztime 10s
+	$(GO) test ./internal/sets -run XXX -fuzz FuzzSortedVec -fuzztime 10s
 	$(GO) test ./internal/lifeguard/taintcheck -run XXX -fuzz FuzzTaintSOS -fuzztime 10s
 	$(GO) test ./internal/lifeguard -run XXX -fuzz FuzzReportDetail -fuzztime 10s
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzReportsJSON -fuzztime 10s

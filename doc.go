@@ -15,7 +15,7 @@
 // negatives.
 //
 // The implementation lives under internal/ (see README.md for the map):
-// the analysis framework in internal/core, the AddrCheck and TaintCheck
+// the two-pass engine in internal/core, the §5 reaching analyses and the
 // lifeguards in internal/lifeguard/..., the trace/epoch substrate in
 // internal/trace and internal/epoch, the simulated evaluation platform in
 // internal/machine and internal/apps, and the experiment harness

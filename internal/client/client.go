@@ -223,7 +223,7 @@ func (r *run) run() (*core.Result, error) {
 			return nil, r.fatal()
 		}
 		if r.finished() {
-			return r.assemble(), nil
+			return r.assemble()
 		}
 		if progress {
 			failures = 0
@@ -620,8 +620,10 @@ func encodeRow(num int, row []*epoch.Block, T int) ([]byte, error) {
 }
 
 // assemble builds the final Result from Done plus the per-tick reports, in
-// tick order — exactly the order RunStream appends them.
-func (r *run) assemble() *core.Result {
+// tick order — exactly the order RunStream appends them. It fails when the
+// assembled reports do not add up to Done's total: a Reports frame was lost
+// or wrongly de-duplicated, and the Result would be silently short.
+func (r *run) assemble() (*core.Result, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ticks := make([]int, 0, len(r.reports))
@@ -633,6 +635,10 @@ func (r *run) assemble() *core.Result {
 	for _, reps := range r.reports {
 		n += len(reps)
 	}
+	if n != r.done.Reports {
+		return nil, fmt.Errorf("client: assembled %d reports over %d ticks, server produced %d",
+			n, len(ticks), r.done.Reports)
+	}
 	res := &core.Result{Epochs: r.done.Epochs, Events: r.done.Events}
 	if n > 0 {
 		res.Reports = make([]core.Report, 0, n)
@@ -640,5 +646,5 @@ func (r *run) assemble() *core.Result {
 	for _, tick := range ticks {
 		res.Reports = append(res.Reports, r.reports[tick]...)
 	}
-	return res
+	return res, nil
 }

@@ -203,10 +203,6 @@ type Driver struct {
 	// Deprecated: address sharding was removed; the field remains so
 	// existing callers compile.
 	Shards int
-	// KeepHistory retains every epoch's summaries and SOS in the Result for
-	// inspection by tests and the experiment harness. Long runs should leave
-	// it false: the driver then retains only the sliding window.
-	KeepHistory bool
 	// Obs, when non-nil, receives run telemetry: per-stage latency
 	// histograms, epoch/event/report counters, window and SOS sizes
 	// (metric names in internal/obs, semantics in DESIGN.md §9). Nil keeps
@@ -231,10 +227,6 @@ type Result struct {
 	Epochs, Events int
 	// FinalSOS is the SOS after the last epoch's update.
 	FinalSOS State
-	// Summaries[l][t] and SOSHistory[l] are retained when KeepHistory is
-	// set; SOSHistory[l] is SOSₗ.
-	Summaries  [][]Summary
-	SOSHistory []State
 }
 
 // Run analyzes a fully materialized grid by feeding its rows through an

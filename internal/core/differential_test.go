@@ -97,14 +97,20 @@ func randomEvent(b *trace.Builder, rng *rand.Rand) {
 // the exported Lifeguard interface. It keeps whole-grid arrays indexed by
 // epoch, walks the wings naively per body (never filling WingAggs, so the
 // engine's prefix/suffix wing folds are differentially verified too), and
-// has no sharding, recycling or metrics. Every epoch's summaries and SOS are
-// kept in the Result.
+// has no sharding, recycling or metrics.
 func referenceRun(lg core.Lifeguard, g *epoch.Grid) *core.Result {
+	res, _ := referenceHistory(lg, g)
+	return res
+}
+
+// referenceHistory is referenceRun that also returns every epoch's summaries
+// and SOS, which it keeps anyway.
+func referenceHistory(lg core.Lifeguard, g *epoch.Grid) (*core.Result, history) {
 	L, T := g.NumEpochs(), g.NumThreads
 	res := &core.Result{Epochs: L, Events: g.TotalEvents()}
 	if L == 0 || T == 0 {
 		res.FinalSOS = lg.BottomState()
-		return res
+		return res, history{}
 	}
 	sums := make([][]core.Summary, L)
 	sos := make([]core.State, L+2)
@@ -157,8 +163,7 @@ func referenceRun(lg core.Lifeguard, g *epoch.Grid) *core.Result {
 		sos[l] = lg.UpdateSOS(sos[l-1], row(l-3), row(l-2))
 	}
 	res.FinalSOS = sos[L+1]
-	res.Summaries, res.SOSHistory = sums, sos
-	return res
+	return res, history{sums: sums, sos: sos}
 }
 
 // runStreamOverWire encodes the grid in the streaming trace format and runs

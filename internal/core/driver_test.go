@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -128,29 +127,6 @@ func TestDriverSchedulingContract(t *testing.T) {
 	}
 }
 
-func TestDriverKeepHistory(t *testing.T) {
-	g := gridOf(t, 2, 6, 1)
-	lg := newCounting(t)
-	res := (&Driver{LG: lg, KeepHistory: true}).Run(g)
-	if len(res.Summaries) != 6 {
-		t.Fatalf("summaries for %d epochs, want 6", len(res.Summaries))
-	}
-	for l, row := range res.Summaries {
-		if len(row) != 2 || row[0] == nil {
-			t.Fatalf("epoch %d summaries incomplete", l)
-		}
-	}
-	if len(res.SOSHistory) != 8 {
-		t.Fatalf("SOS history %d entries, want 8", len(res.SOSHistory))
-	}
-	// Without history, the window slides and old summaries are dropped.
-	lg2 := newCounting(t)
-	res2 := (&Driver{LG: lg2}).Run(g)
-	if res2.Summaries != nil {
-		t.Fatal("summaries retained without KeepHistory")
-	}
-}
-
 func TestDriverReportOrderDeterministicSequential(t *testing.T) {
 	g := gridOf(t, 4, 4, 3)
 	var first []trace.Ref
@@ -168,32 +144,6 @@ func TestDriverReportOrderDeterministicSequential(t *testing.T) {
 		for i := range refs {
 			if refs[i] != first[i] {
 				t.Fatalf("sequential driver nondeterministic at report %d", i)
-			}
-		}
-	}
-}
-
-func TestReachingDefsWindowEquivalence(t *testing.T) {
-	// The sliding window must not change results: KeepHistory on/off and
-	// parallel on/off all yield identical final SOS.
-	rng := rand.New(rand.NewSource(73))
-	for iter := 0; iter < 10; iter++ {
-		g := randomDefTrace(rng, 3, 20, 3)
-		variants := []Driver{
-			{LG: NewReachingDefs(g)},
-			{LG: NewReachingDefs(g), KeepHistory: true},
-			{LG: NewReachingDefs(g), Parallel: true},
-		}
-		var base sets.Set
-		for i := range variants {
-			res := variants[i].Run(g)
-			got := res.FinalSOS.(sets.Set)
-			if i == 0 {
-				base = got
-				continue
-			}
-			if !got.Equal(base) {
-				t.Fatalf("iter %d: variant %d final SOS differs", iter, i)
 			}
 		}
 	}

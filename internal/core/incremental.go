@@ -37,8 +37,7 @@ type Incremental struct {
 
 // NewIncremental returns a push-mode streaming driver over T threads. The
 // Driver configuration (lifeguard, Parallel, Obs, Trace) applies as in
-// RunStream; KeepHistory is incompatible with trim mode. T must be positive:
-// a zero-thread trace has nothing to feed.
+// RunStream. T must be positive: a zero-thread trace has nothing to feed.
 func (d *Driver) NewIncremental(T int) (*Incremental, error) {
 	return d.newIncremental(T, false)
 }
@@ -53,9 +52,6 @@ func (d *Driver) newIncremental(T int, trim bool) (*Incremental, error) {
 	if T <= 0 {
 		return nil, fmt.Errorf("core: incremental driver needs at least one thread, got %d", T)
 	}
-	if trim && d.KeepHistory {
-		return nil, fmt.Errorf("core: KeepHistory is incompatible with trimmed incremental mode")
-	}
 	// trim stops the Result from accumulating reports across feeds:
 	// FeedEpoch returns each tick's reports and the retained Result keeps
 	// only counters. Long-lived sessions need this — a server must not hold
@@ -69,11 +65,7 @@ func (d *Driver) newIncremental(T int, trim bool) (*Incremental, error) {
 	if st.wa != nil {
 		st.aggScratch = make([]any, T)
 	}
-	if !d.KeepHistory {
-		// With history on, the Result aliases the live summaries and SOS
-		// generations, so nothing may be recycled (recycle.go).
-		st.rec, _ = d.LG.(Recycler)
-	}
+	st.rec, _ = d.LG.(Recycler)
 	st.sosCur = d.LG.BottomState() // SOS₀
 	if d.Parallel && T > 1 {
 		st.pipe = newStreamPipeline(d.LG, T)

@@ -83,9 +83,6 @@ func TestIncrementalMisuse(t *testing.T) {
 	if _, err := d.NewIncremental(0); err == nil {
 		t.Error("NewIncremental(0) accepted")
 	}
-	if _, err := (&core.Driver{LG: addrcheck.New(0), KeepHistory: true}).NewIncrementalTrimmed(2); err == nil {
-		t.Error("trimmed mode accepted KeepHistory")
-	}
 
 	inc, err := d.NewIncremental(2)
 	if err != nil {

@@ -11,8 +11,7 @@ package core
 //
 // Ownership contract: the driver calls Recycle only on values it is the sole
 // referent of — never on summaries still inside the window, on the current
-// SOS, on the final SOS (the Result keeps it), or on anything when
-// Driver.KeepHistory is set (history aliases the live values).
+// SOS, or on the final SOS (the Result keeps it).
 // A recycled value must never be observed by a later pass; the
 // poison-on-release debug mode in internal/sets makes violations loud under
 // the race detector.

@@ -32,7 +32,7 @@ import (
 // Memory is bounded by the sliding window regardless of trace length: the
 // driver retains the summaries of epochs l−3..l (ring of 4 rows), the blocks
 // of epochs l−1..l, two SOS values, and at most streamPrefetch decoded rows
-// in flight. Nothing else accumulates (unless KeepHistory is set).
+// in flight. Nothing else accumulates.
 
 // BlockSource yields successive epoch rows of blocks. Implementations
 // include epoch.StreamRows (incremental decode of the streaming trace
@@ -89,9 +89,8 @@ const (
 )
 
 // RunStream executes the two-pass butterfly algorithm over a stream of
-// epoch rows, retaining only the sliding window (Summaries/SOSHistory are
-// filled only when KeepHistory is set, which unbounds memory). The error, if
-// any, comes from the source; analysis itself cannot fail.
+// epoch rows, retaining only the sliding window. The error, if any, comes
+// from the source; analysis itself cannot fail.
 func (d *Driver) RunStream(src BlockSource) (*Result, error) {
 	T := src.NumThreads()
 	if T == 0 {
@@ -270,9 +269,9 @@ type streamState struct {
 	// them in res (Incremental's trimmed mode).
 	trim bool
 
-	// Recycling hooks (recycle.go). rec is the lifeguard's Recycler, set only
-	// when KeepHistory is off — history aliases the live values. recycleRow
-	// is the caller's block-row hook (Incremental.SetRowRecycler).
+	// Recycling hooks (recycle.go). rec is the lifeguard's Recycler, if it
+	// has one; recycleRow is the caller's block-row hook
+	// (Incremental.SetRowRecycler).
 	rec        Recycler
 	recycleRow func([]*epoch.Block)
 }
@@ -288,12 +287,11 @@ func (st *streamState) recycle(dead any) {
 // takeSlot prepares epoch l's summary window slot: the slot still holds
 // epoch l−4's row, which no pass or update can reference anymore, so its
 // summaries are recycled and the row backing is reused as the new first-pass
-// output. With KeepHistory the old row is retained by the Result and a fresh
-// slice is returned instead.
+// output.
 func (st *streamState) takeSlot(l int) []Summary {
 	old := st.sums[l%streamWindow]
 	st.sums[l%streamWindow] = nil
-	if old == nil || st.d.KeepHistory {
+	if old == nil {
 		return make([]Summary, st.T)
 	}
 	for i, s := range old {
@@ -303,8 +301,7 @@ func (st *streamState) takeSlot(l int) []Summary {
 	return old
 }
 
-// takeAggSlot is takeSlot for the exclusive wing-aggregate ring. Aggregates
-// never alias summaries or history, so the backing is always reusable; the
+// takeAggSlot is takeSlot for the exclusive wing-aggregate ring: the
 // retired folds are handed to the lifeguard's Recycler when it has one.
 func (st *streamState) takeAggSlot(l int) []any {
 	if st.wa == nil {
@@ -423,14 +420,6 @@ func (st *streamState) tick(row []*epoch.Block) {
 		st.m.windowSet(held)
 		st.m.epochDone(rowEvents, st.T)
 	}
-	if d.KeepHistory {
-		if l == 0 {
-			// History exists only for non-empty inputs.
-			st.res.SOSHistory = append(st.res.SOSHistory, st.sosCur)
-		}
-		st.res.Summaries = append(st.res.Summaries, w.fOut)
-		st.res.SOSHistory = append(st.res.SOSHistory, sosNext)
-	}
 	// The window has slid past SOS_{l−1} and epoch l−1's blocks: SOS_{l−1}
 	// was this tick's second-pass state and epoch l−1's row its second-pass
 	// input, and neither is reachable from any later pass or update.
@@ -478,9 +467,6 @@ func (st *streamState) finish() {
 	final := d.LG.UpdateSOS(st.sosCur, st.rowSums(L-2), st.rowSums(L-1))
 	st.m.stageDone(stageSOSUpdate, L+1, tidDriver, start)
 	st.m.sosUpdated(final)
-	if d.KeepHistory {
-		st.res.SOSHistory = append(st.res.SOSHistory, final)
-	}
 	// SOS_{L−1} and SOS_L are dead now that the trailing update ran; final is
 	// NOT recycled — it is the Result's FinalSOS.
 	if st.rec != nil {

@@ -29,24 +29,13 @@ func NewRowBuilder(nthreads int) *RowBuilder {
 // NumThreads returns the builder's row width.
 func (rb *RowBuilder) NumThreads() int { return len(rb.starts) }
 
-// NextEpoch returns the epoch number Row will assign to its next row.
+// NextEpoch returns the epoch number Stamp will assign to its next row.
 func (rb *RowBuilder) NextEpoch() int { return rb.epoch }
 
-// Row converts one event row (one slice per thread) into the next epoch's
-// blocks and advances the counters.
-func (rb *RowBuilder) Row(row [][]trace.Event) []*Block {
-	blocks := make([]*Block, len(row))
-	for t, evs := range row {
-		blocks[t] = &Block{Events: evs}
-	}
-	rb.Stamp(blocks)
-	return blocks
-}
-
 // Stamp labels blocks — already carrying their events — as the next epoch
-// row and advances the counters. It is Row without the block allocation:
-// pooled consumers decode events straight into a RowPool row's backings and
-// stamp it in place.
+// row and advances the counters: epoch number, thread ids, and each block's
+// start offset in its thread's stream. Consumers decode events straight
+// into a RowPool row's backings and stamp it in place.
 func (rb *RowBuilder) Stamp(blocks []*Block) {
 	for t, b := range blocks {
 		b.Epoch = rb.epoch

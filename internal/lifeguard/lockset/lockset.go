@@ -20,11 +20,12 @@
 // first pass completes first).
 //
 // Representation. A lockset is an immutable sorted []uint64 of lock
-// addresses, nil meaning empty (lockvec.go). Candidates and per-block
-// location infos are values in plain maps, and a candidate's thread set is a
-// bitmask with a sorted spill for ids of 64 and up. Nothing is interned, so
-// every value is a function of the input alone and serial and parallel runs
-// agree under reflect.DeepEqual.
+// addresses, nil meaning empty, built and met by the sorted-vector kernels
+// of internal/sets (vec.go). Candidates and per-block location infos are
+// values in plain maps, and a candidate's thread set is a bitmask with a
+// sorted spill for ids of 64 and up. Nothing is interned, so every value is
+// a function of the input alone and serial and parallel runs agree under
+// reflect.DeepEqual.
 //
 // The arena rule. A block summary owns a pooled arena, and every lockset the
 // summary holds is a capacity-clipped window of it: the held-set snapshot
@@ -44,6 +45,7 @@ import (
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 	"butterfly/internal/lifeguard"
+	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
 
@@ -93,13 +95,13 @@ func (s *Summary) keep(v []uint64) []uint64 {
 // meet returns a ∩ b: an input when the result equals it, else an arena copy.
 func (s *Summary) meet(a, b []uint64) []uint64 {
 	switch {
-	case subset(a, b):
+	case sets.Subset(a, b):
 		return a
-	case subset(b, a):
+	case sets.Subset(b, a):
 		return b
 	}
 	n := len(s.arena)
-	s.arena = appendMeet(s.arena, a, b)
+	s.arena = sets.AppendMeet(s.arena, a, b)
 	return s.seal(n)
 }
 
@@ -188,9 +190,9 @@ func (l *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 		case trace.Lock, trace.Unlock:
 			n := len(held)
 			if e.Kind == trace.Lock {
-				held = insert(held, e.Addr)
+				held = sets.Insert(held, e.Addr)
 			} else {
-				held = remove(held, e.Addr)
+				held = sets.Remove(held, e.Addr)
 			}
 			if len(held) != n {
 				cur = s.keep(held)
@@ -225,9 +227,9 @@ func (l *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 	for i, e := range b.Events {
 		switch e.Kind {
 		case trace.Lock:
-			held = insert(held, e.Addr)
+			held = sets.Insert(held, e.Addr)
 		case trace.Unlock:
-			held = remove(held, e.Addr)
+			held = sets.Remove(held, e.Addr)
 		case trace.Read, trace.Write:
 			// One report per access event, covering all of its racing bytes.
 			var raceLo, raceHi uint64
@@ -240,20 +242,20 @@ func (l *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 				write := e.Kind == trace.Write
 				sc, inSOS := sos.perLoc[a]
 				if inSOS {
-					eff = meetInto(eff, sc.ls)
+					eff = sets.MeetInto(eff, sc.ls)
 					write = write || sc.write
 				}
 				shared := inSOS && sc.threads.hasOther(b.Thread)
 				for _, w := range wings {
 					if li, ok := w.(*Summary).perLoc[a]; ok {
-						eff = meetInto(eff, li.inter)
+						eff = sets.MeetInto(eff, li.inter)
 						write = write || li.write
 						shared = true // a wing is always another thread
 					}
 				}
 				// Every access of this block also refines (own info).
 				if li, ok := own.perLoc[a]; ok {
-					eff = meetInto(eff, li.inter)
+					eff = sets.MeetInto(eff, li.inter)
 					write = write || li.write
 				}
 				if len(eff) != 0 || !shared || !write {
@@ -309,8 +311,8 @@ func (l *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summar
 			switch {
 			case !ok:
 				c.ls = slices.Clone(li.inter)
-			case !subset(c.ls, li.inter):
-				c.ls = slices.Clip(appendMeet(nil, c.ls, li.inter))
+			case !sets.Subset(c.ls, li.inter):
+				c.ls = slices.Clip(sets.AppendMeet(nil, c.ls, li.inter))
 			}
 			c.write = c.write || li.write
 			c.threads = c.threads.with(bs.thread)

@@ -1,13 +1,10 @@
-// Package dataflow provides the *sequential* formulations of reaching
-// definitions and reaching expressions over dynamic traces, plus a small
-// generic forward gen/kill engine.
-//
-// Butterfly analysis (internal/core) is defined relative to these sequential
-// semantics: Lemma 5.1 and 5.2 relate the butterfly GENₗ/KILLₗ/SOS sets to
-// running the sequential analysis over valid orderings. This package is both
-// the reference oracle used by the property tests and the building block the
-// butterfly analyses reuse for their per-block (intra-thread) computations.
-package dataflow
+package reaching
+
+// This file holds the sequential formulations the butterfly analyses are
+// defined against: the definition and expression universes, the per-
+// instruction gen/kill effects the butterfly passes reuse for their
+// intra-block work, and the sequential analyses over one ordering that the
+// Lemma 5.1/5.2 tests enumerate.
 
 import (
 	"butterfly/internal/epoch"

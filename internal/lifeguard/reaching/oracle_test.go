@@ -1,4 +1,4 @@
-package dataflow
+package reaching
 
 import (
 	"testing"

@@ -1,14 +1,50 @@
-package core
+package reaching
 
 import (
 	"math/rand"
 	"testing"
 
+	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 	"butterfly/internal/interleave"
 	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
+
+// recorder wraps an analysis and keeps every value the engine asks it for:
+// sums[l][t] is block (l, t)'s first-pass summary and sos[l] is SOSₗ (the
+// engine asks for SOS₀ and SOS₁ as bottom states, then one UpdateSOS per
+// later generation). The analyses here implement no core.Recycler, so the
+// recorded values stay intact. Recording is not locked: run it serially.
+type recorder struct {
+	core.Lifeguard
+	sums [][]core.Summary
+	sos  []core.State
+}
+
+func (r *recorder) BottomState() core.State {
+	s := r.Lifeguard.BottomState()
+	r.sos = append(r.sos, s)
+	return s
+}
+
+func (r *recorder) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
+	s, reps := r.Lifeguard.FirstPass(b, ctx)
+	for len(r.sums) <= b.Epoch {
+		r.sums = append(r.sums, nil)
+	}
+	for len(r.sums[b.Epoch]) <= int(b.Thread) {
+		r.sums[b.Epoch] = append(r.sums[b.Epoch], nil)
+	}
+	r.sums[b.Epoch][b.Thread] = s
+	return s, reps
+}
+
+func (r *recorder) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
+	s := r.Lifeguard.UpdateSOS(prev, prevEpoch, curEpoch)
+	r.sos = append(r.sos, s)
+	return s
+}
 
 // subGrid returns the grid restricted to epochs [0, upTo].
 func subGrid(g *epoch.Grid, upTo int) *epoch.Grid {
@@ -37,12 +73,14 @@ func randomDefTrace(rng *rand.Rand, nthreads, perThread, h int) *epoch.Grid {
 	return g
 }
 
-// runRD runs butterfly reaching definitions with history retained.
-func runRD(g *epoch.Grid) (*ReachingDefs, *Result) {
+// runRD runs butterfly reaching definitions with recording on and its
+// history recorded.
+func runRD(g *epoch.Grid) (*ReachingDefs, *recorder) {
 	rd := NewReachingDefs(g)
 	rd.Record = true
-	d := &Driver{LG: rd, KeepHistory: true}
-	return rd, d.Run(g)
+	rec := &recorder{Lifeguard: rd}
+	(&core.Driver{LG: rec}).Run(g)
+	return rd, rec
 }
 
 // TestLemma51ReachingDefs checks both halves of Lemma 5.1 against exhaustive
@@ -54,14 +92,14 @@ func TestLemma51ReachingDefs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 40; iter++ {
 		g := randomDefTrace(rng, 2, 4, 2) // 2 threads × 2 epochs × 2 events
-		_, res := runRD(g)
+		_, h := runRD(g)
 		rd := NewReachingDefs(g)
 		for l := 0; l < g.NumEpochs(); l++ {
-			var prev []Summary
+			var prev []core.Summary
 			if l > 0 {
-				prev = res.Summaries[l-1]
+				prev = h.sums[l-1]
 			}
-			genL, killL := rd.EpochGenKill(prev, res.Summaries[l])
+			genL, killL := rd.EpochGenKill(prev, h.sums[l])
 
 			// Collect GEN(O) for every valid ordering of epochs 0..l.
 			reached := map[uint64]bool{}       // d live in some ordering
@@ -115,9 +153,9 @@ func TestLemma52SOSInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 30; iter++ {
 		g := randomDefTrace(rng, 2, 6, 2) // 3 epochs per thread
-		_, res := runRD(g)
+		_, h := runRD(g)
 		for l := 2; l < g.NumEpochs()+2; l++ {
-			sos := res.SOSHistory[l].(sets.Set)
+			sos := h.sos[l].(sets.Set)
 			upTo := l - 2
 			if upTo >= g.NumEpochs() {
 				upTo = g.NumEpochs() - 1
@@ -209,11 +247,12 @@ func randomExprTrace(rng *rand.Rand, nthreads, perThread, h int) *epoch.Grid {
 	return g
 }
 
-func runRE(g *epoch.Grid) (*ReachingExprs, *Result) {
+func runRE(g *epoch.Grid) (*ReachingExprs, *recorder) {
 	re := NewReachingExprs(g)
 	re.Record = true
-	d := &Driver{LG: re, KeepHistory: true}
-	return re, d.Run(g)
+	rec := &recorder{Lifeguard: re}
+	(&core.Driver{LG: rec}).Run(g)
+	return re, rec
 }
 
 // TestReachingExprsEpochSound checks the §5.2 duals of Lemma 5.1:
@@ -224,13 +263,13 @@ func TestReachingExprsEpochSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for iter := 0; iter < 40; iter++ {
 		g := randomExprTrace(rng, 2, 4, 2)
-		re, res := runRE(g)
+		re, h := runRE(g)
 		for l := 0; l < g.NumEpochs(); l++ {
-			var prev []Summary
+			var prev []core.Summary
 			if l > 0 {
-				prev = res.Summaries[l-1]
+				prev = h.sums[l-1]
 			}
-			genL, killL := re.EpochGenKill(prev, res.Summaries[l])
+			genL, killL := re.EpochGenKill(prev, h.sums[l])
 
 			availAll := (sets.Set)(nil) // ∩ over orderings
 			availMissing := sets.NewSet()
@@ -272,9 +311,9 @@ func TestReachingExprsSOSSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 30; iter++ {
 		g := randomExprTrace(rng, 2, 6, 2)
-		re, res := runRE(g)
+		re, h := runRE(g)
 		for l := 2; l < g.NumEpochs()+2; l++ {
-			sos := res.SOSHistory[l].(sets.Set)
+			sos := h.sos[l].(sets.Set)
 			if sos.Empty() {
 				continue
 			}
@@ -344,126 +383,39 @@ func TestReachingExprsINSound(t *testing.T) {
 	}
 }
 
-// TestDriverParallelMatchesSequential runs a checking lifeguard both ways
-// and requires identical report multisets.
-func TestDriverParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for iter := 0; iter < 20; iter++ {
-		g := randomDefTrace(rng, 4, 12, 3)
-		mk := func() *ReachingDefs {
-			rd := NewReachingDefs(g)
-			rd.Check = func(b *epoch.Block, i int, in sets.Set) []Report {
-				// Report reads of addresses with more than one reaching def
-				// (an ambiguous read) — arbitrary but deterministic.
-				e := b.Events[i]
-				if e.Kind != trace.Read {
-					return nil
-				}
-				n := 0
-				for d := range in {
-					if rd.U.LocOf(d) == e.Addr {
-						n++
-					}
-				}
-				if n > 1 {
-					return []Report{{Ref: b.Ref(i), Ev: e, Code: "ambiguous-read"}}
-				}
-				return nil
+func TestReachingDefsWindowEquivalence(t *testing.T) {
+	// The sliding window must not change results: Run serial and parallel
+	// and RunStream all yield identical final SOS.
+	rng := rand.New(rand.NewSource(73))
+	for iter := 0; iter < 10; iter++ {
+		g := randomDefTrace(rng, 3, 20, 3)
+		run := func(d *core.Driver) *core.Result { return d.Run(g) }
+		stream := func(d *core.Driver) *core.Result {
+			res, err := d.RunStream(epoch.NewGridRows(g))
+			if err != nil {
+				t.Fatal(err)
 			}
-			return rd
+			return res
 		}
-		seq := (&Driver{LG: mk()}).Run(g)
-		par := (&Driver{LG: mk(), Parallel: true}).Run(g)
-		if len(seq.Reports) != len(par.Reports) {
-			t.Fatalf("iter %d: sequential %d reports, parallel %d", iter, len(seq.Reports), len(par.Reports))
+		variants := []struct {
+			d   core.Driver
+			run func(*core.Driver) *core.Result
+		}{
+			{core.Driver{LG: NewReachingDefs(g)}, run},
+			{core.Driver{LG: NewReachingDefs(g)}, stream},
+			{core.Driver{LG: NewReachingDefs(g), Parallel: true}, run},
 		}
-		count := map[trace.Ref]int{}
-		for _, r := range seq.Reports {
-			count[r.Ref]++
-		}
-		for _, r := range par.Reports {
-			count[r.Ref]--
-		}
-		for ref, c := range count {
-			if c != 0 {
-				t.Fatalf("iter %d: report multiset differs at %v", iter, ref)
+		var base sets.Set
+		for i := range variants {
+			res := variants[i].run(&variants[i].d)
+			got := res.FinalSOS.(sets.Set)
+			if i == 0 {
+				base = got
+				continue
+			}
+			if !got.Equal(base) {
+				t.Fatalf("iter %d: variant %d final SOS differs", iter, i)
 			}
 		}
-		if !seq.FinalSOS.(sets.Set).Equal(par.FinalSOS.(sets.Set)) {
-			t.Fatalf("iter %d: final SOS differs", iter)
-		}
-	}
-}
-
-func TestDriverEmptyGrid(t *testing.T) {
-	g, err := epoch.ChunkByCount(trace.NewBuilder(0).Build(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := &ReachingDefs{U: nil}
-	rd.U = NewReachingDefs(g).U
-	res := (&Driver{LG: rd}).Run(g)
-	if len(res.Reports) != 0 || res.Events != 0 {
-		t.Fatalf("empty grid produced %+v", res)
-	}
-	if res.FinalSOS == nil {
-		t.Fatal("FinalSOS should be bottom, not nil")
-	}
-}
-
-func TestDriverSingleEpoch(t *testing.T) {
-	tr := trace.NewBuilder(2).
-		T(0).Write(1, 1).
-		T(1).Write(2, 1).
-		Build()
-	g, err := epoch.ChunkByCount(tr, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, res := runRD(g)
-	if res.Epochs != 1 {
-		t.Fatalf("epochs = %d", res.Epochs)
-	}
-	// Both writes must reach the final SOS (they are last writers).
-	final := res.FinalSOS.(sets.Set)
-	if final.Len() != 2 {
-		t.Fatalf("final SOS = %v", final)
-	}
-	// Each block must see the other's def through GEN-SIDE-IN.
-	for tid := 0; tid < 2; tid++ {
-		rec := rd.Recording(0, trace.ThreadID(tid))
-		other := trace.Ref{Epoch: 0, Thread: trace.ThreadID(1 - tid), Index: 0}
-		if !rec.IN[0].Has(other.Pack()) {
-			t.Fatalf("block (0,%d) does not see wing def %v: IN=%v", tid, other, rec.IN[0])
-		}
-	}
-}
-
-// TestFigure2TaintScenario reproduces the structure of the paper's Figure 2
-// with reaching definitions: two threads, three shared locations; checks
-// that wing visibility is bidirectional within an epoch.
-func TestFigure2TaintScenario(t *testing.T) {
-	// Thread 1: (1) b := a    (2) c := buf
-	// Thread 2: (i) a := c
-	tr := trace.NewBuilder(2).
-		T(0).Unop(0xb, 0xa).Unop(0xc, 0xbf).
-		T(1).Unop(0xa, 0xc).
-		Build()
-	g, err := epoch.ChunkByCount(tr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, _ := runRD(g)
-	rec1 := rd.Recording(0, 0)
-	rec2 := rd.Recording(0, 1)
-	defI := trace.Ref{Epoch: 0, Thread: 1, Index: 0}.Pack()
-	def1 := trace.Ref{Epoch: 0, Thread: 0, Index: 0}.Pack()
-	def2 := trace.Ref{Epoch: 0, Thread: 0, Index: 1}.Pack()
-	// Thread 1's instructions see (i); thread 2's see (1) and (2).
-	if !rec1.IN[0].Has(defI) || !rec1.IN[1].Has(defI) {
-		t.Error("thread 1 does not see thread 2's def in its wings")
-	}
-	if !rec2.IN[0].Has(def1) || !rec2.IN[0].Has(def2) {
-		t.Error("thread 2 does not see thread 1's defs in its wings")
 	}
 }

@@ -1,7 +1,21 @@
-package core
+// Package reaching holds the paper's §5 analyses, butterfly reaching
+// definitions (§5.1) and butterfly reaching (available) expressions (§5.2),
+// together with their sequential formulations (oracle.go). They are laid out
+// like the checking lifeguards: butterfly analyses that implement
+// core.Lifeguard, plus the sequential oracles they are checked against.
+//
+// Lemma 5.1 and 5.2 relate the butterfly GENₗ/KILLₗ/SOS sets to running the
+// sequential analysis over every valid ordering; the tests of this package
+// check both lemmas, and the soundness of every IN set, by exhaustive
+// enumeration. The lifeguards of §6 specialise these two analyses (AddrCheck
+// and MemCheck are reaching expressions over byte intervals, TaintCheck is
+// reaching definitions over transfer functions); this package is their
+// executable specification, which is why it is ordinary code and not test
+// code. Facts are held in the map-backed sets.Set: clarity over speed.
+package reaching
 
 import (
-	"butterfly/internal/dataflow"
+	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 	"butterfly/internal/sets"
 	"butterfly/internal/trace"
@@ -17,12 +31,12 @@ import (
 // never flow through the wings — only through the SOS.
 type ReachingDefs struct {
 	// U is the definition universe of the grid under analysis.
-	U *dataflow.DefUniverse
+	U *DefUniverse
 	// Check, if set, runs during the second pass on every instruction with
 	// its IN set (IN_{l,t,i} = GEN-SIDE-IN ∪ LSOS_{l,t,i}); returned reports
 	// are collected. This is the hook lifeguards built on reaching
 	// definitions use.
-	Check func(b *epoch.Block, i int, in sets.Set) []Report
+	Check func(b *epoch.Block, i int, in sets.Set) []core.Report
 	// Record retains per-instruction IN sets and block IN/OUT for
 	// inspection by tests via Recording. Recording mutates analysis-local
 	// state, so it requires the sequential driver (Parallel=false).
@@ -46,24 +60,24 @@ type RDSummary struct {
 	Out sets.Set
 }
 
-var _ Lifeguard = (*ReachingDefs)(nil)
+var _ core.Lifeguard = (*ReachingDefs)(nil)
 
 // NewReachingDefs returns the analysis for a grid, building its definition
 // universe.
 func NewReachingDefs(g *epoch.Grid) *ReachingDefs {
-	return &ReachingDefs{U: dataflow.BuildDefUniverse(g)}
+	return &ReachingDefs{U: BuildDefUniverse(g)}
 }
 
-// Name implements Lifeguard.
+// Name implements core.Lifeguard.
 func (rd *ReachingDefs) Name() string { return "reaching-definitions" }
 
-// BottomState implements Lifeguard: SOS₀ = ∅.
-func (rd *ReachingDefs) BottomState() State { return sets.NewSet() }
+// BottomState implements core.Lifeguard: SOS₀ = ∅.
+func (rd *ReachingDefs) BottomState() core.State { return sets.NewSet() }
 
-// StateSize implements StateSizer: the number of reaching definitions.
-func (rd *ReachingDefs) StateSize(s State) int { return s.(sets.Set).Len() }
+// StateSize implements core.StateSizer: the number of reaching definitions.
+func (rd *ReachingDefs) StateSize(s core.State) int { return s.(sets.Set).Len() }
 
-func rdSum(s Summary) *RDSummary {
+func rdSum(s core.Summary) *RDSummary {
 	if s == nil {
 		return nil
 	}
@@ -78,7 +92,7 @@ func rdSum(s Summary) *RDSummary {
 // The third term exists because the head can interleave with epoch l−2 of
 // other threads: a definition the head killed may be re-established by an
 // epoch l−2 instruction that executes after the head's kill.
-func (rd *ReachingDefs) lsos(t trace.ThreadID, ctx PassContext) sets.Set {
+func (rd *ReachingDefs) lsos(t trace.ThreadID, ctx core.PassContext) sets.Set {
 	sos := ctx.SOS.(sets.Set)
 	head := rdSum(ctx.Head)
 	if head == nil {
@@ -102,11 +116,11 @@ func (rd *ReachingDefs) lsos(t trace.ThreadID, ctx PassContext) sets.Set {
 	return out
 }
 
-// FirstPass implements Lifeguard: compute GEN_{l,t}, KILL_{l,t},
+// FirstPass implements core.Lifeguard: compute GEN_{l,t}, KILL_{l,t},
 // GEN-SIDE-OUT_{l,t} and the LSOS.
-func (rd *ReachingDefs) FirstPass(b *epoch.Block, ctx PassContext) (Summary, []Report) {
+func (rd *ReachingDefs) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
 	effects := rd.U.BlockDefEffects(b)
-	blockSum := dataflow.BlockSummary(effects)
+	blockSum := BlockSummary(effects)
 	gso := sets.NewSet()
 	for _, gk := range effects {
 		if gk.Gen != nil {
@@ -121,17 +135,17 @@ func (rd *ReachingDefs) FirstPass(b *epoch.Block, ctx PassContext) (Summary, []R
 	}, nil
 }
 
-// SecondPass implements Lifeguard: GEN-SIDE-IN is the union (the meet for
+// SecondPass implements core.Lifeguard: GEN-SIDE-IN is the union (the meet for
 // reaching definitions) of the wings' GEN-SIDE-OUT; IN_{l,t,i} =
 // GEN-SIDE-IN ∪ LSOS_{l,t,i}.
-func (rd *ReachingDefs) SecondPass(b *epoch.Block, ctx PassContext, wings []Summary) []Report {
+func (rd *ReachingDefs) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.Summary) []core.Report {
 	gsi := sets.NewSet()
 	for _, w := range wings {
 		gsi.AddAll(rdSum(w).GenSideOut)
 	}
 	lsos := rd.lsos(b.Thread, ctx)
 	blkIN := gsi.Union(lsos)
-	var reports []Report
+	var reports []core.Report
 	var recIN []sets.Set
 	effects := rd.U.BlockDefEffects(b)
 	for i := range b.Events {
@@ -155,7 +169,7 @@ func (rd *ReachingDefs) SecondPass(b *epoch.Block, ctx PassContext, wings []Summ
 			rd.recordings = map[trace.Ref]*RDRecord{}
 		}
 		// OUT_{l,t} = GEN_{l,t} ∪ (IN_{l,t} − KILL_{l,t}) (§5.1.3).
-		blk := dataflow.BlockSummary(effects)
+		blk := BlockSummary(effects)
 		out := blk.Gen.Union(blkIN.Difference(blk.Kill))
 		rd.recordings[b.Ref(0)] = &RDRecord{IN: recIN, BlkIN: blkIN, Out: out}
 	}
@@ -177,7 +191,7 @@ func (rd *ReachingDefs) Recording(l int, t trace.ThreadID) *RDRecord {
 	return rd.recordings[trace.Ref{Epoch: l, Thread: t, Index: 0}]
 }
 
-// UpdateSOS implements Lifeguard per §5.1.1–5.1.2:
+// UpdateSOS implements core.Lifeguard per §5.1.1–5.1.2:
 //
 //	GENₗ  = ⋃ₜ GEN_{l,t}
 //	KILLₗ = ⋃ₜ (KILL_{l,t} ∩ ⋂_{t'≠t}(KILL_{(l−1,l),t'} ∪ NOT-GEN_{(l−1,l),t'}))
@@ -187,7 +201,7 @@ func (rd *ReachingDefs) Recording(l int, t trace.ThreadID) *RDRecord {
 // NOT-GEN is evaluated as a predicate (it is co-finite). The inner
 // combination is per-thread (kill ∪ not-gen), required of *every* other
 // thread, matching the prose of §5.1.1 and the Lemma 5.1 proof.
-func (rd *ReachingDefs) UpdateSOS(prev State, prevEpoch, curEpoch []Summary) State {
+func (rd *ReachingDefs) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
 	sos := prev.(sets.Set)
 	genL := sets.NewSet()
 	for _, s := range curEpoch {
@@ -199,10 +213,10 @@ func (rd *ReachingDefs) UpdateSOS(prev State, prevEpoch, curEpoch []Summary) Sta
 }
 
 // epochKill computes KILLₗ.
-func (rd *ReachingDefs) epochKill(prevEpoch, curEpoch []Summary) sets.Set {
+func (rd *ReachingDefs) epochKill(prevEpoch, curEpoch []core.Summary) sets.Set {
 	killL := sets.NewSet()
 	T := len(curEpoch)
-	get := func(row []Summary, t int) *RDSummary {
+	get := func(row []core.Summary, t int) *RDSummary {
 		if row == nil {
 			return nil
 		}
@@ -240,7 +254,7 @@ func (rd *ReachingDefs) epochKill(prevEpoch, curEpoch []Summary) sets.Set {
 }
 
 // EpochGenKill exposes GENₗ/KILLₗ for tests and derived lifeguards.
-func (rd *ReachingDefs) EpochGenKill(prevEpoch, curEpoch []Summary) (gen, kill sets.Set) {
+func (rd *ReachingDefs) EpochGenKill(prevEpoch, curEpoch []core.Summary) (gen, kill sets.Set) {
 	gen = sets.NewSet()
 	for _, s := range curEpoch {
 		gen.AddAll(rdSum(s).Gen)

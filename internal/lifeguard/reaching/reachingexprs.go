@@ -1,7 +1,7 @@
-package core
+package reaching
 
 import (
-	"butterfly/internal/dataflow"
+	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 	"butterfly/internal/sets"
 	"butterfly/internal/trace"
@@ -14,10 +14,10 @@ import (
 // with union) and generation is local (GEN-SIDE-OUT = ∅).
 type ReachingExprs struct {
 	// U is the expression universe of the grid under analysis.
-	U *dataflow.ExprUniverse
+	U *ExprUniverse
 	// Check, if set, runs during the second pass on every instruction with
 	// its IN set (IN_{l,t,i} = LSOS_{l,t,i} − KILL-SIDE-IN).
-	Check func(b *epoch.Block, i int, in sets.Set) []Report
+	Check func(b *epoch.Block, i int, in sets.Set) []core.Report
 	// Record retains per-instruction results (sequential driver only).
 	Record bool
 
@@ -41,25 +41,25 @@ type RERecord struct {
 	Out   sets.Set
 }
 
-var _ Lifeguard = (*ReachingExprs)(nil)
+var _ core.Lifeguard = (*ReachingExprs)(nil)
 
 // NewReachingExprs returns the analysis for a grid, building its expression
 // universe.
 func NewReachingExprs(g *epoch.Grid) *ReachingExprs {
-	return &ReachingExprs{U: dataflow.BuildExprUniverse(g)}
+	return &ReachingExprs{U: BuildExprUniverse(g)}
 }
 
-// Name implements Lifeguard.
+// Name implements core.Lifeguard.
 func (re *ReachingExprs) Name() string { return "reaching-expressions" }
 
-// BottomState implements Lifeguard: SOS₀ = ∅. (No expression is available
+// BottomState implements core.Lifeguard: SOS₀ = ∅. (No expression is available
 // before the program computes it.)
-func (re *ReachingExprs) BottomState() State { return sets.NewSet() }
+func (re *ReachingExprs) BottomState() core.State { return sets.NewSet() }
 
-// StateSize implements StateSizer: the number of available expressions.
-func (re *ReachingExprs) StateSize(s State) int { return s.(sets.Set).Len() }
+// StateSize implements core.StateSizer: the number of available expressions.
+func (re *ReachingExprs) StateSize(s core.State) int { return s.(sets.Set).Len() }
 
-func reSum(s Summary) *RESummary {
+func reSum(s core.Summary) *RESummary {
 	if s == nil {
 		return nil
 	}
@@ -73,7 +73,7 @@ func reSum(s Summary) *RESummary {
 // A head-generated expression only survives to the body if no other thread
 // kills it in epoch l−2 — the head may interleave with epoch l−2, so such a
 // kill could land after the head's generation.
-func (re *ReachingExprs) lsos(t trace.ThreadID, ctx PassContext) sets.Set {
+func (re *ReachingExprs) lsos(t trace.ThreadID, ctx core.PassContext) sets.Set {
 	sos := ctx.SOS.(sets.Set)
 	head := reSum(ctx.Head)
 	if head == nil {
@@ -89,10 +89,10 @@ func (re *ReachingExprs) lsos(t trace.ThreadID, ctx PassContext) sets.Set {
 	return fromHead.Union(sos.Difference(head.Kill))
 }
 
-// FirstPass implements Lifeguard.
-func (re *ReachingExprs) FirstPass(b *epoch.Block, ctx PassContext) (Summary, []Report) {
+// FirstPass implements core.Lifeguard.
+func (re *ReachingExprs) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
 	effects := re.U.BlockExprEffects(b)
-	blockSum := dataflow.BlockSummary(effects)
+	blockSum := BlockSummary(effects)
 	kso := sets.NewSet()
 	for _, gk := range effects {
 		if gk.Kill != nil {
@@ -102,17 +102,17 @@ func (re *ReachingExprs) FirstPass(b *epoch.Block, ctx PassContext) (Summary, []
 	return &RESummary{Gen: blockSum.Gen, Kill: blockSum.Kill, KillSideOut: kso}, nil
 }
 
-// SecondPass implements Lifeguard: KILL-SIDE-IN is the union of the wings'
+// SecondPass implements core.Lifeguard: KILL-SIDE-IN is the union of the wings'
 // KILL-SIDE-OUT (the meet is ∪, not the classic ∩: *any* wing kill
 // invalidates an expression); IN_{l,t,i} = LSOS_{l,t,i} − KILL-SIDE-IN.
-func (re *ReachingExprs) SecondPass(b *epoch.Block, ctx PassContext, wings []Summary) []Report {
+func (re *ReachingExprs) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.Summary) []core.Report {
 	ksi := sets.NewSet()
 	for _, w := range wings {
 		ksi.AddAll(reSum(w).KillSideOut)
 	}
 	lsos := re.lsos(b.Thread, ctx)
 	blkIN := lsos.Difference(ksi)
-	var reports []Report
+	var reports []core.Report
 	var recIN []sets.Set
 	effects := re.U.BlockExprEffects(b)
 	for i := range b.Events {
@@ -134,7 +134,7 @@ func (re *ReachingExprs) SecondPass(b *epoch.Block, ctx PassContext, wings []Sum
 		if re.recordings == nil {
 			re.recordings = map[trace.Ref]*RERecord{}
 		}
-		blk := dataflow.BlockSummary(effects)
+		blk := BlockSummary(effects)
 		out := blk.Gen.Union(blkIN.Difference(blk.Kill))
 		re.recordings[b.Ref(0)] = &RERecord{IN: recIN, BlkIN: blkIN, Out: out}
 	}
@@ -146,7 +146,7 @@ func (re *ReachingExprs) Recording(l int, t trace.ThreadID) *RERecord {
 	return re.recordings[trace.Ref{Epoch: l, Thread: t, Index: 0}]
 }
 
-// UpdateSOS implements Lifeguard per §5.2:
+// UpdateSOS implements core.Lifeguard per §5.2:
 //
 //	KILLₗ = ⋃ₜ KILL_{l,t}
 //	GENₗ  = ⋃ₜ (GEN_{l,t} ∩ ⋂_{t'≠t}(GEN_{(l−1,l),t'} ∪ NOT-KILL_{(l−1,l),t'}))
@@ -154,21 +154,21 @@ func (re *ReachingExprs) Recording(l int, t trace.ThreadID) *RERecord {
 //
 // with GEN_{(l−1,l),t} = (GEN_{l−1,t} − KILL_{l,t}) ∪ GEN_{l,t}. The roles of
 // GEN and KILL are exactly reversed from reaching definitions.
-func (re *ReachingExprs) UpdateSOS(prev State, prevEpoch, curEpoch []Summary) State {
+func (re *ReachingExprs) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
 	sos := prev.(sets.Set)
 	gen, kill := re.EpochGenKill(prevEpoch, curEpoch)
 	return gen.Union(sos.Difference(kill))
 }
 
 // EpochGenKill exposes GENₗ/KILLₗ for tests and derived lifeguards.
-func (re *ReachingExprs) EpochGenKill(prevEpoch, curEpoch []Summary) (gen, kill sets.Set) {
+func (re *ReachingExprs) EpochGenKill(prevEpoch, curEpoch []core.Summary) (gen, kill sets.Set) {
 	kill = sets.NewSet()
 	for _, s := range curEpoch {
 		kill.AddAll(reSum(s).Kill)
 	}
 	gen = sets.NewSet()
 	T := len(curEpoch)
-	get := func(row []Summary, t int) *RESummary {
+	get := func(row []core.Summary, t int) *RESummary {
 		if row == nil {
 			return nil
 		}

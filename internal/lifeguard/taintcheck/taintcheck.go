@@ -18,7 +18,7 @@
 // Representation (DESIGN.md §12): a block summary holds its transfer
 // functions by value in one slice sorted by (destination, index) and its
 // LASTCHECK conclusions as a sorted (location, status) vector, both looked
-// up by binary search behind a per-block bit filter. An SOS generation is
+// up by sets.Search behind a per-block bit filter. An SOS generation is
 // an immutable sorted []uint64, written once by UpdateSOS in a single
 // linear merge of the previous generation with the epoch's LASTCHECK
 // vectors; the LSOS is a view that answers each query from the head's
@@ -38,6 +38,7 @@ import (
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 	"butterfly/internal/lifeguard"
+	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
 
@@ -110,7 +111,7 @@ func (f *tfn) sources() []uint64 {
 // Summary is TaintCheck's per-block summary: the block's transfer functions
 // sorted by (destination, index), plus the LASTCHECK conclusions filled in
 // during the second pass (consumed by the SOS update and later LSOS views).
-// Every lookup is a binary search over locs, behind a bit filter that
+// Every lookup is a sets.Search over locs, behind a bit filter that
 // answers most misses (a wing that never writes x) with one load.
 type Summary struct {
 	epoch  int
@@ -147,34 +148,8 @@ func (s *Summary) slot(x uint64) int {
 	if b := filterBit(x); s.filter[b>>6]&(1<<(b&63)) == 0 {
 		return -1
 	}
-	return search(s.locs, x)
-}
-
-// b2i compiles to a flag set, not a branch.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// search returns the index of x in the sorted xs, or -1. The halving loop
-// has no data-dependent branch, so a mispredicted comparison costs nothing;
-// on the benchmark's taint traffic that made the feed loop about a quarter
-// faster than the textbook search.
-func search(xs []uint64, x uint64) int {
-	n := len(xs)
-	if n == 0 {
-		return -1
-	}
-	base := 0
-	for n > 1 {
-		half := n >> 1
-		base += half * b2i(xs[base+half] <= x)
-		n -= half
-	}
-	if xs[base] == x {
-		return base
+	if i, found := sets.Search(s.locs, x); found {
+		return i
 	}
 	return -1
 }
@@ -208,7 +183,8 @@ type sos struct{ locs []uint64 }
 
 // has reports whether x is in the generation.
 func (s *sos) has(x uint64) bool {
-	return search(s.locs, x) >= 0
+	_, found := sets.Search(s.locs, x)
+	return found
 }
 
 // Butterfly is the butterfly-analysis TaintCheck lifeguard.

@@ -54,10 +54,6 @@ func NewArenaHeap(base, size uint64, arenas int) *Heap {
 	return h
 }
 
-// Base returns the lowest heap address. Everything below is "stack" for the
-// heap-only AddrCheck filter.
-func (h *Heap) Base() uint64 { return h.base }
-
 // Alloc reserves size bytes from arena 0.
 func (h *Heap) Alloc(size uint64) (uint64, error) { return h.AllocFrom(0, size) }
 

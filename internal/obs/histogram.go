@@ -74,15 +74,6 @@ func (h *Histogram) Max() int64 {
 	return h.max.Load()
 }
 
-// Mean returns the arithmetic mean of the observations, 0 if none.
-func (h *Histogram) Mean() int64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / n
-}
-
 // Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1): the
 // upper bound of the bucket containing the rank-⌈qN⌉ observation, capped
 // at the observed maximum. The bound is within 2× of the true quantile.

@@ -95,29 +95,6 @@ func putBacking(s []Interval) {
 	backingPools[bits.Len(uint(cap(s)))-1].Put(b) // ⌊log₂ cap⌋
 }
 
-// mapPool recycles fact-set maps. A Set is pointer-shaped, so Get/Put do not
-// box; pooled maps keep their bucket arrays, amortizing growth across the
-// epoch loop.
-var mapPool sync.Pool
-
-// GetMap returns an empty fact Set from the pool. Pair with PutMap.
-func GetMap() Set {
-	if s, _ := mapPool.Get().(Set); s != nil {
-		return s
-	}
-	return NewSet()
-}
-
-// PutMap clears s and recycles it. The caller must be the sole referent;
-// passing nil is a no-op.
-func PutMap(s Set) {
-	if s == nil {
-		return
-	}
-	s.Clear()
-	mapPool.Put(s)
-}
-
 // GetSet returns an empty IntervalSet from the pool, in canonical form. It
 // is the allocation-free counterpart of NewIntervalSet() for transient sets;
 // pair it with PutSet when the set dies.

@@ -1,20 +1,24 @@
 // Package sets provides the set algebra used throughout butterfly analysis.
 //
-// Two families of sets are provided:
+// Three families of sets are provided:
 //
 //   - Set: an unordered set of uint64 facts (definition IDs, expression IDs,
 //     SSA tuples packed into 64 bits). All butterfly dataflow equations
 //     (GEN, KILL, SOS, LSOS, the SIDE-IN/SIDE-OUT primitives) are unions,
-//     intersections and differences over these.
+//     intersections and differences over these. It is the reference form:
+//     the oracles, the §5 analyses and the fuzzers' models use it.
+//
+//   - Sorted vectors: a plain sorted []uint64, the form LockSet and
+//     TaintCheck keep their facts in, with the kernels of vec.go.
 //
 //   - IntervalSet: a set of half-open byte ranges [Lo, Hi) over the simulated
 //     address space. AddrCheck metadata (allocated regions) is interval
 //     valued because malloc/free operate on ranges, not single facts.
 //
-// Both types are deliberately *not* safe for concurrent mutation: the
-// butterfly two-pass driver enforces a single-writer discipline (the paper's
-// "one of the threads can be nominated to act as master"), and summaries are
-// frozen before being released to readers.
+// None of them is safe for concurrent mutation: the butterfly two-pass
+// driver enforces a single-writer discipline (the paper's "one of the
+// threads can be nominated to act as master"), and summaries are frozen
+// before being released to readers.
 package sets
 
 import (
