@@ -165,6 +165,12 @@ func exclAggRow(wa WingAggregator, row []Summary, out, pre []any, rec Recycler) 
 // goroutine. Within one epoch, FirstPass (and SecondPass) calls for
 // different threads may run concurrently, so they must not share mutable
 // state beyond the lifeguard's read-only configuration.
+//
+// The SOS history is linear: UpdateSOS is called once per generation,
+// always on the newest one (the value BottomState or UpdateSOS returned
+// last), and never while a pass is running. A lifeguard may rely on it to
+// hand storage from a generation to its successor, as lockset's version
+// chain does, provided every generation still reads as its own value.
 type Lifeguard interface {
 	// Name identifies the lifeguard in reports and tooling.
 	Name() string
@@ -182,7 +188,10 @@ type Lifeguard interface {
 
 	// UpdateSOS computes SOS_{l+2} = GENₗ ∪ (SOS_{l+1} − KILLₗ), where the
 	// epoch summary GENₗ/KILLₗ spans the block summaries of epochs l−1
-	// (prevEpoch, nil when l == 0) and l (curEpoch), per §5.1.1/§5.2.
+	// (prevEpoch, nil when l == 0) and l (curEpoch), per §5.1.1/§5.2. prev
+	// is the newest generation and is updated only this once (the linear
+	// history above); it must keep reading as SOS_{l+1} afterwards, since
+	// the next tick's second pass reads it.
 	UpdateSOS(prev State, prevEpoch, curEpoch []Summary) State
 }
 

@@ -22,8 +22,8 @@ package core
 // never the value just returned by UpdateSOS. The lifeguard
 // switches on the concrete type and ignores the kinds it does not pool. A
 // pooled kind must own what it hands back: lockset recycles a dead SOS
-// generation's map, but never the immutable locksets that consecutive
-// generations share.
+// generation's shell, but never the candidate map its successor took over
+// or the immutable locksets that consecutive generations share.
 type Recycler interface {
 	Recycle(dead any)
 }

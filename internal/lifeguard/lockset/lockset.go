@@ -33,12 +33,20 @@
 // from both inputs. The arena is reused once the summary is recycled, so
 // nothing outside a summary keeps a slice of its arena: UpdateSOS copies
 // every lockset it adopts into memory the SOS owns, and SecondPass meets into
-// stack scratch. SOS locksets are never written after they are made, so
-// consecutive generations share them and a dead generation's map is reused.
+// stack scratch. SOS locksets are never written after they are made.
+//
+// The version chain. SOS generations form a chain in which only the newest
+// holds the session's one candidate map (Baker's rerooting, as in
+// semi-persistent arrays). UpdateSOS hands that map on to the new
+// generation and writes only the candidates the epoch changed; the
+// generation it supersedes keeps an undo record of the values overwritten
+// and a pointer to its successor, so an older generation reads through its
+// undo records and then the live map. The engine's history is linear
+// (core.Lifeguard: one update per generation, always of the newest), so an
+// update costs what the epoch changed, never the size of the state.
 package lockset
 
 import (
-	"maps"
 	"math/bits"
 	"slices"
 
@@ -132,6 +140,15 @@ func (ts threadSet) with(t trace.ThreadID) threadSet {
 	return ts
 }
 
+// has reports whether t is in ts.
+func (ts threadSet) has(t trace.ThreadID) bool {
+	if t < 64 {
+		return ts.mask&(1<<t) != 0
+	}
+	_, found := slices.BinarySearch(ts.spill, t)
+	return found
+}
+
 // hasOther reports whether ts holds a thread other than t.
 func (ts threadSet) hasOther(t trace.ThreadID) bool {
 	mask := ts.mask
@@ -160,19 +177,57 @@ type cand struct {
 	write   bool
 }
 
-// state is the SOS: per-location candidates.
+// state is one SOS generation: per-location candidates, held as a node of
+// the version chain (see the package comment).
 type state struct {
-	perLoc map[uint64]cand
+	// live is the session's candidate map; only the newest generation has
+	// it.
+	live map[uint64]cand
+	// undo holds, once the generation is superseded, its own candidates at
+	// the locations its successor changed; nil until the successor changes
+	// one.
+	undo map[uint64]prior
+	// next is the successor; nil in the newest generation.
+	next *state
+	// size is the number of locations with a candidate.
+	size int
+}
+
+// prior is a candidate as an undo record keeps it; ok is false where the
+// location had none.
+type prior struct {
+	c  cand
+	ok bool
+}
+
+// lookup returns location a's candidate in generation s: the first undo
+// record on the way to the newest generation that holds a, else the live
+// map.
+func (s *state) lookup(a uint64) (cand, bool) {
+	g := s
+	for g.live == nil {
+		if g.next == nil {
+			panic("lockset: read of a recycled SOS generation")
+		}
+		if p, ok := g.undo[a]; ok {
+			return p.c, p.ok
+		}
+		g = g.next
+	}
+	c, ok := g.live[a]
+	return c, ok
 }
 
 // BottomState implements core.Lifeguard.
 func (l *Butterfly) BottomState() core.State {
-	return &state{perLoc: map[uint64]cand{}}
+	s := getState()
+	s.live = map[uint64]cand{}
+	return s
 }
 
 // StateSize implements core.StateSizer: the number of locations with a
 // tracked candidate lockset.
-func (l *Butterfly) StateSize(s core.State) int { return len(s.(*state).perLoc) }
+func (l *Butterfly) StateSize(s core.State) int { return s.(*state).size }
 
 // FirstPass implements core.Lifeguard: thread the held-lock set through the
 // block and summarize per-location lock disciplines.
@@ -240,7 +295,7 @@ func (l *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 				}
 				eff := append(effBuf[:0], held...)
 				write := e.Kind == trace.Write
-				sc, inSOS := sos.perLoc[a]
+				sc, inSOS := sos.lookup(a)
 				if inSOS {
 					eff = sets.MeetInto(eff, sc.ls)
 					write = write || sc.write
@@ -298,25 +353,43 @@ func threadsAt(ids []int, a uint64, self trace.ThreadID, sos threadSet, wings []
 // UpdateSOS implements core.Lifeguard: fold the epoch's per-location
 // intersections into the candidates. Intersection is order-insensitive, so
 // no two-epoch span correction is needed (there is no KILL: candidates only
-// shrink). The new generation starts as a copy of the previous one in a
-// recycled map; a lockset is copied out of a summary's arena only when its
-// candidate is new or shrinks.
+// shrink). The new generation takes over prev's live map and writes only
+// the candidates that change — a new location, a shrunk lockset, a new
+// thread or a first write — saving each overwritten value in prev's undo
+// record; a lockset is copied out of a summary's arena only when its
+// candidate is new or shrinks. prev must be the newest generation.
 func (l *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
+	old := prev.(*state)
+	if old.live == nil {
+		panic("lockset: UpdateSOS of a superseded SOS generation")
+	}
 	next := getState()
-	maps.Copy(next.perLoc, prev.(*state).perLoc)
+	next.live, next.size = old.live, old.size
+	old.live, old.next = nil, next
+	live := next.live
 	for _, s := range curEpoch {
 		bs := s.(*Summary)
 		for a, li := range bs.perLoc {
-			c, ok := next.perLoc[a]
+			c, ok := live[a]
+			was := prior{c, ok}
 			switch {
 			case !ok:
 				c.ls = slices.Clone(li.inter)
+				next.size++
 			case !sets.Subset(c.ls, li.inter):
 				c.ls = slices.Clip(sets.AppendMeet(nil, c.ls, li.inter))
+			case (c.write || !li.write) && c.threads.has(bs.thread):
+				continue // unchanged
+			}
+			if _, saved := old.undo[a]; !saved {
+				if old.undo == nil {
+					old.undo = map[uint64]prior{}
+				}
+				old.undo[a] = was
 			}
 			c.write = c.write || li.write
 			c.threads = c.threads.with(bs.thread)
-			next.perLoc[a] = c
+			live[a] = c
 		}
 	}
 	return next

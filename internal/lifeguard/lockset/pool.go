@@ -8,11 +8,15 @@ import (
 )
 
 // Pooled per-block and per-generation state (DESIGN.md §12). A recycled
-// summary keeps its location map and its arena; a recycled SOS keeps its
-// map, which the next UpdateSOS refills. Neither pool ever holds a lockset
-// someone else can still read: summary locksets live in the summary's own
-// arena, and SOS locksets are never pooled at all (consecutive generations
-// share them, and the garbage collector frees them).
+// summary keeps its location map and its arena. A recycled SOS generation
+// is pooled as an empty shell: its undo map goes to the garbage collector,
+// because clearing a Go map costs its capacity, so a pooled undo map that
+// once held a large epoch would tax every later update. No pool ever holds
+// a lockset someone else can still read: summary locksets live in the
+// summary's own arena, and SOS locksets are never pooled at all. Nor is the
+// live candidate map: it passes from generation to generation and is never
+// copied, and the garbage collector frees it with the session's last
+// generation.
 
 var (
 	summaryPool sync.Pool
@@ -44,11 +48,25 @@ func putSummary(s *Summary) {
 	summaryPool.Put(s)
 }
 
+// poisonedGen is what a recycled generation points at in race builds, where
+// it is not pooled: a stale lookup reaches it and panics instead of reading
+// its successor's candidates.
+var poisonedGen state
+
 func getState() *state {
 	if s, _ := statePool.Get().(*state); s != nil {
 		return s
 	}
-	return &state{perLoc: map[uint64]cand{}}
+	return new(state)
+}
+
+func putState(s *state) {
+	if sets.RaceEnabled {
+		*s = state{next: &poisonedGen}
+		return
+	}
+	*s = state{}
+	statePool.Put(s)
 }
 
 var _ core.Recycler = (*Butterfly)(nil)
@@ -59,7 +77,6 @@ func (l *Butterfly) Recycle(dead any) {
 	case *Summary:
 		putSummary(v)
 	case *state:
-		clear(v.perLoc)
-		statePool.Put(v)
+		putState(v)
 	}
 }

@@ -215,8 +215,10 @@ func dumpSOS(s core.State) []string {
 	var out []string
 	switch st := s.(type) {
 	case *state:
-		for a, c := range st.perLoc {
-			out = append(out, line(a, append([]uint64{}, c.ls...), c.threads.appendIDs(nil), c.write))
+		for _, a := range genLocations(st) {
+			if c, ok := st.lookup(a); ok {
+				out = append(out, line(a, append([]uint64{}, c.ls...), c.threads.appendIDs(nil), c.write))
+			}
 		}
 	case *refState:
 		for a, c := range st.perLoc {
@@ -229,6 +231,28 @@ func dumpSOS(s core.State) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// genLocations returns every location generation s may hold a candidate
+// for: the keys of the undo records on its way to the newest generation and
+// of the live map.
+func genLocations(s *state) []uint64 {
+	s.lookup(0) // a recycled generation panics here, not in the walk below
+	seen := map[uint64]bool{}
+	g := s
+	for ; g.live == nil; g = g.next {
+		for a := range g.undo {
+			seen[a] = true
+		}
+	}
+	for a := range g.live {
+		seen[a] = true
+	}
+	locs := make([]uint64, 0, len(seen))
+	for a := range seen {
+		locs = append(locs, a)
+	}
+	return locs
 }
 
 // refTrace is one seeded trace for the reference suite. Shapes, by seed:

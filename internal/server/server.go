@@ -36,6 +36,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -534,13 +535,15 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 		if idle {
 			// The session was the last one registered and nobody is
-			// connected: collect its heap now. A lifeguard whose steady state
-			// barely allocates triggers no GC of its own, and what the
-			// finished session left behind would otherwise stay resident
-			// through the next one. Here, unlike in evict, no frame still
-			// reaches the session.
+			// connected: collect its heap now and return the freed pages to
+			// the OS. A lifeguard whose steady state barely allocates triggers
+			// no GC of its own, and what the finished session left behind
+			// (a report-heavy session's replay buffers, say) would otherwise
+			// stay resident through the next one; a plain GC frees it only to
+			// the heap, which the scavenger hands back slowly. Here, unlike in
+			// evict, no frame still reaches the session.
+			debug.FreeOSMemory()
 			s.m.idleGCs.Inc()
-			runtime.GC()
 		}
 		s.wg.Done()
 	}()

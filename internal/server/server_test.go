@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -294,6 +295,49 @@ func TestIdleGC(t *testing.T) {
 			t.Fatalf("a connection without a session ran %d idle GCs, want 0", got)
 		}
 	})
+}
+
+// TestIdleGCReturnsMemory pins what the idle collection is for: once the
+// last session of a report-heavy run has left, the heap it freed (above all
+// its report replay buffer) is returned to the OS, not kept idle in the
+// process until the scavenger gets to it.
+func TestIdleGCReturnsMemory(t *testing.T) {
+	const T, perThread = 2, 1 << 15
+	b := trace.NewBuilder(T)
+	for th := 0; th < T; th++ {
+		b.T(trace.ThreadID(th))
+		for i := 0; i < perThread; i++ {
+			b.Read(0x10_0000+uint64(i)*8, 8) // never allocated: one report each
+		}
+	}
+	g, err := epoch.ChunkByCount(b.Build(), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	s := startServer(t, server.Config{Obs: reg})
+	gcs := reg.Counter(obs.MetricServerIdleGCs)
+	res, err := client.Run(s.Addr(), client.Options{Lifeguard: "addrcheck"}, epoch.NewGridRows(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Reports) != T*perThread {
+		t.Fatalf("got %d reports, want one per access (%d)", len(res.Reports), T*perThread)
+	}
+	for deadline := time.Now().Add(10 * time.Second); gcs.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no idle GC after the session")
+		}
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	const bound = 4 << 20
+	kept := ms.HeapIdle - ms.HeapReleased
+	t.Logf("%d reports; after the idle GC %.2f MB of heap is idle and unreleased", len(res.Reports), float64(kept)/(1<<20))
+	if kept > bound {
+		t.Fatalf("after the idle GC the heap keeps %.1f MB idle and unreleased (bound %d MB)",
+			float64(kept)/(1<<20), bound>>20)
+	}
 }
 
 func TestRejectWhenFull(t *testing.T) {
