@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check fuzz-list-check lint fuzz fuzz-smoke bench bench-obs-smoke bench-alloc soak crash-soak chaos benchmark benchmark-smoke ci clean
+.PHONY: all build test race vet fmt-check fuzz-list-check pool-check lint fuzz fuzz-smoke bench bench-obs-smoke bench-alloc soak crash-soak chaos benchmark benchmark-smoke ci clean
 
 all: build
 
@@ -35,9 +35,19 @@ fuzz-list-check:
 		done); \
 	if [ -n "$$missing" ]; then echo "fuzzers missing from fuzz-smoke:"; echo "$$missing"; exit 1; fi
 
-# Static gate: formatting, go vet and the fuzzer list, the cheap checks a
-# change runs first.
-lint: fmt-check vet fuzz-list-check
+# Storage gate: the analysis packages keep no process-global pools. Every
+# summary and SOS generation is reused in place, handed by the engine's
+# window to the call that builds its successor (DESIGN.md §12), so fail (and
+# name the offenders) on any sync.Pool in internal/core, internal/sets or
+# internal/lifeguard, tests included.
+pool-check:
+	@found=$$(grep -rn --include='*.go' 'sync\.Pool' internal/core internal/sets internal/lifeguard); \
+	if [ -n "$$found" ]; then echo "sync.Pool in the analysis packages (reuse storage through the window instead):"; \
+		echo "$$found"; exit 1; fi
+
+# Static gate: formatting, go vet, the fuzzer list and the pool check, the
+# cheap checks a change runs first.
+lint: fmt-check vet fuzz-list-check pool-check
 
 race:
 	$(GO) test -race ./...

@@ -1,10 +1,10 @@
 package core_test
 
 // The steady-state allocation gate (ISSUE: zero-allocation steady state).
-// After the sliding window fills and the pools warm up, feeding one more
-// epoch through the serial incremental driver must cost at most a small
-// fixed number of heap allocations, independent of how long the run has
-// been going. This is the property that keeps GC pauses off the
+// After the sliding window fills and its storage has grown to size, feeding
+// one more epoch through the serial incremental driver must cost at most a
+// small fixed number of heap allocations, independent of how long the run
+// has been going. This is the property that keeps GC pauses off the
 // monitoring path; `make bench-alloc` enforces the same budget on the
 // full client/server stack via -benchmem.
 
@@ -24,8 +24,9 @@ import (
 )
 
 // steadyAllocBudget is the per-epoch heap-allocation budget once warm.
-// Measured ~0-2 on the serial driver (pool misses on rare interval-set
-// growth); the headroom keeps the gate from flaking on GC bookkeeping,
+// Measured ~0-2 on the serial driver (rare interval-set growth past the
+// storage a reused summary or generation already has); the headroom keeps
+// the gate from flaking on GC bookkeeping,
 // while still catching any reintroduced per-epoch allocation (a single
 // make per epoch shows up as +1 and a per-block one as +T).
 const steadyAllocBudget = 8
@@ -51,7 +52,7 @@ const smallRowsAllocBudget = 1
 // formatting. Slots are 64 bytes, one every pitch bytes: at pitch 64 a
 // thread's slots coalesce and the SOS is a handful of intervals that never
 // leave inline storage; at a wider pitch every slot is an interval of its
-// own and the SOS is nthreads × slots intervals on pooled heap backings.
+// own and the SOS is nthreads × slots intervals on heap backings.
 func steadyTrace(nthreads, perThread, slots int, pitch uint64) *trace.Trace {
 	b := trace.NewBuilder(nthreads)
 	const (
@@ -219,7 +220,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	const T = 4
 	// 128 epochs of 64 events/thread, over a coalesced heap and over a
 	// fragmented one whose SOS is 640 intervals: there every generation and
-	// every kernel scratch is a pooled heap backing, beside the few-interval
+	// every kernel scratch is a heap backing, beside the few-interval
 	// sets of the LSOS views.
 	compact := chunk(t, steadyTrace(T, 8192, 32, 64), 64)
 	fragmented := chunk(t, steadyTrace(T, 8192, 160, 128), 64)
@@ -392,7 +393,7 @@ func TestFirstPassIndependentOfStateSize(t *testing.T) {
 				if len(reports) != 0 {
 					t.Fatalf("%d slots: the block is not clean: %v", slots, reports[0])
 				}
-				lg.Recycle(sum)
+				ctx.Reuse = sum // as the engine hands a summary back
 			}
 			best = min(best, time.Since(start))
 		}

@@ -39,12 +39,16 @@ import (
 
 // State is lifeguard-defined strongly ordered state (e.g. a fact set for
 // reaching definitions, an interval set for AddrCheck). Values handed to the
-// driver are owned by it; lifeguards must not retain and mutate them.
+// driver are owned by it; lifeguards must not retain and mutate them, except
+// that a generation the driver hands back as UpdateSOS's dead argument is
+// the lifeguard's again to overwrite.
 type State any
 
 // Summary is the lifeguard-defined first-pass block summary: whatever the
 // lifeguard needs to expose a block to the wings of other butterflies
-// (SIDE-OUT sets) plus its local GEN/KILL for epoch summarization.
+// (SIDE-OUT sets) plus its local GEN/KILL for epoch summarization. A summary
+// may also carry pass scratch in unexported fields, used only by the passes
+// of its own thread; other threads' passes read its results.
 type Summary any
 
 // Report is one flagged condition (an error or a potential error).
@@ -90,6 +94,13 @@ type PassContext struct {
 	// which always exists) is non-nil exactly when aggregation is active.
 	// Set only during the second pass; the wings slice is still passed.
 	WingAggs [3]any
+	// Reuse is set only in the first pass: a summary of the block's own
+	// thread that the window no longer references (block (l−4, t), which
+	// left the window as epoch l entered it), or nil. The lifeguard may
+	// reset it and return it, refilled, as this block's summary; nothing
+	// reads it again otherwise. It is the only way storage passes from one
+	// summary to the next (DESIGN.md §12).
+	Reuse Summary
 }
 
 // WingAggregator is an optional Lifeguard extension. The driver's naive
@@ -98,62 +109,61 @@ type PassContext struct {
 // associative can implement WingAggregator; the driver then folds each row
 // once into per-thread exclusive aggregates (prefix/suffix folds, O(T)
 // AddWing calls per row) and hands them to SecondPass via
-// PassContext.WingAggs. All three methods must return fresh aggregates and
-// leave their arguments unmodified: the driver retains and reuses
-// intermediate folds across calls.
+// PassContext.WingAggs. The driver makes every aggregate it needs once,
+// with EmptyWings, and the folds write into them: AddWing and MergeWings
+// overwrite dst and leave their other arguments unmodified. dst may be the
+// same aggregate as agg or a, never b.
 type WingAggregator interface {
-	// EmptyWings returns the fold of zero wing summaries.
+	// EmptyWings returns a new fold of zero wing summaries.
 	EmptyWings() any
-	// AddWing returns agg extended with summary s.
-	AddWing(agg any, s Summary) any
-	// MergeWings returns the fold of two aggregates.
-	MergeWings(a, b any) any
+	// AddWing sets dst to agg extended with summary s.
+	AddWing(dst, agg any, s Summary)
+	// MergeWings sets dst to the fold of a and b.
+	MergeWings(dst, a, b any)
 }
 
-// exclAggRow folds one epoch row into per-thread exclusive aggregates:
-// out[t] covers row[tt] for every tt ≠ t. A prefix fold and a running
-// suffix fold give every exclusion in O(T) AddWing/MergeWings calls.
-//
-// out and pre are optional scratch slices, reused when their capacity
-// allows. rec, when non-nil, receives every intermediate fold once the row
-// is built: the WingAggregator contract guarantees MergeWings returns fresh
-// aggregates, so the returned row never aliases the recycled prefixes and
-// suffixes.
-func exclAggRow(wa WingAggregator, row []Summary, out, pre []any, rec Recycler) []any {
-	T := len(row)
-	if cap(out) >= T {
-		out = out[:T]
-	} else {
-		out = make([]any, T)
+// wingFolds is the storage of the exclusive folds of one window: each
+// window row's aggregates, the prefix folds of the row being folded, one
+// running suffix, and the empty fold, all made once with EmptyWings.
+type wingFolds struct {
+	wa    WingAggregator
+	rows  [streamWindow][]any
+	pre   []any // pre[i] is the fold of row[:i]; pre[0] is empty
+	suf   any
+	empty any
+}
+
+func newWingFolds(wa WingAggregator, T int) *wingFolds {
+	f := &wingFolds{wa: wa, pre: make([]any, T), suf: wa.EmptyWings(), empty: wa.EmptyWings()}
+	f.pre[0] = f.empty
+	for i := 1; i < T; i++ {
+		f.pre[i] = wa.EmptyWings()
 	}
-	if cap(pre) >= T {
-		pre = pre[:T]
-	} else {
-		pre = make([]any, T)
+	for k := range f.rows {
+		f.rows[k] = make([]any, T)
+		for t := range f.rows[k] {
+			f.rows[k][t] = wa.EmptyWings()
+		}
 	}
-	pre[0] = wa.EmptyWings()
-	for i := 0; i+1 < T; i++ {
-		pre[i+1] = wa.AddWing(pre[i], row[i])
+	return f
+}
+
+// fold writes epoch k's exclusive aggregates into its window slot and
+// returns them: out[t] covers row[tt] for every tt ≠ t. A prefix fold and a
+// running suffix fold give every exclusion in O(T) AddWing/MergeWings
+// calls.
+func (f *wingFolds) fold(k int, row []Summary) []any {
+	wa, pre, out := f.wa, f.pre, f.rows[k%streamWindow]
+	for i := 0; i+1 < len(row); i++ {
+		wa.AddWing(pre[i+1], pre[i], row[i])
 	}
-	suf := wa.EmptyWings()
-	for t := T - 1; t >= 0; t-- {
-		out[t] = wa.MergeWings(pre[t], suf)
+	suf := f.empty
+	for t := len(row) - 1; t >= 0; t-- {
+		wa.MergeWings(out[t], pre[t], suf)
 		if t > 0 {
-			old := suf
-			suf = wa.AddWing(suf, row[t])
-			if rec != nil {
-				rec.Recycle(old)
-			}
+			wa.AddWing(f.suf, suf, row[t])
+			suf = f.suf
 		}
-	}
-	if rec != nil {
-		rec.Recycle(suf)
-		for _, a := range pre {
-			rec.Recycle(a)
-		}
-	}
-	for i := range pre {
-		pre[i] = nil
 	}
 	return out
 }
@@ -171,6 +181,15 @@ func exclAggRow(wa WingAggregator, row []Summary, out, pre []any, rec Recycler) 
 // last), and never while a pass is running. A lifeguard may rely on it to
 // hand storage from a generation to its successor, as lockset's version
 // chain does, provided every generation still reads as its own value.
+//
+// Storage is reused in place (DESIGN.md §12): the driver hands every value
+// that leaves the window straight to the call that builds its successor —
+// a summary as the next first pass's PassContext.Reuse, a generation as
+// UpdateSOS's dead argument. A value arrives at most once, only after the
+// last read of it, and never while it is still inside the window; the
+// final SOS never arrives. Where it comes from may change what a run
+// costs, never what it computes. A wrapper that keeps values (a recorder,
+// a reference) must not pass Reuse or dead on.
 type Lifeguard interface {
 	// Name identifies the lifeguard in reports and tooling.
 	Name() string
@@ -191,8 +210,11 @@ type Lifeguard interface {
 	// (prevEpoch, nil when l == 0) and l (curEpoch), per §5.1.1/§5.2. prev
 	// is the newest generation and is updated only this once (the linear
 	// history above); it must keep reading as SOS_{l+1} afterwards, since
-	// the next tick's second pass reads it.
-	UpdateSOS(prev State, prevEpoch, curEpoch []Summary) State
+	// the next tick's second pass reads it. dead, when non-nil, is SOSₗ,
+	// whose last reader (second pass l) has run: the lifeguard may build the
+	// result in its storage. It is nil at the end of a run, so the final SOS
+	// never shares storage with a generation handed back.
+	UpdateSOS(prev, dead State, prevEpoch, curEpoch []Summary) State
 }
 
 // Driver configures a lifeguard run. Run, RunStream and NewIncremental are

@@ -97,7 +97,9 @@ func randomEvent(b *trace.Builder, rng *rand.Rand) {
 // the exported Lifeguard interface. It keeps whole-grid arrays indexed by
 // epoch, walks the wings naively per body (never filling WingAggs, so the
 // engine's prefix/suffix wing folds are differentially verified too), and
-// has no sharding, recycling or metrics.
+// has no sharding or metrics. It keeps every value, so it never hands one
+// back (no Reuse summary, no dead generation): comparing it with the engine
+// also checks that reusing storage changes no result.
 func referenceRun(lg core.Lifeguard, g *epoch.Grid) *core.Result {
 	res, _ := referenceHistory(lg, g)
 	return res
@@ -146,7 +148,7 @@ func referenceHistory(lg core.Lifeguard, g *epoch.Grid) (*core.Result, history) 
 	for l := 0; l < L; l++ {
 		if l >= 2 {
 			// SOSₗ = GEN_{l−2} ∪ (SOS_{l−1} − KILL_{l−2}).
-			sos[l] = lg.UpdateSOS(sos[l-1], row(l-3), row(l-2))
+			sos[l] = lg.UpdateSOS(sos[l-1], nil, row(l-3), row(l-2))
 		}
 		sums[l] = make([]core.Summary, T)
 		for t := 0; t < T; t++ {
@@ -160,7 +162,7 @@ func referenceHistory(lg core.Lifeguard, g *epoch.Grid) (*core.Result, history) 
 	}
 	secondPass(L - 1)
 	for l := max(L, 2); l < L+2; l++ {
-		sos[l] = lg.UpdateSOS(sos[l-1], row(l-3), row(l-2))
+		sos[l] = lg.UpdateSOS(sos[l-1], nil, row(l-3), row(l-2))
 	}
 	res.FinalSOS = sos[L+1]
 	return res, history{sums: sums, sos: sos}

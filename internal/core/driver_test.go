@@ -75,7 +75,7 @@ func (c *countingLifeguard) SecondPass(b *epoch.Block, ctx PassContext, wings []
 	}
 	return []Report{{Ref: ref, Code: "visited"}}
 }
-func (c *countingLifeguard) UpdateSOS(prev State, prevEpoch, curEpoch []Summary) State {
+func (c *countingLifeguard) UpdateSOS(prev, _ State, prevEpoch, curEpoch []Summary) State {
 	c.updates++
 	return prev
 }

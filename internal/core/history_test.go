@@ -27,8 +27,9 @@ type history struct {
 
 // recorder wraps a lifeguard and records its history as the engine asks for
 // each value: the engine asks for SOS₀ and SOS₁ as bottom states, then for
-// one UpdateSOS per later generation. It does not implement core.Recycler,
-// so the engine recycles nothing and every recorded value stays intact.
+// one UpdateSOS per later generation. It keeps the values, so it passes no
+// Reuse summary and no dead generation on: the lifeguard builds every value
+// in fresh storage and every recorded value stays intact.
 type recorder struct {
 	core.Lifeguard
 	T  int
@@ -59,6 +60,7 @@ func (r *recorder) BottomState() core.State {
 }
 
 func (r *recorder) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
+	ctx.Reuse = nil
 	s, reps := r.Lifeguard.FirstPass(b, ctx)
 	r.mu.Lock()
 	for len(r.h.sums) <= b.Epoch {
@@ -69,8 +71,8 @@ func (r *recorder) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary
 	return s, reps
 }
 
-func (r *recorder) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	s := r.Lifeguard.UpdateSOS(prev, prevEpoch, curEpoch)
+func (r *recorder) UpdateSOS(prev, _ core.State, prevEpoch, curEpoch []core.Summary) core.State {
+	s := r.Lifeguard.UpdateSOS(prev, nil, prevEpoch, curEpoch)
 	r.h.sos = append(r.h.sos, s)
 	return s
 }

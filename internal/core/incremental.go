@@ -58,14 +58,12 @@ func (d *Driver) newIncremental(T int, trim bool) (*Incremental, error) {
 	// every report of an unbounded trace in memory.
 	st := &streamState{d: d, T: T, res: &Result{}, trim: trim}
 	st.m = d.metrics(T)
-	st.wa, _ = d.LG.(WingAggregator)
 	st.fReports = make([][]Report, T)
 	st.sReports = make([][]Report, T)
 	st.wingScratch = make([][]Summary, T)
-	if st.wa != nil {
-		st.aggScratch = make([]any, T)
+	if wa, ok := d.LG.(WingAggregator); ok {
+		st.folds = newWingFolds(wa, T)
 	}
-	st.rec, _ = d.LG.(Recycler)
 	st.sosCur = d.LG.BottomState() // SOS₀
 	if d.Parallel && T > 1 {
 		st.pipe = newStreamPipeline(d.LG, T)

@@ -3,8 +3,9 @@ package core_test
 // The linear-history contract of core.Lifeguard: the engine calls UpdateSOS
 // once per generation, always on the newest one, and never while a pass is
 // running. Lockset's version chain relies on it (a generation hands its
-// candidate map on to its successor), so every driver path is checked here
-// with a wrapper that fails the test on any other call pattern.
+// candidate map on to its successor), and so does every lifeguard that
+// builds a generation in the dead one handed back, so every driver path is
+// checked here with a wrapper that fails the test on any other call pattern.
 
 import (
 	"fmt"
@@ -19,9 +20,12 @@ import (
 )
 
 // linearLG wraps a lifeguard and calls fail when the engine updates a
-// generation twice, updates one that is not the newest, or updates while a
-// pass runs. Generations are told apart by identity: a pooled value the
-// lifeguard hands out again counts as a fresh generation.
+// generation twice, updates one that is not the newest, updates while a
+// pass runs, or hands back as dead a generation that is not superseded.
+// Generations are told apart by identity: storage the lifeguard reuses for
+// a new generation counts as a fresh one. The wrapper keeps no values, so
+// it passes Reuse and dead on and the lifeguard under test reuses as in
+// production.
 type linearLG struct {
 	core.Lifeguard
 	fail    func(format string, args ...any)
@@ -29,26 +33,21 @@ type linearLG struct {
 	mu      sync.Mutex
 	newest  uintptr // the generation BottomState or UpdateSOS returned last
 	updated map[uintptr]bool
+	retired map[uintptr]bool // generations a newer one superseded
 	updates int
 }
 
-// newLinear wraps lg, forwarding its Recycler (every lifeguard under test
-// pools) and its WingAggregator, if any, so the engine keeps its recycling
-// and folded-wing paths.
+// newLinear wraps lg, forwarding its WingAggregator, if any, so the engine
+// keeps its folded-wing path.
 func newLinear(fail func(string, ...any), lg core.Lifeguard) (core.Lifeguard, *linearLG) {
-	w := &linearLG{Lifeguard: lg, fail: fail, updated: map[uintptr]bool{}}
-	rec := lg.(core.Recycler)
+	w := &linearLG{Lifeguard: lg, fail: fail, updated: map[uintptr]bool{}, retired: map[uintptr]bool{}}
 	if wa, ok := lg.(core.WingAggregator); ok {
 		return struct {
 			*linearLG
-			core.Recycler
 			core.WingAggregator
-		}{w, rec, wa}, w
+		}{w, wa}, w
 	}
-	return struct {
-		*linearLG
-		core.Recycler
-	}{w, rec}, w
+	return w, w
 }
 
 // genID identifies a generation; every lifeguard's State is a pointer or a
@@ -59,8 +58,10 @@ func genID(s core.State) uintptr { return reflect.ValueOf(s).Pointer() }
 func (w *linearLG) born(s core.State) core.State {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.retired[w.newest] = true
 	w.newest = genID(s)
 	delete(w.updated, w.newest)
+	delete(w.retired, w.newest)
 	return s
 }
 
@@ -78,7 +79,7 @@ func (w *linearLG) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core
 	return w.Lifeguard.SecondPass(b, ctx, wings)
 }
 
-func (w *linearLG) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
+func (w *linearLG) UpdateSOS(prev, dead core.State, prevEpoch, curEpoch []core.Summary) core.State {
 	w.mu.Lock()
 	id := genID(prev)
 	switch {
@@ -86,6 +87,8 @@ func (w *linearLG) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary
 		w.fail("UpdateSOS of a generation already updated")
 	case id != w.newest:
 		w.fail("UpdateSOS of a superseded generation")
+	case dead != nil && !w.retired[genID(dead)]:
+		w.fail("UpdateSOS handed back a generation that is not superseded")
 	}
 	if n := w.passes.Load(); n != 0 {
 		w.fail("UpdateSOS while %d passes run", n)
@@ -93,7 +96,7 @@ func (w *linearLG) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary
 	w.updated[id] = true
 	w.updates++
 	w.mu.Unlock()
-	return w.born(w.Lifeguard.UpdateSOS(prev, prevEpoch, curEpoch))
+	return w.born(w.Lifeguard.UpdateSOS(prev, dead, prevEpoch, curEpoch))
 }
 
 // TestLinearSOSHistory runs every driver path under the wrapper: Run and
@@ -171,20 +174,24 @@ func TestLinearSOSHistory(t *testing.T) {
 }
 
 // TestLinearWrapperCatchesMisuse checks the wrapper itself: a second update
-// of one generation and an update of a superseded one both fail it.
+// of one generation, an update of a superseded one and a dead generation
+// that was never superseded all fail it.
 func TestLinearWrapperCatchesMisuse(t *testing.T) {
-	for _, misuse := range []string{"twice", "superseded"} {
+	for _, misuse := range []string{"twice", "superseded", "live-dead"} {
 		var failures []string
 		lg, _ := newLinear(func(format string, args ...any) {
 			failures = append(failures, fmt.Sprintf(format, args...))
 		}, lifeguards["addrcheck"]())
 		s0 := lg.BottomState()
-		s1 := lg.UpdateSOS(s0, nil, nil)
-		if misuse == "twice" {
-			lg.UpdateSOS(s0, nil, nil)
-		} else {
+		s1 := lg.UpdateSOS(s0, nil, nil, nil)
+		switch misuse {
+		case "twice":
+			lg.UpdateSOS(s0, nil, nil, nil)
+		case "superseded":
 			lg.BottomState() // a newer generation supersedes s1
-			lg.UpdateSOS(s1, nil, nil)
+			lg.UpdateSOS(s1, nil, nil, nil)
+		default:
+			lg.UpdateSOS(s1, lifeguards["addrcheck"]().BottomState(), nil, nil)
 		}
 		if len(failures) != 1 {
 			t.Errorf("%s: the wrapper reported %q, want one failure", misuse, failures)

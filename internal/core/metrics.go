@@ -217,7 +217,7 @@ func (m *driverMetrics) windowSet(events int64) {
 }
 
 // wingFolded counts one exclusive wing-aggregate row fold over T threads
-// (2T AddWing + T MergeWings calls, see exclAggRow).
+// (2T AddWing + T MergeWings calls, see wingFolds.fold).
 func (m *driverMetrics) wingFolded(T int) {
 	if m == nil {
 		return

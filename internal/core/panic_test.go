@@ -26,7 +26,7 @@ func (p *panickyLifeguard) FirstPass(b *epoch.Block, ctx PassContext) (Summary, 
 func (p *panickyLifeguard) SecondPass(b *epoch.Block, ctx PassContext, wings []Summary) []Report {
 	return nil
 }
-func (p *panickyLifeguard) UpdateSOS(prev State, prevEpoch, curEpoch []Summary) State {
+func (p *panickyLifeguard) UpdateSOS(prev, _ State, prevEpoch, curEpoch []Summary) State {
 	return prev
 }
 

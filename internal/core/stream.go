@@ -32,7 +32,12 @@ import (
 // Memory is bounded by the sliding window regardless of trace length: the
 // driver retains the summaries of epochs l−3..l (ring of 4 rows), the blocks
 // of epochs l−1..l, two SOS values, and at most streamPrefetch decoded rows
-// in flight. Nothing else accumulates.
+// in flight. Nothing else accumulates, and no analysis value is pooled: the
+// window's own slots are the free list. Each summary slot hands its dead
+// summary to the first pass that refills it (PassContext.Reuse), and each
+// tick hands the SOS generation its second pass retired to the update that
+// replaces it (UpdateSOS's dead argument), so a lifeguard rebuilds in the
+// storage it built before (DESIGN.md §12).
 
 // BlockSource yields successive epoch rows of blocks. Implementations
 // include epoch.StreamRows (incremental decode of the streaming trace
@@ -244,10 +249,9 @@ type streamState struct {
 
 	// sums[k%streamWindow] holds epoch k's summaries for k in l−3..l.
 	sums [streamWindow][]Summary
-	// aggs mirrors sums with per-thread exclusive wing aggregates when the
-	// lifeguard implements WingAggregator.
-	aggs [streamWindow][]any
-	wa   WingAggregator
+	// folds mirrors sums with per-thread exclusive wing aggregates when the
+	// lifeguard implements WingAggregator; nil otherwise.
+	folds *wingFolds
 	// sosPrev and sosCur are SOS_{l−1} and SOSₗ at tick entry.
 	sosPrev, sosCur State
 	// prevBlocks is epoch l−1's row (second-pass input).
@@ -257,66 +261,31 @@ type streamState struct {
 
 	// Persistent tick scratch, reused every epoch so the steady-state loop
 	// allocates nothing (DESIGN.md §12): the tickWork itself, the per-pass
-	// report tables, each thread's wing-slice backing, and the exclusive-fold
-	// prefix scratch.
+	// report tables and each thread's wing-slice backing.
 	work        tickWork
 	fReports    [][]Report
 	sReports    [][]Report
 	wingScratch [][]Summary
-	aggScratch  []any
 
 	// trim hands each tick's reports to the caller instead of accumulating
 	// them in res (Incremental's trimmed mode).
 	trim bool
 
-	// Recycling hooks (recycle.go). rec is the lifeguard's Recycler, if it
-	// has one; recycleRow is the caller's block-row hook
-	// (Incremental.SetRowRecycler).
-	rec        Recycler
+	// recycleRow is the caller's block-row hook (Incremental.SetRowRecycler).
 	recycleRow func([]*epoch.Block)
 }
 
-// recycle hands a dead value back to the lifeguard's Recycler, if it has
-// one.
-func (st *streamState) recycle(dead any) {
-	if st.rec != nil && dead != nil {
-		st.rec.Recycle(dead)
-	}
-}
-
-// takeSlot prepares epoch l's summary window slot: the slot still holds
-// epoch l−4's row, which no pass or update can reference anymore, so its
-// summaries are recycled and the row backing is reused as the new first-pass
-// output.
+// takeSlot returns the row epoch l's first pass fills: epoch l's window
+// slot, which still holds epoch l−4's summaries. No pass or update can read
+// those any more, so thread t's goes to its first pass as PassContext.Reuse
+// and the summary that pass returns takes its place.
 func (st *streamState) takeSlot(l int) []Summary {
-	old := st.sums[l%streamWindow]
+	row := st.sums[l%streamWindow]
 	st.sums[l%streamWindow] = nil
-	if old == nil {
-		return make([]Summary, st.T)
+	if row == nil {
+		row = make([]Summary, st.T)
 	}
-	for i, s := range old {
-		st.recycle(s)
-		old[i] = nil
-	}
-	return old
-}
-
-// takeAggSlot is takeSlot for the exclusive wing-aggregate ring: the
-// retired folds are handed to the lifeguard's Recycler when it has one.
-func (st *streamState) takeAggSlot(l int) []any {
-	if st.wa == nil {
-		return nil
-	}
-	old := st.aggs[l%streamWindow]
-	st.aggs[l%streamWindow] = nil
-	if old == nil {
-		return nil
-	}
-	for i, a := range old {
-		st.recycle(a)
-		old[i] = nil
-	}
-	return old
+	return row
 }
 
 // checkRow validates a source row against the grid invariants the passes
@@ -347,10 +316,10 @@ func (st *streamState) rowSums(k int) []Summary {
 // rowAggs returns epoch k's exclusive wing aggregates, under the same
 // window bounds as rowSums.
 func (st *streamState) rowAggs(k int) []any {
-	if st.wa == nil || k < 0 || k > st.l || k <= st.l-streamWindow {
+	if st.folds == nil || k < 0 || k > st.l || k <= st.l-streamWindow {
 		return nil
 	}
-	return st.aggs[k%streamWindow]
+	return st.folds.rows[k%streamWindow]
 }
 
 // tick advances the pipeline by one epoch: first-pass(l), second-pass(l−1),
@@ -371,17 +340,14 @@ func (st *streamState) tick(row []*epoch.Block) {
 	st.work = tickWork{
 		runF:        true,
 		runS:        l >= 1,
-		wa:          st.wa,
+		folds:       st.folds,
 		m:           st.m,
 		panics:      &st.panics,
 		epoch:       l,
 		fBlocks:     row,
 		fOut:        st.takeSlot(l),
-		fAgg:        st.takeAggSlot(l),
 		fctx:        PassContext{SOS: st.sosCur, Epoch1Back: st.rowSums(l - 1), Epoch2Back: st.rowSums(l - 2)},
 		wingScratch: st.wingScratch,
-		aggScratch:  st.aggScratch,
-		rec:         st.rec,
 	}
 	w := &st.work
 	if w.runS {
@@ -391,23 +357,21 @@ func (st *streamState) tick(row []*epoch.Block) {
 		w.sAggs = [3][]any{st.rowAggs(l - 2), st.rowAggs(l - 1), nil} // [2] is filled post-barrier
 	}
 	st.exec(w, readEvents)
-	// Publish epoch l's summaries only now: the window slot may still hold
-	// epoch l−4, which second-pass(l−1) must not see in its wings.
+	// Publish epoch l's summaries only now: rowSums(l) must not reach the
+	// slot while it still held epoch l−4.
 	st.sums[l%streamWindow] = w.fOut
-	if st.wa != nil {
-		st.aggs[l%streamWindow] = w.fAgg
-	}
 	st.collect(w)
 
 	// SOS_{l+1}: for l == 0 it is ⊥ by definition; afterwards the epoch
 	// summary of l−1 (its post-second-pass summaries are final as of this
-	// tick) advances the SOS.
+	// tick) advances the SOS. SOS_{l−1} was this tick's second-pass state,
+	// and no later pass or update reads it: it carries SOS_{l+1}.
 	var sosNext State
 	if l == 0 {
 		sosNext = d.LG.BottomState()
 	} else {
 		start := st.m.now()
-		sosNext = d.LG.UpdateSOS(st.sosCur, st.rowSums(l-2), st.rowSums(l-1))
+		sosNext = d.LG.UpdateSOS(st.sosCur, st.sosPrev, st.rowSums(l-2), st.rowSums(l-1))
 		st.m.stageDone(stageSOSUpdate, l+1, tidDriver, start)
 		st.m.sosUpdated(sosNext)
 	}
@@ -420,15 +384,12 @@ func (st *streamState) tick(row []*epoch.Block) {
 		st.m.windowSet(held)
 		st.m.epochDone(rowEvents, st.T)
 	}
-	// The window has slid past SOS_{l−1} and epoch l−1's blocks: SOS_{l−1}
-	// was this tick's second-pass state and epoch l−1's row its second-pass
-	// input, and neither is reachable from any later pass or update.
-	oldSOS := st.sosPrev
+	// The window has slid past epoch l−1's blocks, this tick's second-pass
+	// input.
 	oldRow := st.prevBlocks
 	st.sosPrev, st.sosCur = st.sosCur, sosNext
 	st.prevBlocks = row
 	st.l++
-	st.recycle(oldSOS)
 	if st.recycleRow != nil && oldRow != nil {
 		st.recycleRow(oldRow)
 	}
@@ -445,7 +406,7 @@ func (st *streamState) finish() {
 	}
 	st.work = tickWork{
 		runS:    true,
-		wa:      st.wa,
+		folds:   st.folds,
 		m:       st.m,
 		panics:  &st.panics,
 		epoch:   L,
@@ -463,32 +424,15 @@ func (st *streamState) finish() {
 		st.recycleRow(st.prevBlocks)
 		st.prevBlocks = nil
 	}
+	// The final SOS is built in fresh storage: it is the Result's, and
+	// shares nothing with a generation the window retired.
 	start := st.m.now()
-	final := d.LG.UpdateSOS(st.sosCur, st.rowSums(L-2), st.rowSums(L-1))
+	final := d.LG.UpdateSOS(st.sosCur, nil, st.rowSums(L-2), st.rowSums(L-1))
 	st.m.stageDone(stageSOSUpdate, L+1, tidDriver, start)
 	st.m.sosUpdated(final)
-	// SOS_{L−1} and SOS_L are dead now that the trailing update ran; final is
-	// NOT recycled — it is the Result's FinalSOS.
-	if st.rec != nil {
-		st.recycle(st.sosPrev)
-		st.recycle(st.sosCur)
-		st.sosPrev, st.sosCur = nil, nil
-	}
 	st.res.FinalSOS = final
-	// The retained window is dead too: hand the last summary rows and wing
-	// folds back so a finished session leaves its storage in the pools.
-	if st.rec != nil {
-		for k := range st.sums {
-			for i, s := range st.sums[k] {
-				st.recycle(s)
-				st.sums[k][i] = nil
-			}
-			for i, a := range st.aggs[k] {
-				st.recycle(a)
-				st.aggs[k][i] = nil
-			}
-		}
-	}
+	// The window is dead: a finished Incremental holds only its Result.
+	st.work, st.sums, st.folds, st.sosPrev, st.sosCur = tickWork{}, [streamWindow][]Summary{}, nil, nil, nil
 }
 
 // fanOut reports whether a tick whose passes read events events runs on the
@@ -576,7 +520,7 @@ func (st *streamState) collect(w *tickWork) {
 // workers before they are signalled.
 type tickWork struct {
 	runF, runS bool
-	wa         WingAggregator // non-nil when the lifeguard aggregates wings
+	folds      *wingFolds     // non-nil when the lifeguard aggregates wings
 	m          *driverMetrics // nil when the driver is uninstrumented
 	panics     *panicBox      // collects worker panics (owned by streamState)
 	epoch      int            // l: the first-pass epoch (second pass covers l−1)
@@ -584,8 +528,7 @@ type tickWork struct {
 	// First pass over epoch l.
 	fBlocks  []*epoch.Block
 	fctx     PassContext
-	fOut     []Summary
-	fAgg     []any // epoch l's exclusive aggregates, folded between phases
+	fOut     []Summary // holds epoch l−4's summaries until each first pass replaces its own
 	fReports [][]Report
 
 	// Second pass over epoch l−1.
@@ -597,11 +540,8 @@ type tickWork struct {
 	sReports [][]Report
 
 	// Reused scratch (owned by streamState). wingScratch[t] is thread t's
-	// wing-slice backing — workers touch only their own index. aggScratch
-	// and rec feed foldAggs.
+	// wing-slice backing — workers touch only their own index.
 	wingScratch [][]Summary
-	aggScratch  []any
-	rec         Recycler
 }
 
 // foldAggs folds the freshly first-passed row into exclusive aggregates.
@@ -609,13 +549,13 @@ type tickWork struct {
 // pass: in pipelined mode one worker calls it between the two barriers, in
 // serial mode it runs between the loops.
 func (w *tickWork) foldAggs() {
-	if w.wa == nil || !w.runF {
+	if w.folds == nil || !w.runF {
 		return
 	}
-	w.fAgg = exclAggRow(w.wa, w.fOut, w.fAgg, w.aggScratch, w.rec)
+	aggs := w.folds.fold(w.epoch, w.fOut)
 	w.m.wingFolded(len(w.fOut))
 	if w.runS {
-		w.sAggs[2] = w.fAgg
+		w.sAggs[2] = aggs
 	}
 }
 
@@ -650,6 +590,7 @@ func (w *tickWork) firstPass(lg Lifeguard, t int) {
 	if c.Epoch1Back != nil {
 		c.Head = c.Epoch1Back[t]
 	}
+	c.Reuse = w.fOut[t]
 	w.fOut[t], w.fReports[t] = lg.FirstPass(w.fBlocks[t], c)
 }
 
@@ -733,7 +674,7 @@ func (p *streamPipeline) worker(t int) {
 		bstart := m.now()
 		p.bar.await()
 		m.barrierDone(bstart)
-		if w.wa != nil {
+		if w.folds != nil {
 			// Worker 0 folds the fresh row's wing aggregates while the
 			// others wait; the extra barrier publishes the fold.
 			if t == 0 {

@@ -60,6 +60,47 @@ type Summary struct {
 	GenAny, KillAny *sets.IntervalSet
 	// Access is every byte read or written by the block.
 	Access *sets.IntervalSet
+
+	// scratch is the pass scratch of the block's thread, which no other
+	// thread reads.
+	scratch *passScratch
+}
+
+// passScratch is what a thread's passes work in: the LSOS view and the SOS
+// update's sets, and the report builder. A thread runs one pass at a time,
+// so all its summaries share one: a new summary takes its head's.
+type passScratch struct {
+	sets    lifeguard.IntervalScratch
+	details lifeguard.Details
+}
+
+// summaryFor returns the summary a first pass fills: ctx.Reuse emptied,
+// its storage kept, or a new summary when there is none to reuse.
+func summaryFor(ctx core.PassContext) *Summary {
+	s, _ := ctx.Reuse.(*Summary)
+	if s == nil {
+		var sc *passScratch
+		if head := sum(ctx.Head); head != nil {
+			sc = head.scratch
+		}
+		if sc == nil {
+			sc = new(passScratch)
+		}
+		return &Summary{
+			Gen:     new(sets.IntervalSet),
+			Kill:    new(sets.IntervalSet),
+			GenAny:  new(sets.IntervalSet),
+			KillAny: new(sets.IntervalSet),
+			Access:  new(sets.IntervalSet),
+			scratch: sc,
+		}
+	}
+	s.Gen.Reset()
+	s.Kill.Reset()
+	s.GenAny.Reset()
+	s.KillAny.Reset()
+	s.Access.Reset()
+	return s
 }
 
 // New returns a heap-only AddrCheck that ignores addresses below filterBelow.
@@ -94,28 +135,25 @@ func sum(s core.Summary) *Summary {
 }
 
 // genKill is AddrCheck's lifeguard.GenKill accessor.
-func genKill(s core.Summary) (gen, kill *sets.IntervalSet) {
+func genKill(s core.Summary) (gen, kill *sets.IntervalSet, scratch *lifeguard.IntervalScratch) {
 	ss := s.(*Summary)
-	return ss.Gen, ss.Kill
-}
-
-// lsos opens LSOS_{l,t} (the reaching-expressions form, §5.2.1, over
-// intervals) as a view over the SOS: head allocations survive unless another
-// thread freed those bytes in epoch l−2; SOS bytes survive unless the head
-// freed them. The view is pooled; callers release it with sets.PutOverlay.
-func (a *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) *sets.Overlay {
-	return lifeguard.IntervalLSOS(t, ctx, genKill)
+	if ss.scratch != nil { // nil in a summary no first pass built
+		scratch = &ss.scratch.sets
+	}
+	return ss.Gen, ss.Kill, scratch
 }
 
 // FirstPass implements core.Lifeguard: build the block summary and run the
-// traditional per-instruction checks against the LSOS, updating the view as
-// it goes (LSOS_{l,t,k} = GEN ∪ (LSOS_{l,t,k−1} − KILL)); the SOS under it
-// is only read.
+// traditional per-instruction checks against LSOS_{l,t} (the
+// reaching-expressions form, §5.2.1, over intervals: head allocations
+// survive unless another thread freed those bytes in epoch l−2, SOS bytes
+// unless the head freed them), a view over the SOS updated as the pass goes
+// (LSOS_{l,t,k} = GEN ∪ (LSOS_{l,t,k−1} − KILL)); the SOS under it is only
+// read.
 func (a *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
-	s := getSummary()
-	lsos := a.lsos(b.Thread, ctx)
-	defer sets.PutOverlay(lsos)
-	details := lifeguard.GetDetails()
+	s := summaryFor(ctx)
+	lsos := lifeguard.IntervalLSOS(b.Thread, ctx, s, genKill)
+	details := &s.scratch.details
 	// flag reports event i under code, with the detail just written.
 	flag := func(i int, code string) {
 		details.Report(core.Report{Ref: b.Ref(i), Ev: b.Events[i], Code: code})
@@ -155,43 +193,47 @@ func (a *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 	return s, details.Finish()
 }
 
-// wingAgg is AddrCheck's driver-maintained wing aggregate (the SIDE-IN
-// fold): the union of the covered blocks' metadata changes and accesses.
+// wingAgg is AddrCheck's wing aggregate (the SIDE-IN fold): the union of
+// the covered blocks' metadata changes and accesses.
 type wingAgg struct {
-	changes, access *sets.IntervalSet
+	changes, access sets.IntervalSet
+}
+
+// assign makes w a copy of src, in w's own storage; w == src is a no-op.
+func (w *wingAgg) assign(src *wingAgg) {
+	if w != src {
+		w.changes.Reset()
+		w.changes.CopyFrom(&src.changes)
+		w.access.Reset()
+		w.access.CopyFrom(&src.access)
+	}
+}
+
+// add folds block summary s into w.
+func (w *wingAgg) add(s *Summary) {
+	w.changes.UnionInPlace(s.GenAny)
+	w.changes.UnionInPlace(s.KillAny)
+	w.access.UnionInPlace(s.Access)
 }
 
 var _ core.WingAggregator = (*Butterfly)(nil)
 
-// EmptyWings implements core.WingAggregator. The identity fold comes from
-// the wing pool like every other fold: the driver hands it back through
-// Recycle with the rest of the aggregate row.
-func (a *Butterfly) EmptyWings() any {
-	return getWingAgg()
-}
+// EmptyWings implements core.WingAggregator.
+func (a *Butterfly) EmptyWings() any { return new(wingAgg) }
 
-// AddWing implements core.WingAggregator. The result comes from the wing
-// pool; the driver hands dead folds back through Recycle.
-func (a *Butterfly) AddWing(agg any, s core.Summary) any {
-	w, ss := agg.(*wingAgg), sum(s)
-	out := getWingAgg()
-	out.changes.CopyFrom(w.changes)
-	out.access.CopyFrom(w.access)
-	out.changes.UnionInPlace(ss.GenAny)
-	out.changes.UnionInPlace(ss.KillAny)
-	out.access.UnionInPlace(ss.Access)
-	return out
+// AddWing implements core.WingAggregator.
+func (a *Butterfly) AddWing(dst, agg any, s core.Summary) {
+	out := dst.(*wingAgg)
+	out.assign(agg.(*wingAgg))
+	out.add(sum(s))
 }
 
 // MergeWings implements core.WingAggregator.
-func (a *Butterfly) MergeWings(x, y any) any {
-	wx, wy := x.(*wingAgg), y.(*wingAgg)
-	out := getWingAgg()
-	out.changes.CopyFrom(wx.changes)
-	out.access.CopyFrom(wx.access)
-	out.changes.UnionInPlace(wy.changes)
-	out.access.UnionInPlace(wy.access)
-	return out
+func (a *Butterfly) MergeWings(dst, x, y any) {
+	out, wy := dst.(*wingAgg), y.(*wingAgg)
+	out.assign(x.(*wingAgg))
+	out.changes.UnionInPlace(&wy.changes)
+	out.access.UnionInPlace(&wy.access)
 }
 
 // SecondPass implements core.Lifeguard: the isolation check. With s the
@@ -210,7 +252,6 @@ func (a *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 	// directly and no per-body union is materialized at all.
 	var aggs [3]*wingAgg
 	nagg, live := 0, false
-	var tmp *wingAgg
 	if ctx.WingAggs[1] != nil {
 		for _, agg := range ctx.WingAggs {
 			if agg == nil {
@@ -222,13 +263,11 @@ func (a *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 			live = live || !w.changes.Empty() || !w.access.Empty()
 		}
 	} else {
-		tmp = getWingAgg()
-		defer putWingAgg(tmp)
+		// Only a caller that does not fold wings (a reference walk) gets
+		// here: the engine always does.
+		tmp := new(wingAgg)
 		for _, ws := range wings {
-			s := sum(ws)
-			tmp.changes.UnionInPlace(s.GenAny)
-			tmp.changes.UnionInPlace(s.KillAny)
-			tmp.access.UnionInPlace(s.Access)
+			tmp.add(sum(ws))
 		}
 		aggs[0], nagg = tmp, 1
 		live = !tmp.changes.Empty() || !tmp.access.Empty()
@@ -252,7 +291,7 @@ func (a *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 		}
 		return false
 	}
-	details := lifeguard.GetDetails()
+	details := &sum(ctx.Own).scratch.details
 	for i, e := range b.Events {
 		if !a.relevant(e) {
 			continue
@@ -280,6 +319,6 @@ func (a *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 // UpdateSOS implements core.Lifeguard with the reaching-expressions epoch
 // summary (§5.2) over intervals: a byte allocated by thread t survives every
 // interleaving only if no other thread's net effect can deallocate it.
-func (a *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	return lifeguard.IntervalUpdateSOS(prev, prevEpoch, curEpoch, genKill)
+func (a *Butterfly) UpdateSOS(prev, dead core.State, prevEpoch, curEpoch []core.Summary) core.State {
+	return lifeguard.IntervalUpdateSOS(prev, dead, prevEpoch, curEpoch, genKill)
 }

@@ -2,7 +2,6 @@ package lifeguard
 
 import (
 	"strconv"
-	"sync"
 
 	"butterfly/internal/core"
 )
@@ -18,18 +17,15 @@ import (
 // (Hex is %#x, Ints is %v of an []int; a trace.Kind's %v is its String),
 // which FuzzReportDetail checks.
 //
-// A builder belongs to one pass: GetDetails takes one from a pool and
-// Finish returns it, so parallel passes share nothing.
+// A builder is scratch of one block's summary, used by that block's passes
+// in turn and emptied by Finish, so parallel passes share nothing and a
+// reused summary's builder keeps the buffers it grew. The zero value is
+// ready to use.
 type Details struct {
 	buf     []byte
 	reports []core.Report
 	ends    []int // ends[i] is the buffer offset where reports[i]'s detail stops
 }
-
-var detailsPool = sync.Pool{New: func() any { return new(Details) }}
-
-// GetDetails returns an empty builder; Finish hands it back.
-func GetDetails() *Details { return detailsPool.Get().(*Details) }
 
 // Str appends s.
 func (d *Details) Str(s string) *Details {
@@ -73,8 +69,8 @@ func (d *Details) Report(r core.Report) {
 	d.ends = append(d.ends, len(d.buf))
 }
 
-// Finish returns the pass's reports, nil when there were none, and hands
-// the builder back to the pool.
+// Finish returns the pass's reports, nil when there were none, and empties
+// the builder for the next pass.
 func (d *Details) Finish() []core.Report {
 	var out []core.Report
 	if len(d.reports) > 0 {
@@ -88,7 +84,6 @@ func (d *Details) Finish() []core.Report {
 	}
 	clear(d.reports) // drop the references the scratch holds
 	d.buf, d.reports, d.ends = d.buf[:0], d.reports[:0], d.ends[:0]
-	detailsPool.Put(d)
 	return out
 }
 

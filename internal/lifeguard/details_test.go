@@ -66,7 +66,7 @@ func FuzzReportDetail(f *testing.F) {
 	f.Fuzz(func(t *testing.T, k uint8, lo, hi uint64, n uint8, t0, t1, t2, t3, t4 int) {
 		threads := []int{t0, t1, t2, t3, t4}[:n%6]
 		cases := detailCases(trace.Kind(k), lo, hi, threads)
-		d := GetDetails()
+		d := new(Details)
 		for i, c := range cases {
 			c.build(d)
 			d.Report(core.Report{Ref: trace.Ref{Index: i}})
@@ -76,14 +76,13 @@ func FuzzReportDetail(f *testing.F) {
 			t.Fatalf("%d reports for %d cases", len(reports), len(cases))
 		}
 
-		// Scribble over a builder (likely the same one, back from the
-		// pool): finished reports must not alias its buffers.
-		junk := GetDetails()
+		// Scribble over the builder, as the summary's next pass does:
+		// finished reports must not alias its buffers.
 		for range cases {
-			junk.Str("scribble scribble scribble scribble")
-			junk.Report(core.Report{Code: "junk"})
+			d.Str("scribble scribble scribble scribble")
+			d.Report(core.Report{Code: "junk"})
 		}
-		junk.Finish()
+		d.Finish()
 
 		for i, c := range cases {
 			if got := reports[i].Detail; got != c.want {
@@ -105,7 +104,7 @@ func FuzzReportDetail(f *testing.F) {
 }
 
 func TestDetailsFinishWithoutReports(t *testing.T) {
-	d := GetDetails()
+	d := new(Details)
 	if reports := d.Finish(); reports != nil {
 		t.Fatalf("a pass without reports returned %v, want nil", reports)
 	}
@@ -116,9 +115,8 @@ func TestDetailsFinishAllocatesTwicePerBlock(t *testing.T) {
 		t.Skip("race detector instruments allocations; counts are not meaningful")
 	}
 	const n = 64
-	GetDetails().Finish() // warm the pool
+	d := new(Details) // one summary's builder, reused pass after pass
 	allocs := testing.AllocsPerRun(100, func() {
-		d := GetDetails()
 		for i := uint64(0); i < n; i++ {
 			d.Str(trace.Read.String()).Str(" of ").Range(i<<12, i<<12+8).Str(" not within allocated memory")
 			d.Report(core.Report{Ref: trace.Ref{Index: int(i)}})

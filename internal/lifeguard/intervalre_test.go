@@ -10,11 +10,21 @@ import (
 	"butterfly/internal/trace"
 )
 
-type ivSum struct{ gen, kill *sets.IntervalSet }
+// ivSum is a test summary. Its scratch sits behind a pointer that
+// cloneIvRow shares, so comparing a row with its clone checks GEN and KILL
+// only: the kernels write the scratch of the summaries they are given.
+type ivSum struct {
+	gen, kill *sets.IntervalSet
+	sc        *IntervalScratch
+}
 
-func ivGenKill(s core.Summary) (gen, kill *sets.IntervalSet) {
+func newIvSum(gen, kill *sets.IntervalSet) *ivSum {
+	return &ivSum{gen: gen, kill: kill, sc: new(IntervalScratch)}
+}
+
+func ivGenKill(s core.Summary) (gen, kill *sets.IntervalSet, scratch *IntervalScratch) {
 	ss := s.(*ivSum)
-	return ss.gen, ss.kill
+	return ss.gen, ss.kill, ss.sc
 }
 
 // randIvSet draws a set over the bytes [0, span).
@@ -34,7 +44,7 @@ func randIvRow(rng *rand.Rand, T, span int, holes bool) []core.Summary {
 		if holes && rng.Intn(4) == 0 {
 			continue
 		}
-		row[t] = &ivSum{gen: randIvSet(rng, span), kill: randIvSet(rng, span)}
+		row[t] = newIvSum(randIvSet(rng, span), randIvSet(rng, span))
 	}
 	return row
 }
@@ -47,7 +57,7 @@ func cloneIvRow(row []core.Summary) []core.Summary {
 	for t, s := range row {
 		if s != nil {
 			ss := s.(*ivSum)
-			out[t] = &ivSum{gen: ss.gen.Clone(), kill: ss.kill.Clone()}
+			out[t] = &ivSum{gen: ss.gen.Clone(), kill: ss.kill.Clone(), sc: ss.sc}
 		}
 	}
 	return out
@@ -61,13 +71,13 @@ func naiveLSOS(t trace.ThreadID, ctx core.PassContext, gk GenKill) *sets.Interva
 	if ctx.Head == nil {
 		return out
 	}
-	headGen, headKill := gk(ctx.Head)
+	headGen, headKill, _ := gk(ctx.Head)
 	fromHead := headGen.Clone()
 	for tt, s2 := range ctx.Epoch2Back {
 		if trace.ThreadID(tt) == t || s2 == nil {
 			continue
 		}
-		_, kill := gk(s2)
+		_, kill, _ := gk(s2)
 		fromHead.SubtractInPlace(kill)
 	}
 	out.SubtractInPlace(headKill)
@@ -80,17 +90,17 @@ func naiveLSOS(t trace.ThreadID, ctx core.PassContext, gk GenKill) *sets.Interva
 func naiveUpdateSOS(prev *sets.IntervalSet, prevEpoch, curEpoch []core.Summary, gk GenKill) *sets.IntervalSet {
 	kill, gen := sets.NewIntervalSet(), sets.NewIntervalSet()
 	for t, s := range curEpoch {
-		gt, kt := gk(s)
+		gt, kt, _ := gk(s)
 		kill.UnionInPlace(kt)
 		g := gt.Clone()
 		for tt, s2 := range curEpoch {
 			if tt == t {
 				continue
 			}
-			curGen, curKill := gk(s2)
+			curGen, curKill, _ := gk(s2)
 			killedSpan, gennedSpan := curKill.Clone(), curGen.Clone()
 			if prevEpoch != nil && prevEpoch[tt] != nil {
-				prevGen, prevKill := gk(prevEpoch[tt])
+				prevGen, prevKill, _ := gk(prevEpoch[tt])
 				killedSpan.UnionInPlace(prevKill)
 				gennedSpan.UnionInPlace(prevGen.Subtract(curKill))
 			}
@@ -122,8 +132,11 @@ func viewEquals(o *sets.Overlay, want *sets.IntervalSet) bool {
 
 // TestIntervalKernelMatchesByteModel checks both kernels against the §5.2
 // equations evaluated one byte at a time, and that no input is modified.
+// The LSOS view lives in one summary reused seed after seed, as the engine
+// reuses a thread's summaries.
 func TestIntervalKernelMatchesByteModel(t *testing.T) {
 	const span = 64
+	own := newIvSum(nil, nil)
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		T := []int{3, 1, 2, 4, 8}[seed%5]
@@ -136,15 +149,15 @@ func TestIntervalKernelMatchesByteModel(t *testing.T) {
 		}
 		var head core.Summary
 		if seed%3 != 0 {
-			head = &ivSum{gen: randIvSet(rng, span), kill: randIvSet(rng, span)}
+			head = newIvSum(randIvSet(rng, span), randIvSet(rng, span))
 		}
 		me := trace.ThreadID(rng.Intn(T))
 		sos0, back20, prev0, cur0 := sos.Clone(), cloneIvRow(back2), cloneIvRow(prevEpoch), cloneIvRow(curEpoch)
 		head0 := cloneIvRow([]core.Summary{head})[0]
 
 		ctx := core.PassContext{SOS: sos, Head: head, Epoch2Back: back2}
-		lsos := IntervalLSOS(me, ctx, ivGenKill)
-		next := IntervalUpdateSOS(sos, prevEpoch, curEpoch, ivGenKill).(*sets.IntervalSet)
+		lsos := IntervalLSOS(me, ctx, own, ivGenKill)
+		next := IntervalUpdateSOS(sos, nil, prevEpoch, curEpoch, ivGenKill).(*sets.IntervalSet)
 
 		if !reflect.DeepEqual(sos, sos0) || !reflect.DeepEqual(head, head0) || !reflect.DeepEqual(back2, back20) ||
 			!reflect.DeepEqual(prevEpoch, prev0) || !reflect.DeepEqual(curEpoch, cur0) {
@@ -155,7 +168,7 @@ func TestIntervalKernelMatchesByteModel(t *testing.T) {
 		for x := uint64(0); x < span; x++ {
 			in := sos.Contains(x)
 			if head != nil {
-				hg, hk := ivGenKill(head)
+				hg, hk, _ := ivGenKill(head)
 				fromHead := hg.Contains(x)
 				for tt, s2 := range back2 {
 					if trace.ThreadID(tt) != me && s2 != nil && s2.(*ivSum).kill.Contains(x) {
@@ -203,7 +216,6 @@ func TestIntervalKernelMatchesByteModel(t *testing.T) {
 		if !reflect.DeepEqual(next, wantN) {
 			t.Fatalf("seed %d (T = %d): IntervalUpdateSOS = %v, byte model %v", seed, T, next, wantN)
 		}
-		sets.PutOverlay(lsos)
 	}
 }
 
@@ -221,12 +233,16 @@ func fragmentedIvSet(rng *rand.Rand, n int, keep float64) *sets.IntervalSet {
 }
 
 // TestIntervalKernelsMatchNaive checks the production kernels against the
-// naive transcriptions on heap-backed sets of hundreds of intervals, over
-// pools dirtied by earlier rounds: the SOS update must be reflect.DeepEqual
-// (canonical form included), the view must cover the same bytes, before and
-// after a block's worth of mutations.
+// naive transcriptions on heap-backed sets of hundreds of intervals: the SOS
+// update into fresh storage must be reflect.DeepEqual (canonical form
+// included), the update into the generation the previous round returned
+// must hold the same bytes, and the view — in a summary reused round after
+// round — must cover the same bytes, before and after a block's worth of
+// mutations.
 func TestIntervalKernelsMatchNaive(t *testing.T) {
 	const slots = 600
+	own := newIvSum(nil, nil)
+	var dead core.State
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		T := []int{4, 1, 2, 8}[seed%4]
@@ -236,7 +252,7 @@ func TestIntervalKernelsMatchNaive(t *testing.T) {
 				if holes && rng.Intn(4) == 0 {
 					continue
 				}
-				out[t] = &ivSum{gen: fragmentedIvSet(rng, slots, keep), kill: fragmentedIvSet(rng, slots, keep)}
+				out[t] = newIvSum(fragmentedIvSet(rng, slots, keep), fragmentedIvSet(rng, slots, keep))
 			}
 			return out
 		}
@@ -249,12 +265,17 @@ func TestIntervalKernelsMatchNaive(t *testing.T) {
 		ctx := core.PassContext{SOS: sos, Head: row(0.1, false)[0], Epoch2Back: back2}
 		me := trace.ThreadID(rng.Intn(T))
 
-		got := IntervalUpdateSOS(sos, prevEpoch, curEpoch, ivGenKill)
-		if want := naiveUpdateSOS(sos, prevEpoch, curEpoch, ivGenKill); !reflect.DeepEqual(got, core.State(want)) {
+		got := IntervalUpdateSOS(sos, nil, prevEpoch, curEpoch, ivGenKill)
+		naive := naiveUpdateSOS(sos, prevEpoch, curEpoch, ivGenKill)
+		if !reflect.DeepEqual(got, core.State(naive)) {
 			t.Fatalf("seed %d (T = %d): IntervalUpdateSOS differs from the naive update", seed, T)
 		}
+		dead = IntervalUpdateSOS(sos, dead, prevEpoch, curEpoch, ivGenKill)
+		if !dead.(*sets.IntervalSet).Equal(naive) {
+			t.Fatalf("seed %d (T = %d): IntervalUpdateSOS into a dead generation differs from the naive update", seed, T)
+		}
 
-		lsos, want := IntervalLSOS(me, ctx, ivGenKill), naiveLSOS(me, ctx, ivGenKill)
+		lsos, want := IntervalLSOS(me, ctx, own, ivGenKill), naiveLSOS(me, ctx, ivGenKill)
 		if !viewEquals(lsos, want) {
 			t.Fatalf("seed %d: IntervalLSOS differs from the naive LSOS", seed)
 		}
@@ -272,31 +293,36 @@ func TestIntervalKernelsMatchNaive(t *testing.T) {
 		if !viewEquals(lsos, want) {
 			t.Fatalf("seed %d: the view drifted from the naive LSOS under mutation", seed)
 		}
-		sets.PutOverlay(lsos)
 		if !reflect.DeepEqual(sos, sos0) {
 			t.Fatalf("seed %d: the SOS generation was written", seed)
 		}
-		sets.PutSet(got.(*sets.IntervalSet)) // dirty the pools for the next round
 	}
 }
 
 // TestIntervalKernelEmptyInputs pins the canonical empty form: differential
-// suites compare states with reflect.DeepEqual, so an empty result must be
-// indistinguishable from a fresh set however the pooled scratch was used.
+// suites compare states with reflect.DeepEqual, so an empty result in fresh
+// storage must be indistinguishable from a fresh set however the summaries'
+// scratch was used before.
 func TestIntervalKernelEmptyInputs(t *testing.T) {
-	empty := func() *ivSum { return &ivSum{gen: sets.NewIntervalSet(), kill: sets.NewIntervalSet()} }
-	// Dirty the pool first so reuse, not construction, is what is tested.
-	for i := 0; i < 8; i++ {
-		s := sets.GetSet()
-		s.AddRange(uint64(i), uint64(i)+100)
-		sets.PutSet(s)
+	// Every summary's scratch first works through an update over large
+	// sets, twice, so what is tested is scratch left kept and dirty.
+	empty := func() *ivSum {
+		rng := rand.New(rand.NewSource(1))
+		s := newIvSum(fragmentedIvSet(rng, 64, 0.5), fragmentedIvSet(rng, 64, 0.5))
+		other := newIvSum(fragmentedIvSet(rng, 64, 0.5), fragmentedIvSet(rng, 64, 0.5))
+		for i := 0; i < 2; i++ {
+			row := []core.Summary{s, other}
+			IntervalUpdateSOS(fragmentedIvSet(rng, 64, 0.5), nil, row, row, ivGenKill)
+		}
+		s.gen, s.kill = sets.NewIntervalSet(), sets.NewIntervalSet()
+		return s
 	}
 	want := sets.NewIntervalSet()
 	for name, ctx := range map[string]core.PassContext{
 		"no head":    {SOS: sets.NewIntervalSet()},
 		"empty head": {SOS: sets.NewIntervalSet(), Head: empty(), Epoch2Back: []core.Summary{empty(), nil}},
 	} {
-		if got := IntervalLSOS(0, ctx, ivGenKill); !viewEquals(got, want) {
+		if got := IntervalLSOS(0, ctx, empty(), ivGenKill); !viewEquals(got, want) {
 			t.Errorf("IntervalLSOS(%s) is not empty", name)
 		}
 	}
@@ -304,15 +330,15 @@ func TestIntervalKernelEmptyInputs(t *testing.T) {
 		"first epoch": nil,
 		"empty rows":  {empty(), empty()},
 	} {
-		got := IntervalUpdateSOS(sets.NewIntervalSet(), prev, []core.Summary{empty(), empty()}, ivGenKill)
+		got := IntervalUpdateSOS(sets.NewIntervalSet(), nil, prev, []core.Summary{empty(), empty()}, ivGenKill)
 		if !reflect.DeepEqual(got, core.State(want)) {
 			t.Errorf("IntervalUpdateSOS(%s) = %#v, want canonical empty", name, got)
 		}
 	}
 	// A full SOS killed entirely also ends canonical-empty.
 	full := sets.NewIntervalSet(sets.Interval{Lo: 0, Hi: 1 << 20})
-	killAll := &ivSum{gen: sets.NewIntervalSet(), kill: full.Clone()}
-	if got := IntervalUpdateSOS(full, nil, []core.Summary{killAll}, ivGenKill); !reflect.DeepEqual(got, core.State(want)) {
+	killAll := newIvSum(sets.NewIntervalSet(), full.Clone())
+	if got := IntervalUpdateSOS(full, nil, nil, []core.Summary{killAll}, ivGenKill); !reflect.DeepEqual(got, core.State(want)) {
 		t.Errorf("IntervalUpdateSOS(kill everything) = %#v, want canonical empty", got)
 	}
 }

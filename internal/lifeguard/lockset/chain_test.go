@@ -23,7 +23,7 @@ func chainRow(rng *rand.Rand) (row, ref []core.Summary, touched int) {
 	threads := []trace.ThreadID{0, 1, 5, 63, 64, 70}
 	seen := map[uint64]bool{}
 	for _, i := range rng.Perm(len(threads))[:1+rng.Intn(4)] {
-		s := getSummary()
+		s := summaryFor(core.PassContext{})
 		s.thread = threads[i]
 		rs := &refSummary{thread: s.thread, perLoc: map[uint64]*refLocInfo{}}
 		for n := rng.Intn(25); n > 0; n-- {
@@ -58,13 +58,14 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestVersionChainMatchesFlatModel feeds random epochs through UpdateSOS and
-// Recycle in the engine's order — SOS_{k+1} is the update of SOS_k, then
-// SOS_{k−1} and the epoch's summaries die — and checks, after every step,
-// that the newest generation and its predecessor, read through the chain,
-// hold what the map reference's flat copies hold, with matching StateSize.
-// A recycled generation must refuse to be read, and a superseded one to be
-// updated.
+// TestVersionChainMatchesFlatModel feeds random epochs through UpdateSOS in
+// the engine's order — SOS_{k+1} is the update of SOS_k, built in the shell
+// of SOS_{k−1}, and then the epoch's summaries are reused — and checks, after
+// every step, that the newest generation and its predecessor, read through
+// the chain, hold what the map reference's flat copies hold, with matching
+// StateSize. A superseded generation must refuse to be updated, and in race
+// builds, where a generation handed back is poisoned rather than reused, to
+// be read.
 func TestVersionChainMatchesFlatModel(t *testing.T) {
 	lg, ref := New(), refLockset{}
 	partial, full := 0, 0 // updates that wrote fewer / all of the locations they saw
@@ -72,24 +73,27 @@ func TestVersionChainMatchesFlatModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		prev, cur := lg.BottomState(), lg.BottomState()
 		refPrev, refCur := ref.BottomState(), ref.BottomState()
-		var dead *state // the generation recycled one step earlier
+		var dead *state // the generation handed back one step earlier
 		for k := 0; k < 30; k++ {
 			row, refRow, touched := chainRow(rng)
-			next := lg.UpdateSOS(cur, nil, row)
-			refNext := ref.UpdateSOS(refCur, nil, refRow)
+			next := lg.UpdateSOS(cur, prev, nil, row)
+			refNext := ref.UpdateSOS(refCur, nil, nil, refRow)
 			if written := len(cur.(*state).undo); written < touched {
 				partial++
 			} else {
 				full++
 			}
-			mustPanic(t, "UpdateSOS of a superseded generation", func() { lg.UpdateSOS(cur, nil, nil) })
-			lg.Recycle(prev)
-			mustPanic(t, "a read of a just recycled generation", func() { prev.(*state).lookup(0x1000) })
-			if dead != nil && sets.RaceEnabled {
-				mustPanic(t, "a read of a generation recycled a step ago", func() { dead.lookup(0x1000) })
+			mustPanic(t, "UpdateSOS of a superseded generation", func() { lg.UpdateSOS(cur, nil, nil, nil) })
+			if sets.RaceEnabled {
+				mustPanic(t, "a read of a generation just handed back", func() { prev.(*state).lookup(0x1000) })
+				if dead != nil {
+					mustPanic(t, "a read of a generation handed back a step ago", func() { dead.lookup(0x1000) })
+				}
+			} else if next != prev {
+				t.Fatalf("seed %d epoch %d: the update did not reuse the dead generation's shell", seed, k)
 			}
 			for _, s := range row {
-				lg.Recycle(s) // poisons the arenas in race builds: the SOS must own its locksets
+				summaryFor(core.PassContext{Reuse: s}) // poisons the arenas in race builds: the SOS must own its locksets
 			}
 			dead = prev.(*state)
 			prev, cur = cur, next
@@ -108,8 +112,6 @@ func TestVersionChainMatchesFlatModel(t *testing.T) {
 				}
 			}
 		}
-		lg.Recycle(prev)
-		lg.Recycle(cur)
 	}
 	if partial == 0 || full == 0 {
 		t.Fatalf("%d updates wrote only part of what they saw and %d all of it: want both kinds", partial, full)
@@ -133,7 +135,7 @@ func TestLocksetSOSUpdateIndependentOfStateSize(t *testing.T) {
 	lg := New()
 	// summary has thread th access locations 0..n−1 holding locks.
 	summary := func(th trace.ThreadID, n int, locks ...uint64) *Summary {
-		s := getSummary()
+		s := summaryFor(core.PassContext{})
 		s.thread = th
 		ls := s.keep(locks)
 		for a := 0; a < n; a++ {
@@ -146,8 +148,7 @@ func TestLocksetSOSUpdateIndependentOfStateSize(t *testing.T) {
 		best := time.Duration(1 << 62)
 		for rep := 0; rep < 20; rep++ {
 			base := summary(0, locs, 0x10, 0x20)
-			sos := lg.UpdateSOS(lg.BottomState(), nil, []core.Summary{base})
-			lg.Recycle(base)
+			sos := lg.UpdateSOS(lg.BottomState(), nil, nil, []core.Summary{base})
 			runtime.GC()
 			var eff []uint64
 			for a := uint64(0); a < changed; a++ {
@@ -155,7 +156,7 @@ func TestLocksetSOSUpdateIndependentOfStateSize(t *testing.T) {
 				eff = sets.MeetInto(append(eff[:0], 0x10, 0x20), c.ls)
 			}
 			start := time.Now()
-			next := lg.UpdateSOS(sos, nil, epoch)
+			next := lg.UpdateSOS(sos, nil, nil, epoch)
 			best = min(best, time.Since(start))
 			if got := lg.StateSize(next); got != locs {
 				t.Fatalf("the epoch changed the SOS size: %d locations, want %d", got, locs)

@@ -27,13 +27,14 @@
 // a function of the input alone and serial and parallel runs agree under
 // reflect.DeepEqual.
 //
-// The arena rule. A block summary owns a pooled arena, and every lockset the
+// The arena rule. A block summary owns an arena, and every lockset the
 // summary holds is a capacity-clipped window of it: the held-set snapshot
 // taken at each Lock/Unlock, and each per-location meet whose result differs
-// from both inputs. The arena is reused once the summary is recycled, so
-// nothing outside a summary keeps a slice of its arena: UpdateSOS copies
-// every lockset it adopts into memory the SOS owns, and SecondPass meets into
-// stack scratch. SOS locksets are never written after they are made.
+// from both inputs. The arena is refilled when the engine hands the summary
+// back for reuse, so nothing outside a summary keeps a slice of its arena:
+// UpdateSOS copies every lockset it adopts into memory the SOS owns, and
+// SecondPass meets into stack scratch. SOS locksets are never written after
+// they are made.
 //
 // The version chain. SOS generations form a chain in which only the newest
 // holds the session's one candidate map (Baker's rerooting, as in
@@ -88,9 +89,52 @@ type Summary struct {
 	entryHeld, exitHeld []uint64
 	// perLoc summarizes accesses by location.
 	perLoc map[uint64]locInfo
-	// arena backs every lockset above; it is never nil, so a fresh and a
-	// recycled summary compare equal under reflect.DeepEqual.
+	// arena backs every lockset above.
 	arena []uint64
+	// details is the report builder of the block's thread. A thread runs
+	// one pass at a time, so all its summaries share one: a new summary
+	// takes its head's.
+	details *lifeguard.Details
+}
+
+// poisonLock fills a reclaimed arena in race builds, following the sets
+// package's poisonAddr: a live aliased reader of a reused arena sees this
+// implausible lock instead of silently stale locksets.
+const poisonLock = 0xdead_dead_dead_dead
+
+// reclaimArena empties an arena for its summary's next block. In race
+// builds it is poisoned instead and not reused, so a stale reader of one of
+// its locksets meets poisonLock rather than the next block's.
+func reclaimArena(arena []uint64) []uint64 {
+	if !sets.RaceEnabled {
+		return arena[:0]
+	}
+	arena = arena[:cap(arena)]
+	for i := range arena {
+		arena[i] = poisonLock
+	}
+	return nil
+}
+
+// summaryFor returns the summary a first pass fills: ctx.Reuse emptied,
+// its location map and arena kept, or a new summary when there is none to
+// reuse.
+func summaryFor(ctx core.PassContext) *Summary {
+	s, _ := ctx.Reuse.(*Summary)
+	if s == nil {
+		s = &Summary{perLoc: map[uint64]locInfo{}}
+		if head, _ := ctx.Head.(*Summary); head != nil {
+			s.details = head.details
+		}
+		if s.details == nil {
+			s.details = new(lifeguard.Details)
+		}
+		return s
+	}
+	s.entryHeld, s.exitHeld = nil, nil
+	clear(s.perLoc)
+	s.arena = reclaimArena(s.arena)
+	return s
 }
 
 // keep copies v into the arena and returns the copy.
@@ -207,7 +251,7 @@ func (s *state) lookup(a uint64) (cand, bool) {
 	g := s
 	for g.live == nil {
 		if g.next == nil {
-			panic("lockset: read of a recycled SOS generation")
+			panic("lockset: read of a reused SOS generation")
 		}
 		if p, ok := g.undo[a]; ok {
 			return p.c, p.ok
@@ -218,11 +262,34 @@ func (s *state) lookup(a uint64) (cand, bool) {
 	return c, ok
 }
 
+// poisonedGen is what a generation handed back points at in race builds,
+// where its shell is not reused: a stale lookup reaches it and panics
+// instead of reading its successor's candidates.
+var poisonedGen state
+
+// shellFor returns the shell of the generation UpdateSOS builds: dead's,
+// emptied, or a new one. Only the shell is reused: dead's undo map goes to
+// the garbage collector, because clearing a Go map costs its capacity, so a
+// reused undo map that once held a large epoch would tax every later
+// update; the live map is never dead's (it has passed on to prev); and the
+// candidates' locksets are shared with later generations. In race builds
+// dead is poisoned instead and not reused.
+func shellFor(dead core.State) *state {
+	s, _ := dead.(*state)
+	switch {
+	case s == nil:
+		return new(state)
+	case sets.RaceEnabled:
+		*s = state{next: &poisonedGen}
+		return new(state)
+	}
+	*s = state{}
+	return s
+}
+
 // BottomState implements core.Lifeguard.
 func (l *Butterfly) BottomState() core.State {
-	s := getState()
-	s.live = map[uint64]cand{}
-	return s
+	return &state{live: map[uint64]cand{}}
 }
 
 // StateSize implements core.StateSizer: the number of locations with a
@@ -232,7 +299,7 @@ func (l *Butterfly) StateSize(s core.State) int { return s.(*state).size }
 // FirstPass implements core.Lifeguard: thread the held-lock set through the
 // block and summarize per-location lock disciplines.
 func (l *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
-	s := getSummary()
+	s := summaryFor(ctx)
 	s.thread = b.Thread
 	if head, _ := ctx.Head.(*Summary); head != nil {
 		s.entryHeld = s.keep(head.exitHeld)
@@ -276,7 +343,7 @@ func (l *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 	own := ctx.Own.(*Summary)
 	var heldBuf, effBuf [8]uint64
 	held := append(heldBuf[:0], own.entryHeld...)
-	details := lifeguard.GetDetails()
+	details := own.details
 	var threadBuf [8]int        // scratch for a report's thread list
 	var flagged map[uint64]bool // one report per location per block
 	for i, e := range b.Events {
@@ -357,13 +424,14 @@ func threadsAt(ids []int, a uint64, self trace.ThreadID, sos threadSet, wings []
 // the candidates that change — a new location, a shrunk lockset, a new
 // thread or a first write — saving each overwritten value in prev's undo
 // record; a lockset is copied out of a summary's arena only when its
-// candidate is new or shrinks. prev must be the newest generation.
-func (l *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
+// candidate is new or shrinks. prev must be the newest generation; the new
+// one reuses dead's shell.
+func (l *Butterfly) UpdateSOS(prev, dead core.State, prevEpoch, curEpoch []core.Summary) core.State {
 	old := prev.(*state)
 	if old.live == nil {
 		panic("lockset: UpdateSOS of a superseded SOS generation")
 	}
-	next := getState()
+	next := shellFor(dead)
 	next.live, next.size = old.live, old.size
 	old.live, old.next = nil, next
 	live := next.live

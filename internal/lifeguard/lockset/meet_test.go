@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"butterfly/internal/core"
 	"butterfly/internal/sets"
 )
 
@@ -25,8 +26,7 @@ func checkMeet(t *testing.T, a, b []uint64) {
 	t.Helper()
 	a0, b0 := slices.Clone(a), slices.Clone(b)
 	meet := vecOf(sets.NewSet(a...).Intersect(sets.NewSet(b...)))
-	s := getSummary()
-	defer putSummary(s)
+	s := summaryFor(core.PassContext{})
 	ka, kb := s.keep(a), s.keep(b)
 	got := s.meet(ka, kb)
 	if !slices.Equal(got, meet) || (got == nil) != (len(meet) == 0) {

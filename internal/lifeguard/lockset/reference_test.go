@@ -179,7 +179,7 @@ func (refLockset) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.
 	return reports
 }
 
-func (refLockset) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
+func (refLockset) UpdateSOS(prev, _ core.State, prevEpoch, curEpoch []core.Summary) core.State {
 	next := &refState{perLoc: map[uint64]*refCand{}}
 	for a, c := range prev.(*refState).perLoc {
 		nc := &refCand{c: c.c.Clone(), write: c.write, threads: map[trace.ThreadID]struct{}{}}
@@ -237,7 +237,7 @@ func dumpSOS(s core.State) []string {
 // for: the keys of the undo records on its way to the newest generation and
 // of the live map.
 func genLocations(s *state) []uint64 {
-	s.lookup(0) // a recycled generation panics here, not in the walk below
+	s.lookup(0) // a generation handed back panics here, not in the walk below
 	seen := map[uint64]bool{}
 	g := s
 	for ; g.live == nil; g = g.next {

@@ -59,6 +59,47 @@ type Summary struct {
 	KillAny *sets.IntervalSet
 	// Reads is every byte the block reads (for the isolation check).
 	Reads *sets.IntervalSet
+
+	// scratch is the pass scratch of the block's thread, which no other
+	// thread reads.
+	scratch *passScratch
+}
+
+// passScratch is what a thread's passes work in: the LSOS view and the SOS
+// update's sets, the report builder, and the union of the wings' kills the
+// second pass builds. A thread runs one pass at a time, so all its
+// summaries share one: a new summary takes its head's.
+type passScratch struct {
+	sets      lifeguard.IntervalScratch
+	details   lifeguard.Details
+	wingKills sets.IntervalSet
+}
+
+// summaryFor returns the summary a first pass fills: ctx.Reuse emptied,
+// its storage kept, or a new summary when there is none to reuse.
+func summaryFor(ctx core.PassContext) *Summary {
+	s, _ := ctx.Reuse.(*Summary)
+	if s == nil {
+		var sc *passScratch
+		if head := sum(ctx.Head); head != nil {
+			sc = head.scratch
+		}
+		if sc == nil {
+			sc = new(passScratch)
+		}
+		return &Summary{
+			Gen:     new(sets.IntervalSet),
+			Kill:    new(sets.IntervalSet),
+			KillAny: new(sets.IntervalSet),
+			Reads:   new(sets.IntervalSet),
+			scratch: sc,
+		}
+	}
+	s.Gen.Reset()
+	s.Kill.Reset()
+	s.KillAny.Reset()
+	s.Reads.Reset()
+	return s
 }
 
 // New returns a MemCheck ignoring addresses below filterBelow.
@@ -90,27 +131,23 @@ func sum(s core.Summary) *Summary {
 }
 
 // genKill is MemCheck's lifeguard.GenKill accessor.
-func genKill(s core.Summary) (gen, kill *sets.IntervalSet) {
+func genKill(s core.Summary) (gen, kill *sets.IntervalSet, scratch *lifeguard.IntervalScratch) {
 	ss := s.(*Summary)
-	return ss.Gen, ss.Kill
-}
-
-// lsos opens the defined-bytes LSOS (the §5.2 reaching-expressions form) as
-// a view over the SOS: head definitions survive unless another thread
-// undefined those bytes in epoch l−2; SOS bytes survive unless the head
-// undefined them. The view is pooled; callers release it with
-// sets.PutOverlay.
-func (m *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) *sets.Overlay {
-	return lifeguard.IntervalLSOS(t, ctx, genKill)
+	if ss.scratch != nil { // nil in a summary no first pass built
+		scratch = &ss.scratch.sets
+	}
+	return ss.Gen, ss.Kill, scratch
 }
 
 // FirstPass implements core.Lifeguard: build the summary and run the
-// per-instruction definedness checks against the LSOS.
+// per-instruction definedness checks against the defined-bytes LSOS (the
+// §5.2 reaching-expressions form), a view over the SOS: head definitions
+// survive unless another thread undefined those bytes in epoch l−2, SOS
+// bytes unless the head undefined them.
 func (m *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
-	s := getSummary()
-	lsos := m.lsos(b.Thread, ctx)
-	defer sets.PutOverlay(lsos)
-	details := lifeguard.GetDetails()
+	s := summaryFor(ctx)
+	lsos := lifeguard.IntervalLSOS(b.Thread, ctx, s, genKill)
+	details := &s.scratch.details
 	for i, e := range b.Events {
 		if !m.relevant(e) {
 			continue
@@ -142,15 +179,16 @@ func (m *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 // at worst early — like the paper's "tainted early" argument, harmless to
 // soundness.)
 func (m *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.Summary) []core.Report {
-	wingKills := sets.GetSet()
-	defer sets.PutSet(wingKills)
+	sc := sum(ctx.Own).scratch
+	wingKills := &sc.wingKills
+	wingKills.Reset()
 	for _, w := range wings {
 		wingKills.UnionInPlace(sum(w).KillAny)
 	}
 	if wingKills.Empty() {
 		return nil
 	}
-	details := lifeguard.GetDetails()
+	details := &sc.details
 	for i, e := range b.Events {
 		if e.Kind != trace.Read || !m.relevant(e) {
 			continue
@@ -165,6 +203,6 @@ func (m *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 
 // UpdateSOS implements core.Lifeguard with the §5.2 epoch summary over
 // intervals (identical shape to AddrCheck's, with definedness facts).
-func (m *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	return lifeguard.IntervalUpdateSOS(prev, prevEpoch, curEpoch, genKill)
+func (m *Butterfly) UpdateSOS(prev, dead core.State, prevEpoch, curEpoch []core.Summary) core.State {
+	return lifeguard.IntervalUpdateSOS(prev, dead, prevEpoch, curEpoch, genKill)
 }

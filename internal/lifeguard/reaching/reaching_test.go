@@ -14,8 +14,9 @@ import (
 // recorder wraps an analysis and keeps every value the engine asks it for:
 // sums[l][t] is block (l, t)'s first-pass summary and sos[l] is SOSₗ (the
 // engine asks for SOS₀ and SOS₁ as bottom states, then one UpdateSOS per
-// later generation). The analyses here implement no core.Recycler, so the
-// recorded values stay intact. Recording is not locked: run it serially.
+// later generation). It keeps the values, so it passes no dead generation
+// on, and the analyses here reuse no summary, so the recorded values stay
+// intact. Recording is not locked: run it serially.
 type recorder struct {
 	core.Lifeguard
 	sums [][]core.Summary
@@ -40,8 +41,8 @@ func (r *recorder) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary
 	return s, reps
 }
 
-func (r *recorder) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	s := r.Lifeguard.UpdateSOS(prev, prevEpoch, curEpoch)
+func (r *recorder) UpdateSOS(prev, _ core.State, prevEpoch, curEpoch []core.Summary) core.State {
+	s := r.Lifeguard.UpdateSOS(prev, nil, prevEpoch, curEpoch)
 	r.sos = append(r.sos, s)
 	return s
 }

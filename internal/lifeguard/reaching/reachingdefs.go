@@ -201,7 +201,7 @@ func (rd *ReachingDefs) Recording(l int, t trace.ThreadID) *RDRecord {
 // NOT-GEN is evaluated as a predicate (it is co-finite). The inner
 // combination is per-thread (kill ∪ not-gen), required of *every* other
 // thread, matching the prose of §5.1.1 and the Lemma 5.1 proof.
-func (rd *ReachingDefs) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
+func (rd *ReachingDefs) UpdateSOS(prev, _ core.State, prevEpoch, curEpoch []core.Summary) core.State {
 	sos := prev.(sets.Set)
 	genL := sets.NewSet()
 	for _, s := range curEpoch {

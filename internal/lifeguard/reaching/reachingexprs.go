@@ -154,7 +154,7 @@ func (re *ReachingExprs) Recording(l int, t trace.ThreadID) *RERecord {
 //
 // with GEN_{(l−1,l),t} = (GEN_{l−1,t} − KILL_{l,t}) ∪ GEN_{l,t}. The roles of
 // GEN and KILL are exactly reversed from reaching definitions.
-func (re *ReachingExprs) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
+func (re *ReachingExprs) UpdateSOS(prev, _ core.State, prevEpoch, curEpoch []core.Summary) core.State {
 	sos := prev.(sets.Set)
 	gen, kill := re.EpochGenKill(prevEpoch, curEpoch)
 	return gen.Union(sos.Difference(kill))

@@ -168,7 +168,7 @@ func (tc *refTaint) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 	return reports
 }
 
-func (tc *refTaint) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
+func (tc *refTaint) UpdateSOS(prev, _ core.State, prevEpoch, curEpoch []core.Summary) core.State {
 	sos := prev.(sets.Set)
 	gen, kill := sets.NewSet(), sets.NewSet()
 	T := len(curEpoch)
@@ -344,24 +344,17 @@ func (r *refResolver) evalTfn(f *refTfn, bnds refBounds, path map[trace.Ref]bool
 }
 
 // recorder wraps a lifeguard and keeps a sorted copy of every SOS
-// generation its UpdateSOS returns, taken before the driver can recycle it.
+// generation its UpdateSOS returns. It keeps copies, not the generations,
+// so it passes the dead ones on and the vector body's reuse stays live.
 type recorder struct {
 	core.Lifeguard
 	gens [][]uint64
 }
 
-func (r *recorder) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	next := r.Lifeguard.UpdateSOS(prev, prevEpoch, curEpoch)
+func (r *recorder) UpdateSOS(prev, dead core.State, prevEpoch, curEpoch []core.Summary) core.State {
+	next := r.Lifeguard.UpdateSOS(prev, dead, prevEpoch, curEpoch)
 	r.gens = append(r.gens, sosElems(next))
 	return next
-}
-
-// Recycle forwards to the wrapped lifeguard when it pools (the vector body
-// does, the reference does not), so the driver's recycling stays live.
-func (r *recorder) Recycle(dead any) {
-	if rc, ok := r.Lifeguard.(core.Recycler); ok {
-		rc.Recycle(dead)
-	}
 }
 
 // sosElems renders either SOS representation as its sorted locations.

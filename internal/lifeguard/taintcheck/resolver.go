@@ -23,9 +23,9 @@ import (
 // an epoch l−1 assignment. With TwoPhase disabled, all three epochs mix
 // freely (sound, strictly more false positives; kept as an ablation).
 //
-// Resolvers are pooled scratch, one per running second pass: the wing list,
-// the counters and the path keep their backings, so a warm second pass
-// allocates nothing.
+// A resolver is scratch of its body block's summary, used by that block's
+// second pass: the wing list, the counters and the path keep their backings
+// when the summary is reused, so a warm second pass allocates nothing.
 type resolver struct {
 	tc    *Butterfly
 	body  *Summary
@@ -131,7 +131,7 @@ func (r *resolver) start(tc *Butterfly, body *Summary, ctx core.PassContext, win
 }
 
 // finish drops the resolver's references to other blocks' summaries, so a
-// pooled resolver keeps nothing else alive.
+// summary in the window keeps nothing else alive through its resolver.
 func (r *resolver) finish() {
 	clear(r.wings)
 	clear(r.lsos.back2)

@@ -85,7 +85,7 @@ func TestTaintSecondPassIndependentOfStateSize(t *testing.T) {
 				start := time.Now()
 				reports = len(lg.SecondPass(body, c, []core.Summary{ws}))
 				spent += time.Since(start)
-				lg.Recycle(own)
+				ctx.Reuse = own // as the engine hands the summary back
 			}
 			best = min(best, spent)
 		}
@@ -214,7 +214,7 @@ func FuzzTaintSOS(f *testing.F) {
 		}
 		lg := New()
 		base := &sos{locs: oldLocs}
-		got := lg.UpdateSOS(base, prevSums, curSums).(*sos)
+		got := lg.UpdateSOS(base, nil, prevSums, curSums).(*sos)
 		var wantLocs []uint64
 		for x := range want {
 			wantLocs = append(wantLocs, x)
@@ -241,6 +241,10 @@ func FuzzTaintSOS(f *testing.F) {
 				t.Fatalf("T=%d prev=%v: LSOS has %#x = %v, want %v", T, withPrev, x, v.Has(x), in)
 			}
 		}
-		lg.Recycle(got)
+		// The same update written into a dead generation's storage.
+		dead := &sos{locs: append(slices.Clone(wantLocs), oldLocs...)}
+		if again := lg.UpdateSOS(base, dead, prevSums, curSums).(*sos); !slices.Equal(again.locs, got.locs) {
+			t.Fatalf("T=%d prev=%v: SOS' into a dead generation = %v, want %v", T, withPrev, again.locs, got.locs)
+		}
 	})
 }

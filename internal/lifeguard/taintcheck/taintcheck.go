@@ -24,8 +24,9 @@
 // vectors; the LSOS is a view that answers each query from the head's
 // LASTCHECK, the generation and epoch l−2, never a copy. The resolver's SC
 // counters are a per-thread position array set and restored along the
-// depth-first search, and its relaxed path a small stack. Summaries,
-// generations and resolvers are pooled and report details are interned by
+// depth-first search, and its relaxed path a small stack. A summary keeps
+// its backings and its resolver when the engine hands it back for reuse, a
+// generation its location backing, and report details are interned by
 // address, so a warm epoch allocates nothing. Only the sequential oracle
 // keeps a map-backed set; the one map outside it is that detail cache.
 package taintcheck
@@ -133,8 +134,44 @@ type Summary struct {
 	// filter has bit filterBit(x) set for every x in locs.
 	filter [filterWords]uint64
 	// reports backs the slice SecondPass returns; the driver copies a
-	// pass's reports out before the summary can be recycled.
+	// pass's reports out before the summary can be reused.
 	reports []core.Report
+	// res is the second pass's resolver, scratch no other block reads.
+	res resolver
+}
+
+// poisonLoc fills reclaimed backings in race builds, following the sets
+// package's poisonAddr: a live aliased reader of a reused summary or
+// generation sees this implausible location instead of silently stale data.
+const poisonLoc = 0xdead_dead_dead_dead
+
+// reclaim empties a backing of taint locations — a summary's transfer
+// functions or locations, a generation's locations — for its owner to
+// refill. In race builds it is poisoned instead and not reused, so a stale
+// reader meets poisonLoc rather than the next contents.
+func reclaim[E any](s []E, poison E) []E {
+	if !sets.RaceEnabled {
+		return s[:0]
+	}
+	for i := range s {
+		s[i] = poison
+	}
+	return nil
+}
+
+// summaryFor returns the summary a first pass fills: reuse emptied, its
+// backings and resolver kept, or a new summary when there is none to reuse.
+func summaryFor(reuse core.Summary) *Summary {
+	s, _ := reuse.(*Summary)
+	if s == nil {
+		s = new(Summary)
+	}
+	clear(s.reports)
+	s.tfns = reclaim(s.tfns, tfn{loc: poisonLoc})
+	s.locs = reclaim(s.locs, poisonLoc)
+	s.runs, s.last, s.reports = s.runs[:0], s.last[:0], s.reports[:0]
+	s.filter = [filterWords]uint64{}
+	return s
 }
 
 // filterWords sizes the per-block miss filter: 1,024 bits, about a fifth
@@ -177,8 +214,8 @@ func (s *Summary) status(x uint64) Status {
 
 // sos is one SOS generation: the locations believed tainted, an immutable
 // sorted slice (nil when empty, so equal generations compare equal whatever
-// their history). Each UpdateSOS writes a fresh generation into a recycled
-// backing; a dead one returns through Recycle.
+// their history). Each UpdateSOS writes the next generation into the
+// backing of the dead one the engine hands back.
 type sos struct{ locs []uint64 }
 
 // has reports whether x is in the generation.
@@ -266,7 +303,7 @@ func sum(s core.Summary) *Summary {
 // functions. Checks are deferred to the second pass, where the head's
 // LASTCHECK conclusions and the wings' functions are available.
 func (tc *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
-	s := getSummary()
+	s := summaryFor(ctx.Reuse)
 	s.epoch, s.thread = b.Epoch, b.Thread
 	add := func(i int, loc uint64, kind tfnKind, srcs [2]uint64) {
 		s.tfns = append(s.tfns, tfn{loc: loc, srcs: srcs, idx: i, kind: kind})
@@ -322,8 +359,8 @@ func (s *Summary) addLoc(x uint64, run int) {
 // for the uses that follow it.
 func (tc *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.Summary) []core.Report {
 	own := sum(ctx.Own)
-	r := getResolver()
-	defer putResolver(r)
+	r := &own.res
+	defer r.finish()
 	r.start(tc, own, ctx, wings)
 	set := func(x uint64, st Status) { own.last[own.slot(x)] = st }
 
@@ -369,14 +406,20 @@ func (tc *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []co
 //
 // One linear merge computes it: the T sorted LASTCHECK vectors are walked
 // together in location order, and the previous generation is copied across
-// into a recycled backing up to each concluded location. A location some
+// into the dead generation's backing up to each concluded location. A location some
 // thread concluded ⊥ is in GENₗ, so no thread concluded ⊥ at a location
 // tested for KILLₗ: the ∀t' guard reduces to the threads with no conclusion
 // there, whose span is the head's.
-func (tc *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
+func (tc *Butterfly) UpdateSOS(prev, dead core.State, prevEpoch, curEpoch []core.Summary) core.State {
 	old := prev.(*sos).locs
-	next := getSOS()
-	out := next.locs[:0]
+	next, _ := dead.(*sos)
+	if next == nil || sets.RaceEnabled {
+		next = &sos{} // a stale reader of dead keeps meeting its poison
+	}
+	var out []uint64
+	if dead != nil {
+		out = reclaim(dead.(*sos).locs, poisonLoc)
+	}
 	var curBuf [16]*Summary
 	var atBuf [16]int
 	cur, at := curBuf[:0], atBuf[:0] // at[t]: thread t's cursor into its LASTCHECK

@@ -2,6 +2,7 @@ package sets
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -45,8 +46,8 @@ const smallIvs = 4
 //
 // Canonical representation. Differential tests compare states containing
 // IntervalSets with reflect.DeepEqual across runs with different schedules
-// and pooling histories, so the in-memory form must be a pure
-// function of the set's contents. Every mutator restores (via norm):
+// and storage histories, so the in-memory form must be a pure function of
+// the set's contents. Every mutator restores (via norm):
 //
 //   - empty        ⇔ ivs == nil, small zeroed, inl == false
 //   - 1..smallIvs  ⇔ ivs == small[:n] (inline), unused tail of small zeroed,
@@ -54,12 +55,20 @@ const smallIvs = 4
 //   - > smallIvs   ⇔ ivs heap-backed, small zeroed, inl == false
 //
 // Two sets covering the same bytes are therefore DeepEqual no matter how
-// they were produced. Code constructing ivs directly must go through
-// adoptSorted or end with norm().
+// they were produced. Code constructing ivs directly must end with norm().
+//
+// Owned storage. The one exception is a set Reset while heap-backed: its
+// owner is about to refill it, so it keeps the backing (kept == true) and
+// stays on it whatever its size, and every kernel then works inside it. A
+// summary or scratch set refilled every epoch stops allocating once it has
+// reached its size. A kept set is still a correct set, but it is no longer
+// canonical, so values compared across runs (the final SOS, recorded
+// histories) are built in sets that were never Reset.
 type IntervalSet struct {
 	ivs   []Interval // sorted by Lo; non-overlapping; non-adjacent (coalesced)
 	small [smallIvs]Interval
 	inl   bool // ivs is backed by small
+	kept  bool // ivs is a heap backing kept by Reset
 }
 
 // NewIntervalSet returns a set containing the given intervals.
@@ -71,6 +80,47 @@ func NewIntervalSet(ivs ...Interval) *IntervalSet {
 	return s
 }
 
+// minBacking is the smallest heap backing: the first step past inline
+// storage.
+const minBacking = 2 * smallIvs
+
+// newBacking returns an empty heap backing with room for n intervals,
+// rounded up to a power of two so a set that keeps growing reallocates
+// O(log n) times.
+func newBacking(n int) []Interval {
+	return make([]Interval, 0, 1<<bits.Len(uint(max(n, minBacking)-1)))
+}
+
+// poisonAddr fills reclaimed backings in race builds: a reader still holding
+// a slice of a set's old contents sees this implausible address instead of
+// silently reading the set's next contents.
+const poisonAddr = 0xdead_dead_dead_dead
+
+// RaceEnabled reports whether the race detector is compiled in, for the
+// lifeguards that poison the storage they are handed back the same way.
+const RaceEnabled = raceEnabled
+
+// reclaim empties s, leaving it in the canonical empty form, and returns
+// its heap backing emptied for new contents, or nil when it had none. It is
+// the one place interval storage is recycled: in race builds the backing is
+// poisoned and not returned, so a stale reader meets poisonAddr rather than
+// what the set holds next.
+func (s *IntervalSet) reclaim() []Interval {
+	b, heap := s.ivs, s.onHeap()
+	*s = IntervalSet{}
+	if !heap {
+		return nil
+	}
+	if raceEnabled {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = Interval{Lo: poisonAddr, Hi: poisonAddr}
+		}
+		return nil
+	}
+	return b[:0]
+}
+
 // inline reports whether ivs currently points into small. It inspects the
 // actual backing rather than trusting inl, because append can silently move
 // a full inline backing to the heap mid-mutation.
@@ -78,30 +128,31 @@ func (s *IntervalSet) inline() bool {
 	return len(s.ivs) > 0 && &s.ivs[0] == &s.small[0]
 }
 
-// norm restores the canonical representation after a mutation. It is cheap:
-// one branch for large sets, at most a smallIvs-element copy/zero otherwise.
+// onHeap reports whether ivs has a heap backing, whatever its length.
+func (s *IntervalSet) onHeap() bool {
+	return cap(s.ivs) > 0 && &s.ivs[:1][0] != &s.small[0]
+}
+
+// norm restores the canonical representation after a mutation; a kept set
+// stays on its backing. It is cheap: one branch for large sets, at most a
+// smallIvs-element copy/zero otherwise. A heap backing the set shrinks out
+// of goes to the garbage collector.
 func (s *IntervalSet) norm() {
+	if s.kept {
+		return
+	}
 	n := len(s.ivs)
 	switch {
 	case n == 0:
-		if s.inl {
-			s.small = [smallIvs]Interval{}
-		} else {
-			putBacking(s.ivs)
-		}
-		s.ivs = nil
-		s.inl = false
+		*s = IntervalSet{}
 	case n <= smallIvs:
-		if s.inline() {
-			for i := n; i < smallIvs; i++ {
-				s.small[i] = Interval{}
-			}
-		} else {
+		if s.onHeap() {
 			old := s.ivs
 			s.small = [smallIvs]Interval{}
 			copy(s.small[:], old)
-			putBacking(old)
 			s.ivs = s.small[:n]
+		} else {
+			clear(s.small[n:])
 		}
 		s.inl = true
 	default:
@@ -112,24 +163,18 @@ func (s *IntervalSet) norm() {
 	}
 }
 
-// adoptSorted replaces s's contents with the given sorted, coalesced slice,
-// taking ownership of it (large results keep it as backing; small ones copy
-// inline and release it to the pool).
-func (s *IntervalSet) adoptSorted(ivs []Interval) {
-	if s.inl || s.inline() {
+// toHeap moves s onto the heap backing nb, which holds its contents, and
+// clears the inline storage it leaves.
+func (s *IntervalSet) toHeap(nb []Interval) {
+	if !s.onHeap() {
 		s.small = [smallIvs]Interval{}
 		s.inl = false
-		s.ivs = nil
-	} else {
-		putBacking(s.ivs)
-		s.ivs = nil
 	}
-	s.ivs = ivs
-	s.norm()
+	s.ivs = nb
 }
 
 // growOne extends ivs by one (uninitialized) slot, moving to inline storage
-// for the first interval and to pooled heap backing past smallIvs.
+// for the first interval and to a heap backing past smallIvs.
 func (s *IntervalSet) growOne() {
 	n := len(s.ivs)
 	if s.ivs == nil {
@@ -140,54 +185,45 @@ func (s *IntervalSet) growOne() {
 		s.ivs = s.ivs[:n+1]
 		return
 	}
-	nb := getBacking(2 * n)
-	nb = nb[:n+1]
+	nb := newBacking(2 * n)[:n+1]
 	copy(nb, s.ivs)
-	if s.inline() {
-		s.small = [smallIvs]Interval{}
-		s.inl = false
-	} else {
-		putBacking(s.ivs)
-	}
-	s.ivs = nb
+	s.toHeap(nb)
 }
 
-// Reset empties s in place, releasing any heap backing to the pool. The set
-// ends in the canonical empty form, exactly like a fresh zero value.
+// Reset empties s for new contents. A heap backing stays with the set,
+// which keeps working inside it from now on (see "Owned storage" above); in
+// race builds the backing is poisoned and dropped instead. An inline or
+// empty set ends in the canonical empty form, exactly like a fresh zero
+// value.
 func (s *IntervalSet) Reset() {
-	s.ivs = s.ivs[:0]
-	s.norm()
+	if b := s.reclaim(); b != nil {
+		s.ivs, s.kept = b, true
+	}
+}
+
+// assign replaces s's contents with the sorted, coalesced runs src, which
+// must not share s's storage, reusing s's backing when it has room.
+func (s *IntervalSet) assign(src []Interval) {
+	n := len(src)
+	if s.kept || n > smallIvs {
+		b := s.ivs
+		if !s.onHeap() || cap(b) < n {
+			b = newBacking(n)
+		}
+		s.toHeap(append(b[:0], src...))
+		return
+	}
+	*s = IntervalSet{}
+	if n > 0 {
+		copy(s.small[:], src)
+		s.ivs, s.inl = s.small[:n], true
+	}
 }
 
 // CopyFrom replaces s's contents with a copy of o, reusing s's storage.
 func (s *IntervalSet) CopyFrom(o *IntervalSet) {
-	if s == o {
-		return
-	}
-	n := len(o.ivs)
-	switch {
-	case n == 0:
-		s.Reset()
-		return
-	case n <= smallIvs:
-		if !s.inl {
-			putBacking(s.ivs)
-		}
-		s.small = [smallIvs]Interval{}
-		copy(s.small[:], o.ivs)
-		s.ivs = s.small[:n]
-		s.inl = true
-	default:
-		if s.inl || s.inline() {
-			s.small = [smallIvs]Interval{}
-			s.inl = false
-			s.ivs = getBacking(n)
-		} else if cap(s.ivs) < n {
-			putBacking(s.ivs)
-			s.ivs = getBacking(n)
-		}
-		s.ivs = s.ivs[:n]
-		copy(s.ivs, o.ivs)
+	if s != o {
+		s.assign(o.ivs)
 	}
 }
 
@@ -352,7 +388,10 @@ func (s *IntervalSet) OverlapsRange(lo, hi uint64) bool {
 }
 
 // mergeUnion appends the coalesced union of the sorted, coalesced runs a and
-// b to dst. dst must not alias a or b.
+// b to dst. dst may share a's backing when a begins len(b) or more slots
+// after dst's first write: the write cursor stays on or behind the next
+// unread interval of a, since at most len(b) of the intervals written before
+// it come from b.
 func mergeUnion(dst, a, b []Interval) []Interval {
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
@@ -375,6 +414,67 @@ func mergeUnion(dst, a, b []Interval) []Interval {
 	return dst
 }
 
+// subtractRuns appends the runs of a − b to dst, for sorted, coalesced a
+// and b. dst may share a's backing under mergeUnion's rule: every b
+// interval opens at most one piece, and every a interval closes at most one
+// more.
+func subtractRuns(dst, a, b []Interval) []Interval {
+	j := 0
+	for _, x := range a {
+		lo := x.Lo
+		for j < len(b) && b[j].Hi <= lo {
+			j++
+		}
+		for k := j; k < len(b) && b[k].Lo < x.Hi; k++ {
+			y := b[k]
+			if y.Lo > lo {
+				dst = append(dst, Interval{lo, y.Lo})
+			}
+			if y.Hi > lo {
+				lo = y.Hi
+			}
+			if lo >= x.Hi {
+				break
+			}
+		}
+		if lo < x.Hi {
+			dst = append(dst, Interval{lo, x.Hi})
+		}
+	}
+	return dst
+}
+
+// combine replaces s with s ∪ b (union) or s − b, for sorted, coalesced b
+// whose result has at most len(s)+len(b) intervals. With room in s's
+// backing, s's runs move to its tail and the kernel merges them forward
+// into the same backing (the sharing mergeUnion and subtractRuns allow). A
+// small set without room merges through the stack, and anything else into
+// a new heap backing that s then owns.
+func (s *IntervalSet) combine(b []Interval, union bool) {
+	n, m := len(s.ivs), len(b)
+	switch need := n + m; {
+	case need <= cap(s.ivs):
+		buf := s.ivs[:need]
+		copy(buf[m:], buf[:n])
+		s.ivs = runs(buf[:0], buf[m:], b, union)
+	case need <= 2*smallIvs:
+		var tmp [2 * smallIvs]Interval
+		s.assign(runs(tmp[:0], s.ivs, b, union))
+		return
+	default:
+		s.toHeap(runs(newBacking(need), s.ivs, b, union))
+	}
+	s.norm()
+}
+
+// runs appends a ∪ b or a − b to dst.
+func runs(dst, a, b []Interval, union bool) []Interval {
+	if union {
+		return mergeUnion(dst, a, b)
+	}
+	return subtractRuns(dst, a, b)
+}
+
 // Union returns a new set holding s ∪ o.
 func (s *IntervalSet) Union(o *IntervalSet) *IntervalSet {
 	c := s.Clone()
@@ -383,12 +483,12 @@ func (s *IntervalSet) Union(o *IntervalSet) *IntervalSet {
 }
 
 // UnionInPlace replaces s with s ∪ o. Small additions take the binary-search
-// insertion path; bulk unions run as one linear merge over pooled scratch,
-// so repeated folds (wing aggregation, epoch summaries) do not go quadratic
-// and do not allocate once the pool is warm.
+// insertion path; bulk unions run as one linear merge inside s's own
+// backing, so repeated folds (wing aggregation, epoch summaries) do not go
+// quadratic and do not allocate once the set has reached its size.
 func (s *IntervalSet) UnionInPlace(o *IntervalSet) {
 	if s == o || len(o.ivs) == 0 {
-		return
+		return // s ∪ s = s
 	}
 	switch {
 	case len(s.ivs) == 0:
@@ -396,9 +496,7 @@ func (s *IntervalSet) UnionInPlace(o *IntervalSet) {
 	case len(o.ivs) == 1:
 		s.AddRange(o.ivs[0].Lo, o.ivs[0].Hi)
 	default:
-		dst := getBacking(len(s.ivs) + len(o.ivs))
-		dst = mergeUnion(dst, s.ivs, o.ivs)
-		s.adoptSorted(dst)
+		s.combine(o.ivs, true)
 	}
 }
 
@@ -415,45 +513,28 @@ func (s *IntervalSet) Subtract(o *IntervalSet) *IntervalSet {
 	return c
 }
 
-// SubtractInPlace replaces s with s − o in one linear sweep over pooled
-// scratch (compare Subtract/RemoveRange loops, which pay a search per
-// removed interval).
+// SubtractInPlace replaces s with s − o in one linear sweep inside s's own
+// backing (compare Subtract/RemoveRange loops, which pay a search per
+// removed interval). Only the intervals of o within s's span take part.
 func (s *IntervalSet) SubtractInPlace(o *IntervalSet) {
-	if len(s.ivs) == 0 || len(o.ivs) == 0 {
+	n := len(s.ivs)
+	if n == 0 || len(o.ivs) == 0 {
 		return
 	}
 	if s == o {
-		s.Reset()
+		s.ivs = s.ivs[:0] // s − s = ∅
+		s.norm()
 		return
 	}
-	if len(o.ivs) == 1 {
-		s.RemoveRange(o.ivs[0].Lo, o.ivs[0].Hi)
-		return
+	lo := o.search(s.ivs[0].Lo)
+	hi := lo + sort.Search(len(o.ivs)-lo, func(i int) bool { return o.ivs[lo+i].Lo >= s.ivs[n-1].Hi })
+	switch b := o.ivs[lo:hi]; len(b) {
+	case 0:
+	case 1:
+		s.RemoveRange(b[0].Lo, b[0].Hi)
+	default:
+		s.combine(b, false)
 	}
-	dst := getBacking(len(s.ivs) + len(o.ivs))
-	j := 0
-	for _, a := range s.ivs {
-		lo := a.Lo
-		for j < len(o.ivs) && o.ivs[j].Hi <= lo {
-			j++
-		}
-		for k := j; k < len(o.ivs) && o.ivs[k].Lo < a.Hi; k++ {
-			b := o.ivs[k]
-			if b.Lo > lo {
-				dst = append(dst, Interval{lo, b.Lo})
-			}
-			if b.Hi > lo {
-				lo = b.Hi
-			}
-			if lo >= a.Hi {
-				break
-			}
-		}
-		if lo < a.Hi {
-			dst = append(dst, Interval{lo, a.Hi})
-		}
-	}
-	s.adoptSorted(dst)
 }
 
 // AssignDelta replaces s with (prev − kill) ∪ gen in one pass over the three
@@ -461,8 +542,9 @@ func (s *IntervalSet) SubtractInPlace(o *IntervalSet) {
 // prev is generation-sized and kill and gen are epoch-sized. The runs of
 // prev that end before the next kill or gen interval begins are copied as
 // blocks; only the intervals a delta meets go through the element-wise
-// subtract-and-merge. s must not alias an input; the inputs are left
-// untouched.
+// subtract-and-merge. The result is written into s's own backing, so a
+// dead generation's storage carries the next one. s must not alias an
+// input; the inputs are left untouched.
 func (s *IntervalSet) AssignDelta(prev, kill, gen *IntervalSet) {
 	p, k, g := prev.ivs, kill.ivs, gen.ivs
 	if len(k) == 0 && len(g) == 0 {
@@ -471,7 +553,21 @@ func (s *IntervalSet) AssignDelta(prev, kill, gen *IntervalSet) {
 	}
 	// Subtracting splits at most len(k) intervals and the union adds at most
 	// len(g), so dst never regrows.
-	dst := getBacking(len(p) + len(k) + len(g))
+	switch need := len(p) + len(k) + len(g); {
+	case need <= cap(s.ivs) && s.onHeap():
+		s.ivs = delta(s.ivs[:0], p, k, g)
+	case need <= 2*smallIvs:
+		var tmp [2 * smallIvs]Interval
+		s.assign(delta(tmp[:0], p, k, g))
+		return
+	default:
+		s.toHeap(delta(newBacking(need), p, k, g))
+	}
+	s.norm()
+}
+
+// delta appends (p − k) ∪ g to dst, which has room for all of it.
+func delta(dst, p, k, g []Interval) []Interval {
 	j, m := 0, 0 // cursors into k and g
 	// put appends the next interval of the result stream, which arrives in
 	// Lo order, coalescing it into the tail.
@@ -533,7 +629,7 @@ func (s *IntervalSet) AssignDelta(prev, kill, gen *IntervalSet) {
 	for ; m < len(g); m++ {
 		put(g[m])
 	}
-	s.adoptSorted(dst)
+	return dst
 }
 
 // runEnd returns the first index r > i with p[r].Hi >= next (len(p) if none),

@@ -45,6 +45,13 @@ func (r refSet) clone() refSet {
 func checkAgainstRef(t *testing.T, tag string, s *IntervalSet, r refSet, span uint64) {
 	t.Helper()
 	checkCanonical(t, tag, s)
+	checkContents(t, tag, s, r, span)
+}
+
+// checkContents is checkAgainstRef for a set that may be on a kept backing.
+func checkContents(t *testing.T, tag string, s *IntervalSet, r refSet, span uint64) {
+	t.Helper()
+	checkForm(t, tag, s)
 	for a := uint64(0); a < span; a++ {
 		if s.Contains(a) != r[a] {
 			t.Fatalf("%s: addr %#x: set=%v ref=%v (set: %v)", tag, a, s.Contains(a), r[a], s)
@@ -55,6 +62,17 @@ func checkAgainstRef(t *testing.T, tag string, s *IntervalSet, r refSet, span ui
 // checkCanonical asserts the canonical-representation invariant that the
 // reflect.DeepEqual-based differential suites depend on.
 func checkCanonical(t *testing.T, tag string, s *IntervalSet) {
+	t.Helper()
+	if s.kept {
+		t.Fatalf("%s: set is on a kept backing: %#v", tag, s)
+	}
+	checkForm(t, tag, s)
+}
+
+// checkForm asserts the representation invariant every set keeps: canonical
+// form, or for a set Reset while heap-backed, sorted coalesced runs on its
+// kept heap backing with the inline storage unused.
+func checkForm(t *testing.T, tag string, s *IntervalSet) {
 	t.Helper()
 	n := len(s.ivs)
 	for i := 1; i < n; i++ {
@@ -68,6 +86,10 @@ func checkCanonical(t *testing.T, tag string, s *IntervalSet) {
 		}
 	}
 	switch {
+	case s.kept:
+		if s.ivs == nil || s.inl || s.inline() || s.small != [smallIvs]Interval{} {
+			t.Fatalf("%s: kept set off its heap backing: %#v", tag, s)
+		}
 	case n == 0:
 		if s.ivs != nil || s.inl || s.small != [smallIvs]Interval{} {
 			t.Fatalf("%s: empty set not canonical: %#v", tag, s)
@@ -109,7 +131,7 @@ func TestKernelsVsReference(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		s, r := NewIntervalSet(), make(refSet)
 		for step := 0; step < 40; step++ {
-			switch op := rng.Intn(7); op {
+			switch op := rng.Intn(9); op {
 			case 0, 1:
 				lo, hi := randRange()
 				s.AddRange(lo, hi)
@@ -134,6 +156,13 @@ func TestKernelsVsReference(t *testing.T) {
 				o, or := randSet()
 				s.CopyFrom(o)
 				r = or.clone()
+			case 7:
+				s.UnionInPlace(s) // s ∪ s = s
+			case 8:
+				if rng.Intn(4) == 0 {
+					s.SubtractInPlace(s) // s − s = ∅
+					r = make(refSet)
+				}
 			}
 			checkAgainstRef(t, "mutate", s, r, span)
 		}
@@ -162,7 +191,7 @@ func TestKernelsVsReference(t *testing.T) {
 
 // TestCanonicalAcrossHistories builds the same byte coverage along very
 // different construction paths — inline-only, grown past inline and shrunk
-// back, pooled and recycled, sharded and merged — and requires the results
+// back, reset and refilled, sharded and merged — and requires the results
 // to be reflect.DeepEqual. This is the invariant the differential suites
 // rest on.
 func TestCanonicalAcrossHistories(t *testing.T) {
@@ -184,11 +213,9 @@ func TestCanonicalAcrossHistories(t *testing.T) {
 			s.AddRange(0x200, 0x210)
 			return s
 		},
-		"pooled": func() *IntervalSet {
-			tmp := GetSet()
-			tmp.AddRange(0, 0x1000)
-			PutSet(tmp)
-			s := GetSet()
+		"reset-refilled": func() *IntervalSet {
+			s := NewIntervalSet(Interval{0, 0x1000})
+			s.Reset()
 			s.AddRange(0x100, 0x120)
 			s.AddRange(0x200, 0x210)
 			return s
@@ -281,11 +308,145 @@ func TestMergeIntoSharded(t *testing.T) {
 	}
 }
 
+// TestKernelsOnKeptSets is TestKernelsVsReference's random mix with Reset
+// in it: once a set is Reset while heap-backed it stays on that backing,
+// and every kernel must keep working inside it, whatever the set's size.
+func TestKernelsOnKeptSets(t *testing.T) {
+	const span = 256
+	rng := rand.New(rand.NewSource(9))
+	randSet := func() (*IntervalSet, refSet) {
+		s, r := NewIntervalSet(), make(refSet)
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			lo := rng.Uint64() % span
+			hi := lo + rng.Uint64()%24
+			s.AddRange(lo, hi)
+			r.addRange(lo, hi)
+		}
+		return s, r
+	}
+	kept := 0
+	for trial := 0; trial < 300; trial++ {
+		s, r := NewIntervalSet(), make(refSet)
+		for step := 0; step < 60; step++ {
+			o, or := randSet()
+			switch rng.Intn(8) {
+			case 0:
+				s.Reset()
+				r = make(refSet)
+			case 1:
+				for _, iv := range o.ivs {
+					s.AddRange(iv.Lo, iv.Hi)
+				}
+				r.union(or)
+			case 2:
+				for _, iv := range o.ivs {
+					s.RemoveRange(iv.Lo, iv.Hi)
+				}
+				r.subtract(or)
+			case 3:
+				s.UnionInPlace(o)
+				r.union(or)
+			case 4:
+				s.SubtractInPlace(o)
+				r.subtract(or)
+			case 5:
+				s.CopyFrom(o)
+				r = or
+			case 6:
+				g, _ := randSet()
+				s.AssignDelta(o, g, o.Intersect(g)) // (o − g) ∪ (o ∩ g) = o
+				r = or
+			case 7:
+				s.UnionInPlace(s)
+				if rng.Intn(3) == 0 {
+					s.SubtractInPlace(s)
+					r = make(refSet)
+				}
+			}
+			checkContents(t, "kept mix", s, r, span+32)
+			if s.kept {
+				kept++
+			}
+		}
+		if c := s.Clone(); !c.Equal(s) {
+			t.Fatalf("clone of %v is %v", s, c)
+		} else {
+			checkCanonical(t, "clone of a kept set", c)
+		}
+	}
+	if kept == 0 && !raceEnabled { // race builds drop what Reset would keep
+		t.Fatal("no set ever ran on a kept backing")
+	}
+}
+
+// TestKernelsInExactBackings runs the in-place kernels on kept sets whose
+// backing has exactly the room the kernel may need, so the merge runs with
+// s's intervals packed against the end of the backing and the write cursor
+// closing on the read cursor; and with the kernels' aliased operands.
+func TestKernelsInExactBackings(t *testing.T) {
+	const span = 256
+	rng := rand.New(rand.NewSource(3))
+	randSet := func(n int) (*IntervalSet, refSet) {
+		s, r := NewIntervalSet(), make(refSet)
+		for i := rng.Intn(n + 1); i > 0; i-- {
+			lo := rng.Uint64() % span
+			hi := lo + 1 + rng.Uint64()%12
+			s.AddRange(lo, hi)
+			r.addRange(lo, hi)
+		}
+		return s, r
+	}
+	// kept returns a kept set holding s's intervals in a backing of exactly
+	// c slots.
+	kept := func(s *IntervalSet, c int) *IntervalSet {
+		return &IntervalSet{ivs: append(make([]Interval, 0, c), s.ivs...), kept: true}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a, ar := randSet(24)
+		b, br := randSet(24)
+		u, ur := kept(a, len(a.ivs)+len(b.ivs)), ar.clone()
+		u.UnionInPlace(b)
+		ur.union(br)
+		checkContents(t, "union", u, ur, span+16)
+
+		// SubtractInPlace needs room for the intervals of b within a's span.
+		d, dr := kept(a, len(a.ivs)), ar.clone()
+		if n := len(a.ivs); n > 0 {
+			lo := b.search(a.ivs[0].Lo)
+			hi := lo
+			for hi < len(b.ivs) && b.ivs[hi].Lo < a.ivs[n-1].Hi {
+				hi++
+			}
+			d = kept(a, n+hi-lo)
+		}
+		d.SubtractInPlace(b)
+		dr.subtract(br)
+		checkContents(t, "subtract", d, dr, span+16)
+
+		g, gr := randSet(6)
+		x, xr := kept(NewIntervalSet(), len(a.ivs)+len(b.ivs)+len(g.ivs)), ar.clone()
+		x.AssignDelta(a, b, g)
+		xr.subtract(br)
+		xr.union(gr)
+		checkContents(t, "AssignDelta", x, xr, span+16)
+
+		s, sr := kept(a, len(a.ivs)), ar.clone()
+		s.UnionInPlace(s)
+		checkContents(t, "s ∪ s", s, sr, span+16)
+		s.SubtractInPlace(s)
+		checkContents(t, "s − s", s, make(refSet), span+16)
+		if !s.kept || s.ivs == nil {
+			t.Fatalf("s − s dropped the kept backing: %#v", s)
+		}
+	}
+}
+
 // TestSteadyStateKernelAllocs pins the zero-allocation property of the
-// kernels once pools are warm.
+// kernels on sets their owner refills: once a set has reached its size,
+// Reset keeps its backing and every kernel works inside it.
 func TestSteadyStateKernelAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation allocates inside sync.Pool")
+		t.Skip("race builds poison reclaimed backings instead of reusing them")
 	}
 	a := NewIntervalSet()
 	b := NewIntervalSet()
@@ -293,19 +454,18 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 		a.AddRange(0x100*i, 0x100*i+8)
 		b.AddRange(0x100*i+4, 0x100*i+12)
 	}
-	scratch := GetSet()
+	var s, scratch IntervalSet
 	run := func() {
-		s := GetSet()
+		s.Reset()
 		s.CopyFrom(a)
 		s.UnionInPlace(b)
 		s.SubtractInPlace(a)
 		s.AddRange(0x5000, 0x5010)
 		s.RemoveRange(0x5004, 0x500c)
-		b.MergeInto(s)
-		scratch.CopyFrom(s)
-		PutSet(s)
+		b.MergeInto(&s)
+		scratch.CopyFrom(&s)
 	}
-	run() // warm the pools
+	run() // grow the sets to their size
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("steady-state kernel allocs/op = %v, want 0", avg)
 	}
@@ -313,9 +473,12 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 
 // TestAssignDeltaVsReference checks the one-pass (prev − kill) ∪ gen kernel
 // against the bitmap model and, canonical form included, against the three
-// steps it fuses — over pools dirtied by every earlier round, from inline
-// sets to sets of hundreds of intervals with sparse and dense deltas.
+// steps it fuses — into a fresh set, and into one reset from the previous
+// round's result the way a dead SOS generation carries the next one — from
+// inline sets to sets of hundreds of intervals with sparse and dense
+// deltas.
 func TestAssignDeltaVsReference(t *testing.T) {
+	reused := NewIntervalSet()
 	for seed := int64(0); seed < 320; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		span := []uint64{64, 256, 4096}[seed%3]
@@ -335,13 +498,16 @@ func TestAssignDeltaVsReference(t *testing.T) {
 		gen, gr := randSet(delta, 24)
 		prev0, kill0, gen0 := prev.Clone(), kill.Clone(), gen.Clone()
 
-		out := GetSet()
+		out := NewIntervalSet()
 		out.AddRange(0, 1+uint64(seed)) // stale contents must be discarded
 		out.AssignDelta(prev, kill, gen)
+		reused.Reset()
+		reused.AssignDelta(prev, kill, gen)
 
 		pr.subtract(kr)
 		pr.union(gr)
 		checkAgainstRef(t, "AssignDelta", out, pr, span)
+		checkContents(t, "AssignDelta into a reset set", reused, pr, span)
 		want := prev.Clone()
 		want.SubtractInPlace(kill)
 		want.UnionInPlace(gen)
@@ -351,43 +517,40 @@ func TestAssignDeltaVsReference(t *testing.T) {
 		if !reflect.DeepEqual(prev, prev0) || !reflect.DeepEqual(kill, kill0) || !reflect.DeepEqual(gen, gen0) {
 			t.Fatalf("seed %d: AssignDelta modified an input", seed)
 		}
-		PutSet(out)
 	}
 }
 
-// TestBackingPoolSizeClasses pins the pool fix: small overlay-sized sets and
-// generation-sized sets draw from different size classes, so alternating
-// between them neither drops a too-small backing nor parks a huge one behind
-// eight intervals — and therefore allocates nothing once warm.
-func TestBackingPoolSizeClasses(t *testing.T) {
-	for _, min := range []int{1, 8, 9, 64, 65, 1 << 16, 1<<16 + 1} {
-		b := getBacking(min)
-		if len(b) != 0 || cap(b) < min || cap(b) >= 2*max(min, minBacking) {
-			t.Fatalf("getBacking(%d): len %d cap %d", min, len(b), cap(b))
+// TestAlternatingSetSizesAllocFree pins what the size classes of the old
+// backing pools were for, now that each set owns its storage: an
+// overlay-sized set and a generation-sized set refilled in turn each keep
+// their own backing, so the small one never sits on a huge backing and
+// neither allocates once it has reached its size.
+func TestAlternatingSetSizesAllocFree(t *testing.T) {
+	for _, n := range []int{1, 8, 9, 64, 65, 1 << 16, 1<<16 + 1} {
+		if b := newBacking(n); len(b) != 0 || cap(b) < n || cap(b) >= 2*max(n, minBacking) {
+			t.Fatalf("newBacking(%d): len %d cap %d", n, len(b), cap(b))
 		}
-		putBacking(b)
 	}
 	if raceEnabled {
-		t.Skip("race instrumentation allocates inside sync.Pool")
+		t.Skip("race builds poison reclaimed backings instead of reusing them")
 	}
 	big := NewIntervalSet()
 	for i := uint64(0); i < 1<<16; i++ {
 		big.AddRange(0x40*i, 0x40*i+0x20)
 	}
+	var small, gen IntervalSet
 	run := func() {
-		small := GetSet()
+		small.Reset()
 		for i := uint64(0); i < 8; i++ {
 			small.AddRange(0x40*i, 0x40*i+0x20)
 		}
-		gen := GetSet()
+		gen.Reset()
 		gen.CopyFrom(big)
 		if c := cap(small.ivs); c > 16 {
 			t.Fatalf("an 8-interval set sits on a %d-interval backing", c)
 		}
-		PutSet(small)
-		PutSet(gen)
 	}
-	run() // warm the pools
+	run() // grow both to their size
 	if avg := testing.AllocsPerRun(50, run); avg != 0 {
 		t.Fatalf("alternating small and generation-sized sets: %v allocs/round, want 0", avg)
 	}

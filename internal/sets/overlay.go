@@ -1,7 +1,5 @@
 package sets
 
-import "sync"
-
 // Overlay is a mutable view of the byte set (base − del) ∪ add over a base
 // it only ever reads. It is the LSOS of the interval lifeguards (§5.2.1:
 // LSOS_{l,t,k} = GEN ∪ (LSOS_{l,t,k−1} − KILL)): the base is the SOS
@@ -13,34 +11,20 @@ import "sync"
 // Mutators keep add and del disjoint, so del never holds a byte the view
 // contains. Any number of overlays may share one base concurrently as long
 // as nobody writes the base while they live; one overlay is not safe for
-// concurrent use.
+// concurrent use. The zero value is not a view: Reset opens one.
 type Overlay struct {
 	base     *IntervalSet
 	add, del IntervalSet
 }
 
-var overlayPool sync.Pool
-
-// GetOverlay returns a pooled view equal to base. Pair with PutOverlay.
-func GetOverlay(base *IntervalSet) *Overlay {
-	o, _ := overlayPool.Get().(*Overlay)
-	if o == nil {
-		o = new(Overlay)
-	}
+// Reset empties the view and opens it over base: o then reads exactly as
+// base does. add and del keep their storage (IntervalSet.Reset), so a view
+// reopened every epoch by the summary that owns it stops allocating once it
+// has reached its size.
+func (o *Overlay) Reset(base *IntervalSet) {
 	o.base = base
-	return o
-}
-
-// PutOverlay empties o, drops its base and recycles it. The caller must be
-// the sole referent; passing nil is a no-op.
-func PutOverlay(o *Overlay) {
-	if o == nil {
-		return
-	}
 	o.add.Reset()
 	o.del.Reset()
-	o.base = nil
-	overlayPool.Put(o)
 }
 
 // AddRange inserts [lo, hi) into the view.

@@ -74,8 +74,8 @@ func (m *overlayModel) checkQuery(tag string, lo, hi uint64) {
 // ranges).
 func (m *overlayModel) checkAll(tag string) {
 	m.t.Helper()
-	checkCanonical(m.t, tag+" add", &m.o.add)
-	checkCanonical(m.t, tag+" del", &m.o.del)
+	checkForm(m.t, tag+" add", &m.o.add)
+	checkForm(m.t, tag+" del", &m.o.del)
 	if m.o.add.Intersects(&m.o.del) {
 		m.t.Fatalf("%s: add %v and del %v overlap", tag, &m.o.add, &m.o.del)
 	}
@@ -113,11 +113,13 @@ func randOverlayBase(rng *rand.Rand, span uint64, n int) (*IntervalSet, refSet) 
 // run exactly as it went in.
 func TestOverlayMatchesByteModel(t *testing.T) {
 	const span = 160
+	var view Overlay // reopened every seed, with the storage earlier seeds left it
 	for seed := int64(0); seed < 320; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		base, ref := randOverlayBase(rng, span, int(seed%24))
 		base0 := base.Clone()
-		m := &overlayModel{t: t, span: span, o: GetOverlay(base), ref: ref}
+		view.Reset(base)
+		m := &overlayModel{t: t, span: span, o: &view, ref: ref}
 		randRange := func() (uint64, uint64) {
 			lo := rng.Uint64() % span
 			return lo, lo + rng.Uint64()%20 // one in twenty is empty
@@ -150,29 +152,28 @@ func TestOverlayMatchesByteModel(t *testing.T) {
 			}
 		}
 		m.checkAll("final")
-		PutOverlay(m.o)
 		if !reflect.DeepEqual(base, base0) {
 			t.Fatalf("seed %d: the base was written: %v, was %v", seed, base, base0)
 		}
 	}
 }
 
-// TestOverlayPooledIsPristine pins what PutOverlay promises: a recycled view
-// carries nothing of its last use and no pointer to its last base.
-func TestOverlayPooledIsPristine(t *testing.T) {
-	base := NewIntervalSet(Interval{0x100, 0x200})
+// TestOverlayResetIsPristine pins what Reset promises: a reopened view
+// carries nothing of its last use and reads exactly as its new base, though
+// its own sets keep the storage that use grew.
+func TestOverlayResetIsPristine(t *testing.T) {
+	bases := []*IntervalSet{NewIntervalSet(Interval{0x100, 0x200}), NewIntervalSet(Interval{0x180, 0x280})}
+	var o Overlay
 	for i := 0; i < 4; i++ {
-		o := GetOverlay(base)
-		if !o.pristine() || !o.ContainsRange(0x100, 0x200) || o.OverlapsRange(0x200, 0x300) {
-			t.Fatalf("round %d: a pooled view is not its base: add %v del %v", i, &o.add, &o.del)
+		base := bases[i%2]
+		o.Reset(base)
+		lo, hi := base.ivs[0].Lo, base.ivs[0].Hi
+		if !o.pristine() || o.base != base || !o.ContainsRange(lo, hi) || o.OverlapsRange(hi, hi+0x100) {
+			t.Fatalf("round %d: a reset view is not its base: add %v del %v", i, &o.add, &o.del)
 		}
 		for j := uint64(0); j < 12; j++ { // past inline storage, both ways
 			o.AddRange(0x1000+0x20*j, 0x1010+0x20*j)
 			o.RemoveRange(0x100+0x10*j, 0x104+0x10*j)
-		}
-		PutOverlay(o)
-		if o.base != nil {
-			t.Fatal("PutOverlay kept the base")
 		}
 	}
 }
@@ -180,8 +181,8 @@ func TestOverlayPooledIsPristine(t *testing.T) {
 // TestOverlaySharedBaseConcurrently is the first pass in miniature: T
 // goroutines, each mutating and querying its own view over one shared base.
 // Under -race it fails if any view path writes the base; in race builds a
-// recycled backing is also poisoned, so a view reading a stale one disagrees
-// with its model.
+// reclaimed backing is also poisoned, so a view reading a stale one
+// disagrees with its model.
 func TestOverlaySharedBaseConcurrently(t *testing.T) {
 	const T, span = 8, 4096
 	rng := rand.New(rand.NewSource(1))
@@ -201,8 +202,10 @@ func TestOverlaySharedBaseConcurrently(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + g)))
+			o := new(Overlay)
 			for round := 0; round < 20; round++ {
-				o, ref := GetOverlay(base), baseRef.clone()
+				o.Reset(base)
+				ref := baseRef.clone()
 				for step := 0; step < 200; step++ {
 					lo := rng.Uint64() % span
 					hi := lo + rng.Uint64()%24
@@ -221,12 +224,10 @@ func TestOverlaySharedBaseConcurrently(t *testing.T) {
 						}
 						if o.ContainsRange(lo, hi) != contains || o.OverlapsRange(lo, hi) != overlaps {
 							errs <- "a view over the shared base disagrees with its model"
-							PutOverlay(o)
 							return
 						}
 					}
 				}
-				PutOverlay(o)
 			}
 		}(g)
 	}
@@ -255,7 +256,8 @@ func overlayFuzzOps(t *testing.T, data []byte) {
 		}
 	}
 	base0 := base.Clone()
-	m := &overlayModel{t: t, span: span + 16, o: GetOverlay(base), ref: ref}
+	m := &overlayModel{t: t, span: span + 16, o: new(Overlay), ref: ref}
+	m.o.Reset(base)
 	for ; len(data) >= 3; data = data[3:] {
 		lo := uint64(data[1])
 		hi := lo + uint64(data[2]%32)
@@ -271,7 +273,6 @@ func overlayFuzzOps(t *testing.T, data []byte) {
 		}
 	}
 	m.checkAll("fuzz end")
-	PutOverlay(m.o)
 	if !reflect.DeepEqual(base, base0) {
 		t.Fatalf("the base was written: %v, was %v", base, base0)
 	}

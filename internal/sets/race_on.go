@@ -3,6 +3,6 @@
 package sets
 
 // raceEnabled reports whether the race detector is compiled in. Alloc-count
-// gates skip under -race (pool instrumentation allocates), and debug poisoning
-// of recycled storage turns on.
+// gates skip under -race (its instrumentation allocates), and reclaimed
+// storage is poisoned instead of reused (IntervalSet.reclaim).
 const raceEnabled = true

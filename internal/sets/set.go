@@ -13,7 +13,11 @@
 //
 //   - IntervalSet: a set of half-open byte ranges [Lo, Hi) over the simulated
 //     address space. AddrCheck metadata (allocated regions) is interval
-//     valued because malloc/free operate on ranges, not single facts.
+//     valued because malloc/free operate on ranges, not single facts. A set
+//     owns its storage and its kernels work inside it; there is no shared
+//     pool. Reset keeps a heap backing for the set's next contents, so a
+//     set its owner refills every epoch stops allocating once it has
+//     reached its size.
 //
 // None of them is safe for concurrent mutation: the butterfly two-pass
 // driver enforces a single-writer discipline (the paper's "one of the

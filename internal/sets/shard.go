@@ -84,25 +84,10 @@ func (s *IntervalSet) Split(K int) ShardedIntervals {
 // The shards' intervals are granule-interleaved, so unioning them one
 // AddRange at a time would shift the tail on every insert (quadratic);
 // instead each shard's already-sorted run is folded in with one linear
-// coalescing merge over pooled scratch.
+// coalescing merge inside dst's backing.
 func (si ShardedIntervals) MergeInto(dst *IntervalSet) {
-	total := 0
+	dst.assign(nil)
 	for _, s := range si {
-		total += len(s.ivs)
+		dst.UnionInPlace(s)
 	}
-	if total == 0 {
-		dst.Reset()
-		return
-	}
-	acc := getBacking(total)
-	scratch := getBacking(total)
-	for _, s := range si {
-		if len(s.ivs) == 0 {
-			continue
-		}
-		scratch = mergeUnion(scratch[:0], acc, s.ivs)
-		acc, scratch = scratch, acc
-	}
-	putBacking(scratch)
-	dst.adoptSorted(acc)
 }
