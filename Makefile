@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check fuzz-list-check pool-check lint fuzz fuzz-smoke bench bench-obs-smoke bench-alloc soak crash-soak chaos benchmark benchmark-smoke ci clean
+.PHONY: all build test race vet fmt-check fuzz-list-check pool-check step-check lint fuzz fuzz-smoke bench bench-obs-smoke bench-alloc soak crash-soak chaos benchmark benchmark-smoke ci clean
 
 all: build
 
@@ -45,9 +45,21 @@ pool-check:
 	if [ -n "$$found" ]; then echo "sync.Pool in the analysis packages (reuse storage through the window instead):"; \
 		echo "$$found"; exit 1; fi
 
-# Static gate: formatting, go vet, the fuzzer list and the pool check, the
-# cheap checks a change runs first.
-lint: fmt-check vet fuzz-list-check pool-check
+# Step gate: the live frame loop and boot replay apply frames through one
+# per-epoch step (internal/server/step.go, DESIGN.md §10), so a second
+# per-epoch path cannot come back unnoticed. Fail (and name the offenders)
+# on any FeedEpoch or Finish call in internal/server's non-test code outside
+# step.go, and unless step.go makes each exactly once.
+step-check:
+	@found=$$(grep -rn -E '\.(FeedEpoch|Finish)\(' --include='*.go' --exclude='*_test.go' --exclude=step.go internal/server); \
+	if [ -n "$$found" ]; then echo "FeedEpoch/Finish outside internal/server/step.go (apply frames through the step):"; \
+		echo "$$found"; exit 1; fi; \
+	for call in FeedEpoch Finish; do n=$$(grep -c "\.$$call(" internal/server/step.go); \
+		if [ "$$n" != 1 ]; then echo "internal/server/step.go calls $$call $$n times, want 1"; exit 1; fi; done
+
+# Static gate: formatting, go vet, the fuzzer list, the pool check and the
+# step check, the cheap checks a change runs first.
+lint: fmt-check vet fuzz-list-check pool-check step-check
 
 race:
 	$(GO) test -race ./...

@@ -102,9 +102,12 @@ func naiveUpdateSOS(prev *sets.IntervalSet, prevEpoch, curEpoch []core.Summary, 
 			if prevEpoch != nil && prevEpoch[tt] != nil {
 				prevGen, prevKill, _ := gk(prevEpoch[tt])
 				killedSpan.UnionInPlace(prevKill)
-				gennedSpan.UnionInPlace(prevGen.Subtract(curKill))
+				survived := prevGen.Clone()
+				survived.SubtractInPlace(curKill)
+				gennedSpan.UnionInPlace(survived)
 			}
-			g.SubtractInPlace(killedSpan.Subtract(gennedSpan))
+			killedSpan.SubtractInPlace(gennedSpan)
+			g.SubtractInPlace(killedSpan)
 		}
 		gen.UnionInPlace(g)
 	}

@@ -26,6 +26,7 @@ import (
 	"butterfly/internal/failpoint"
 	"butterfly/internal/lifeguard/registry"
 	"butterfly/internal/obs"
+	"butterfly/internal/proto"
 	"butterfly/internal/server"
 	"butterfly/internal/store"
 )
@@ -343,5 +344,81 @@ func TestDegradedReentry(t *testing.T) {
 	if gotAppends := appends.Value(); gotAppends < appendsAfterA+int64(g.NumEpochs()) {
 		t.Fatalf("wal.appends = %d, want >= %d: the fresh session's epochs must hit the WAL",
 			gotAppends, appendsAfterA+int64(g.NumEpochs()))
+	}
+}
+
+// TestChaosReplayPanic: a lifeguard panic during boot replay discards the
+// one session whose log poisoned it, never the boot (DESIGN.md §15). Two
+// durable sessions are drained mid-stream, and the restart replays them
+// with server.feed armed to panic once: Listen must succeed, exactly one
+// session is dropped, and the survivor resumes and finishes byte-identical
+// to the in-process oracle.
+func TestChaosReplayPanic(t *testing.T) {
+	reg := obs.New()
+	so := store.Options{SnapshotEvery: 3}
+	rs := startDurable(t, t.TempDir(), reg, so, server.Config{})
+	type durable struct {
+		h    proto.Hello
+		g    *epoch.Grid
+		want *core.Result
+		p    *protoSession
+		half int
+	}
+	var ss []*durable
+	for i, lg := range []string{"addrcheck", "memcheck"} {
+		g := pickTrace(t, int64(7800+100*i), 3, 4)
+		d := &durable{h: proto.Hello{Lifeguard: lg, NumThreads: 3, AckedEpoch: -1},
+			g: g, want: oracleRun(t, lg, g), p: dialSession(t, rs.s.Addr()), half: g.NumEpochs() / 2}
+		w, rej := d.p.hello(d.h)
+		if rej != nil {
+			t.Fatalf("hello rejected: %+v", rej)
+		}
+		for l := 0; l < d.half; l++ {
+			d.p.sendEpoch(g, l)
+			d.p.drainUntilAck(l)
+		}
+		d.p.conn.Close()
+		d.h.Resume, d.h.AckedEpoch = w.Session, d.half-1
+		ss = append(ss, d)
+	}
+
+	if err := failpoint.Setup("server.feed=1*panic"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Reset()
+	rs.restart(so) // fails the test if Listen does
+	if got := failpoint.Hits(failpoint.SiteServerFeed); got != 1 {
+		t.Fatalf("server.feed fired %d times during replay, want 1", got)
+	}
+	failpoint.Reset()
+	if got := reg.Counter(obs.MetricStoreRecoveryDropped).Value(); got != 1 {
+		t.Fatalf("%s = %d, want 1", obs.MetricStoreRecoveryDropped, got)
+	}
+	if got := reg.Counter(obs.MetricSessionsQuarantined).Value(); got != 1 {
+		t.Fatalf("%s = %d, want 1", obs.MetricSessionsQuarantined, got)
+	}
+
+	survivors := 0
+	for _, d := range ss {
+		p := dialSession(t, rs.s.Addr())
+		w, rej := p.hello(d.h)
+		if rej != nil {
+			if rej.Code != "unknown-session" {
+				t.Fatalf("%s resume rejected: %+v", d.h.Lifeguard, rej)
+			}
+			continue
+		}
+		survivors++
+		if !w.Recovered || w.NextEpoch != d.half {
+			t.Fatalf("%s resumed with %+v, want recovered at epoch %d", d.h.Lifeguard, w, d.half)
+		}
+		for l := d.half; l < d.g.NumEpochs(); l++ {
+			p.sendEpoch(d.g, l)
+			p.drainUntilAck(l)
+		}
+		checkRemote(t, d.h.Lifeguard, assembleResult(p.finish(), d.p.reports, p.reports), d.want)
+	}
+	if survivors != 1 {
+		t.Fatalf("%d sessions survived the poisoned replay, want 1", survivors)
 	}
 }

@@ -47,6 +47,7 @@ func TestMemEstimateCoversReplayReports(t *testing.T) {
 			t.Fatalf("epoch %d: %v", l, err)
 		}
 		sess.recordReports(l, reps)
+		s.refreshMemEstimate(sess)
 		if abort, _ := s.noteMemUsage(sess); abort != "" {
 			t.Fatalf("epoch %d: no budget is set, yet the session was aborted: %s", l, abort)
 		}

@@ -2,20 +2,16 @@ package server
 
 // Crash recovery (DESIGN.md §14): Listen scans the durable store before the
 // listener accepts anyone and rebuilds every session that survived the
-// previous process. Because the analysis is deterministic (the differential
-// suites prove every way of feeding it equal), recovery is replay: each
-// logged epoch frame runs through a fresh driver via the pooled decode step
-// the live frame loop uses (session.decodeEpoch), regenerating the SOS, the
-// window, and — crucially — the per-tick report buffer, so a resuming
-// client is handed the same replay frames it would have gotten had the
-// server never died.
+// previous process by replaying its log through the per-epoch step
+// (step.go). The analysis is deterministic over its epoch stream, so a
+// resuming client is handed the replay frames it would have gotten had the
+// server never died, and the budgets see the session as the dead one did.
 
 import (
 	"fmt"
 	"time"
 
 	"butterfly/internal/obs"
-	"butterfly/internal/proto"
 	"butterfly/internal/store"
 )
 
@@ -64,76 +60,45 @@ func (s *Server) recoverSessions() error {
 	return nil
 }
 
-// rebuildSession replays one recovered log through a fresh session. Replay
-// regenerates the session's counters too: its byte-quota usage is the wire
-// size of every replayed Epoch frame (plus the End frame of a finished
-// session), exactly what the live loop charged for them. The stored
-// snapshot cursor cross-checks the replay: if the regenerated byte count,
-// report count or Done totals fall short of or diverge from what the dead
-// process durably recorded, determinism has been violated somewhere and the
-// session is discarded rather than resumed into a lie.
+// rebuildSession replays one recovered log through a fresh session: each
+// Epoch frame, and the End frame of a finished session, is charged and
+// applied as the live loop did. The snapshot cursor and Done cross-check the
+// replay: a byte count, report count or Done that falls short of or diverges
+// from what the dead process durably recorded means determinism was
+// violated, and the session is discarded rather than resumed into a lie.
 func (s *Server) rebuildSession(rec *store.Recovered) (*session, error) {
 	h := rec.Meta.Hello
+	h.TraceID = rec.Meta.TraceID // the ID the session was logged under
 	sess, rej := s.buildSession(h, rec.ID)
 	if rej != nil {
 		return nil, fmt.Errorf("%s: %s", rej.Code, rej.Reason)
 	}
 	sess.recovered = true
-	discard := func(err error) (*session, error) {
-		sess.inc.Close()
-		sess.scope.Drop()
-		return nil, err
-	}
 	err := rec.Replay(func(num int, payload []byte) error {
-		gotNum, blocks, err := sess.decodeEpoch(payload)
-		if err != nil {
-			return fmt.Errorf("epoch record %d: %w", num, err)
+		sess.charge(payload)
+		if _, _, v := s.applyEpoch(sess, payload, nil); v != nil {
+			return fmt.Errorf("epoch record %d: %s: %s", num, v.Code, v.Reason)
 		}
-		// The same containment the live feed path has: a lifeguard panic
-		// while replaying a poisoned log must discard this one session,
-		// never abort the whole recovery (and with it, the process start).
-		reps, err, panicked := s.feedEpoch(sess, blocks)
-		if panicked {
-			return fmt.Errorf("lifeguard panicked at epoch %d: %w", gotNum, err)
-		}
-		if err != nil {
-			return err
-		}
-		sess.recordReports(gotNum, reps)
-		sess.epochs++
-		sess.bytesIn += wireBytes(payload)
 		return nil
 	})
-	if err != nil {
-		return discard(fmt.Errorf("replay: %w", err))
+	if err == nil && rec.Finished {
+		sess.charge(nil) // the End frame
+		if _, v := s.applyEnd(sess); v != nil {
+			err = fmt.Errorf("finish: %s: %s", v.Code, v.Reason)
+		} else if sess.done != rec.Done {
+			err = fmt.Errorf("diverged: Done %+v, logged %+v", sess.done, rec.Done)
+		}
 	}
-	if rec.Finished {
-		sess.bytesIn += wireBytes(nil) // the End frame
-	}
-	if rec.HasSnapshot {
+	if err == nil && rec.HasSnapshot {
 		if sess.bytesIn < rec.Snapshot.BytesIn {
-			return discard(fmt.Errorf("replay regenerated %d wire bytes, cursor says >= %d",
-				sess.bytesIn, rec.Snapshot.BytesIn))
-		}
-		if sess.nreports < rec.Snapshot.Reports {
-			return discard(fmt.Errorf("replay regenerated %d reports, cursor says >= %d",
-				sess.nreports, rec.Snapshot.Reports))
+			err = fmt.Errorf("regenerated %d wire bytes, cursor says >= %d", sess.bytesIn, rec.Snapshot.BytesIn)
+		} else if sess.nreports < rec.Snapshot.Reports {
+			err = fmt.Errorf("regenerated %d reports, cursor says >= %d", sess.nreports, rec.Snapshot.Reports)
 		}
 	}
-	if rec.Finished {
-		res, err, panicked := s.finishInc(sess)
-		if panicked {
-			return discard(fmt.Errorf("replay finish: lifeguard panicked: %w", err))
-		}
-		if err != nil {
-			return discard(fmt.Errorf("replay finish: %w", err))
-		}
-		sess.recordReports(res.Epochs, res.Reports)
-		sess.finished = true
-		sess.done = proto.Done{Epochs: res.Epochs, Events: res.Events, Reports: sess.nreports}
-		if sess.done != rec.Done {
-			return discard(fmt.Errorf("replay diverged: Done %+v, logged %+v", sess.done, rec.Done))
-		}
+	if err != nil {
+		s.cleanupSession(sess, false) // no log is open yet: Resume comes last
+		return nil, fmt.Errorf("replay: %w", err)
 	}
 	wal, err := rec.Resume(sess.scope)
 	if err != nil {

@@ -11,12 +11,16 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"butterfly/internal/client"
 	"butterfly/internal/core"
@@ -620,5 +624,159 @@ func TestRecoveredByteQuota(t *testing.T) {
 	}
 	if got := p2.sendUntilError(g, half, "quota-bytes"); got != wantAt {
 		t.Fatalf("recovered session tripped the byte quota at epoch %d, want %d", got, wantAt)
+	}
+}
+
+// churnGrid builds nepochs epochs in which thread 0 allocates and frees a
+// slot that thread 1 reads: every epoch reports in both passes, so the
+// trailing tick does too.
+func churnGrid(t *testing.T, nepochs int) *epoch.Grid {
+	t.Helper()
+	b := trace.NewBuilder(2)
+	for i := 0; i < nepochs; i++ {
+		b.T(0)
+		b.Alloc(0x100, 8)
+		b.Free(0x100, 8)
+		b.T(1)
+		b.Read(0x100, 4)
+		b.Read(0x104, 4)
+	}
+	g, err := epoch.ChunkByCount(b.Build(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// recoveryRow is the part of a /sessions row that recovery regenerates.
+type recoveryRow struct {
+	ID           string `json:"id"`
+	TraceID      string `json:"trace_id"`
+	Attached     bool   `json:"attached"`
+	Recovered    bool   `json:"recovered"`
+	MemBytes     int64  `json:"mem_bytes"`
+	Epochs       int64  `json:"epochs"`
+	WindowEvents int64  `json:"window_events"`
+	BytesIn      int64  `json:"bytes_in"`
+	FramesIn     int64  `json:"frames_in"`
+	AckFlushes   int64  `json:"ack_flushes"`
+	ReportsOut   int64  `json:"reports_out"`
+}
+
+// sessionRow reads session id's /sessions row through s's introspection
+// endpoints.
+func sessionRow(t *testing.T, s *server.Server, id string) recoveryRow {
+	t.Helper()
+	mux := http.NewServeMux()
+	for _, ep := range s.DebugEndpoints() {
+		mux.Handle(ep.Pattern, ep.Handler)
+	}
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+	var answer struct {
+		Sessions []recoveryRow `json:"sessions"`
+	}
+	if code := getJSON(t, hs.URL+"/sessions", &answer); code != http.StatusOK {
+		t.Fatalf("/sessions = %d", code)
+	}
+	for _, row := range answer.Sessions {
+		if row.ID == id[:12] {
+			return row
+		}
+	}
+	t.Fatalf("/sessions has no row for %s: %+v", id[:12], answer.Sessions)
+	return recoveryRow{}
+}
+
+// TestRecoveryRegeneratesSessionRow drains and restarts a durable session
+// and compares its /sessions row and the global memory estimate before and
+// after: replay runs the live loop's per-epoch step, so everything the live
+// loop counted for the session comes back equal, including a trace ID the
+// server generated because the Hello carried none. ack_flushes and
+// reports_out count writes to this process's client, so they restart at 0.
+// The finished case ends the session before the drain: its estimate must
+// cover the replay buffer including the trailing tick's reports, which the
+// session holds for its client's resume.
+func TestRecoveryRegeneratesSessionRow(t *testing.T) {
+	for _, finished := range []bool{false, true} {
+		t.Run(fmt.Sprintf("finished=%v", finished), func(t *testing.T) {
+			reg := obs.New()
+			so := store.Options{SnapshotEvery: 5}
+			rs := startDurable(t, t.TempDir(), reg, so, server.Config{})
+			g := churnGrid(t, 24)
+			h := proto.Hello{Lifeguard: "addrcheck", NumThreads: 2, AckedEpoch: -1}
+
+			p := dialSession(t, rs.s.Addr())
+			w, rej := p.hello(h)
+			if rej != nil {
+				t.Fatalf("hello rejected: %+v", rej)
+			}
+			for l := 0; l < g.NumEpochs(); l++ {
+				p.sendEpoch(g, l)
+				p.drainUntilAck(l)
+			}
+			var done proto.Done
+			if finished {
+				if err := proto.WriteFrame(p.bw, proto.FrameEnd, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.bw.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				done = p.drainUntilDone()
+			}
+			p.conn.Close() // no goodbye: the session stays resumable
+			var before recoveryRow
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				if before = sessionRow(t, rs.s, w.Session); !before.Attached || time.Now().After(deadline) {
+					break
+				}
+			}
+			if before.Attached {
+				t.Fatal("session still attached 5s after its client hung up")
+			}
+			memEstimate := reg.Gauge(obs.MetricMemBudgetEstimate)
+			estBefore := memEstimate.Value()
+
+			rs.restart(so)
+			after := sessionRow(t, rs.s, w.Session)
+			if !after.Recovered {
+				t.Fatalf("row after restart = %+v, want recovered", after)
+			}
+			if before.MemBytes <= 0 || before.FramesIn == 0 || before.ReportsOut == 0 {
+				t.Fatalf("live row = %+v: nothing counted", before)
+			}
+			regenerated := func(r recoveryRow) recoveryRow {
+				return recoveryRow{ID: r.ID, TraceID: r.TraceID, MemBytes: r.MemBytes, Epochs: r.Epochs,
+					WindowEvents: r.WindowEvents, BytesIn: r.BytesIn, FramesIn: r.FramesIn}
+			}
+			if got, want := regenerated(after), regenerated(before); got != want {
+				t.Errorf("recovered row\n  %+v\nwant the live row\n  %+v", got, want)
+			}
+			if estAfter := memEstimate.Value(); estAfter != estBefore || estAfter != after.MemBytes {
+				t.Errorf("%s = %d after restart, %d before, want the session's %d",
+					obs.MetricMemBudgetEstimate, estAfter, estBefore, after.MemBytes)
+			}
+			if after.AckFlushes != 0 || after.ReportsOut != 0 {
+				t.Errorf("ack_flushes/reports_out = %d/%d after restart, want 0/0 (no client yet)",
+					after.AckFlushes, after.ReportsOut)
+			}
+			if finished {
+				trailing := p.reports[done.Epochs]
+				if len(trailing) == 0 {
+					t.Fatal("the trailing tick reported nothing; the case needs a trace that does")
+				}
+				var pinned int64
+				for _, reps := range p.reports {
+					for _, r := range reps {
+						pinned += int64(unsafe.Sizeof(r)) + int64(len(r.Detail))
+					}
+				}
+				if after.MemBytes < pinned {
+					t.Errorf("finished session's estimate %d is below the %d bytes its %d reports pin",
+						after.MemBytes, pinned, done.Reports)
+				}
+			}
+		})
 	}
 }

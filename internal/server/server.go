@@ -41,8 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"butterfly/internal/core"
-	"butterfly/internal/epoch"
 	"butterfly/internal/failpoint"
 	"butterfly/internal/obs"
 	"butterfly/internal/proto"
@@ -687,74 +685,16 @@ func (s *Server) dropSlow(sess *session, err error) {
 	s.detach(sess)
 }
 
-// feedEpoch runs one epoch tick under the worker-slot semaphore, converting
-// a panicking lifeguard — boxed onto the feeding goroutine by the driver
-// (core.WorkerPanic), or erupting right here — into a quarantine verdict
-// instead of a process crash.
-func (s *Server) feedEpoch(sess *session, blocks []*epoch.Block) (reps []core.Report, err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			err = panicError(r)
-		}
-	}()
-	if err := failpoint.Inject(failpoint.SiteServerFeed); err != nil {
-		// The feeding-goroutine quarantine drill; error policies panic too,
-		// since the feed path's error channel belongs to the driver.
-		panic(err)
-	}
-	reps, err = sess.inc.FeedEpoch(blocks)
-	return reps, err, false
-}
-
-// finishInc is feedEpoch for the trailing Finish tick.
-func (s *Server) finishInc(sess *session) (res *core.Result, err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			err = panicError(r)
-		}
-	}()
-	res, err = sess.inc.Finish()
-	return res, err, false
-}
-
-// panicError shapes a recovered panic value into the quarantine error.
-func panicError(r any) error {
-	if wp, ok := r.(*core.WorkerPanic); ok {
-		return wp
-	}
-	return fmt.Errorf("panic: %v", r)
-}
-
-// quarantine isolates a session whose lifeguard panicked: the session is
-// marked, the flight-recorder tail and the worker stack go to the log, the
-// client gets a typed "quarantined" abort — and the process and every
-// sibling session keep running untouched.
-func (s *Server) quarantine(bw *bufio.Writer, sess *session, err error) {
-	sess.quarantined.Store(true)
-	s.m.quarantined.Inc()
-	var wp *core.WorkerPanic
-	if errors.As(err, &wp) && len(wp.Stack) > 0 {
-		s.log.Error("lifeguard panic (worker stack follows)", "session", sess.shortID,
-			"trace", sess.traceID, "panic", fmt.Sprint(wp.Val), "stack", string(wp.Stack))
-	}
-	s.sessionError(bw, sess, "quarantined", "lifeguard panicked; session isolated: "+err.Error())
-}
-
-// noteMemUsage refreshes the session's memory estimate after a feed and
-// applies the budgets. It returns a non-empty abort reason when the session
-// alone blew its budget, and shed=true when the global budget is exhausted
-// and this session should be detached to stop the inflow (only ever when a
-// sibling is attached — the last session always gets to finish).
+// noteMemUsage applies the budgets to the session's latest memory estimate
+// (refreshed by every step). It returns a non-empty abort reason when the
+// session alone blew its budget, and shed=true when the global budget is
+// exhausted and this session should be detached to stop the inflow (only
+// ever when a sibling is attached — the last session always gets to finish).
 func (s *Server) noteMemUsage(sess *session) (abort string, shed bool) {
-	est := sess.inc.MemEstimate() + sess.replayBytes
-	total := s.memTotal.Add(est - sess.memEst.Swap(est))
-	s.m.memEstimate.Set(total)
-	if s.cfg.SessionMemBudget > 0 && est > s.cfg.SessionMemBudget {
+	if est := sess.memEst.Load(); s.cfg.SessionMemBudget > 0 && est > s.cfg.SessionMemBudget {
 		return fmt.Sprintf("session holds ~%d bytes, budget %d", est, s.cfg.SessionMemBudget), false
 	}
-	if s.cfg.MemBudget > 0 && total > s.cfg.MemBudget {
+	if s.cfg.MemBudget > 0 && s.memTotal.Load() > s.cfg.MemBudget {
 		s.mu.Lock()
 		shed = s.anyAttachedLocked(sess)
 		s.mu.Unlock()
@@ -774,18 +714,25 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 		return
 	}
 	// Reports frames encode into one buffer reused for the whole attach: a
-	// firing lifeguard sends one every tick.
+	// firing lifeguard sends one every tick. A tick without reports sends
+	// none.
 	var repBuf []byte
 	writeReports := func(r proto.Reports) error {
+		if len(r.Reports) == 0 {
+			return nil
+		}
 		repBuf = r.AppendJSON(repBuf[:0])
-		return proto.WriteFrame(bw, proto.FrameReports, repBuf)
+		if err := proto.WriteFrame(bw, proto.FrameReports, repBuf); err != nil {
+			return err
+		}
+		sess.sm.reportsOut.Add(int64(len(r.Reports)))
+		return nil
 	}
 	for _, rep := range sess.replayAfter(acked) {
 		if err := writeReports(rep); err != nil {
 			s.dropSlow(sess, err)
 			return
 		}
-		sess.sm.reportsOut.Add(int64(len(rep.Reports)))
 	}
 	if sess.finished {
 		s.finishSession(br, bw, sess)
@@ -799,7 +746,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 	// The frame loop reuses one payload buffer (FrameReader) and recycled
 	// epoch rows (the session's RowPool), so a healthy session's steady
 	// state reads, decodes and analyzes without allocating: the scoped
-	// counters, latency histograms and flight recorder below all write into
+	// counters, latency histograms and flight recorder the step writes are
 	// preallocated state. Payloads are fully consumed before the next Read,
 	// as FrameReader requires.
 	fr := proto.NewFrameReader(br)
@@ -818,6 +765,12 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 		sess.sm.ackFlushes.Inc()
 		return bw.Flush()
 	}
+	// A tick that finds every analysis slot taken delivers the Acks already
+	// written before it waits on other sessions for one. A failed flush must
+	// not end the session there, between decode and feed (the row builder
+	// has stamped the epoch already): the writer keeps the error, and the
+	// tick's Ack write drops the session once the epoch is fed.
+	flushBeforeWait := func() { flushAcks() }
 	for {
 		// server.read: a delay policy stalls this read (slow network), an
 		// error policy drops the connection as a mid-stream network fault.
@@ -832,10 +785,8 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 			s.detach(sess)
 			return
 		}
-		sess.sm.framesIn.Inc()
-		frameBytes := wireBytes(payload)
-		sess.sm.bytesIn.Add(frameBytes)
-		sess.bytesIn += frameBytes
+		// Admission: a frame over a quota is refused before it is decoded.
+		sess.charge(payload)
 		if s.cfg.MaxSessionBytes > 0 && sess.bytesIn > s.cfg.MaxSessionBytes {
 			s.sessionError(bw, sess, "quota-bytes",
 				fmt.Sprintf("session exceeded %d-byte quota", s.cfg.MaxSessionBytes))
@@ -844,64 +795,19 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 
 		switch ft {
 		case proto.FrameEpoch:
-			num, blocks, err := sess.decodeEpoch(payload)
-			if err != nil {
-				s.sessionError(bw, sess, "protocol", err.Error())
-				return
-			}
-			sess.epochs++
-			if s.cfg.MaxSessionEpochs > 0 && sess.epochs > s.cfg.MaxSessionEpochs {
+			if s.cfg.MaxSessionEpochs > 0 && sess.epochs >= s.cfg.MaxSessionEpochs {
 				s.sessionError(bw, sess, "quota-epochs",
 					fmt.Sprintf("session exceeded %d-epoch quota", s.cfg.MaxSessionEpochs))
 				return
 			}
-			tick0 := time.Now()
-			if !s.tryAcquire() {
-				// Every analysis slot is taken: deliver the Acks already
-				// written before waiting on other sessions for one. A failed
-				// flush must not end the session here, between decode and
-				// feed (the row builder has stamped this epoch already); the
-				// writer keeps the error, and this tick's Ack write drops
-				// the session once the epoch is fed.
-				flushAcks()
-				s.acquire()
-			}
-			wait := time.Since(tick0)
-			reps, err, panicked := s.feedEpoch(sess, blocks)
-			s.release()
-			dur := time.Since(tick0)
-			sess.sm.waitNs.Observe(wait)
-			sess.sm.feedNs.Observe(dur)
-			sess.flight.Record(obs.FlightEpoch, num, dur, wait, "")
-			if panicked {
-				s.quarantine(bw, sess, err)
+			num, reps, v := s.applyEpoch(sess, payload, flushBeforeWait)
+			if v != nil {
+				s.sessionError(bw, sess, v.Code, v.Reason)
 				return
 			}
-			if err != nil {
-				s.sessionError(bw, sess, "internal", err.Error())
+			if err := writeReports(proto.Reports{Epoch: num, Reports: reps}); err != nil {
+				s.dropSlow(sess, err)
 				return
-			}
-			sess.recordReports(num, reps)
-			// Durability point: the epoch frame is appended (and, per the
-			// fsync policy, synced) before its Ack can go out, so every Ack
-			// the client ever sees names a tick a restarted server replays.
-			// Appending after FeedEpoch keeps poison frames out of the log: a
-			// frame the driver rejects is never durable state. On a write
-			// failure the session degrades and the Ack still goes out — the
-			// in-memory checkpoint contract of PR 4 is unchanged.
-			if sess.durable() {
-				if err := sess.wal.AppendEpoch(payload, store.Snapshot{
-					Acked: num, Epochs: sess.epochs, BytesIn: sess.bytesIn, Reports: sess.nreports,
-				}); err != nil {
-					s.degradeSession(sess, err)
-				}
-			}
-			if len(reps) > 0 {
-				if err := writeReports(proto.Reports{Epoch: num, Reports: reps}); err != nil {
-					s.dropSlow(sess, err)
-					return
-				}
-				sess.sm.reportsOut.Add(int64(len(reps)))
 			}
 			if err := proto.WriteFrame(bw, proto.FrameAck, proto.EncodeAck(num)); err != nil {
 				s.dropSlow(sess, err)
@@ -948,35 +854,14 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 				s.dropSlow(sess, err)
 				return
 			}
-			s.acquire()
-			res, err, panicked := s.finishInc(sess)
-			s.release()
-			if panicked {
-				s.quarantine(bw, sess, err)
+			reps, v := s.applyEnd(sess)
+			if v != nil {
+				s.sessionError(bw, sess, v.Code, v.Reason)
 				return
 			}
-			if err != nil {
-				s.sessionError(bw, sess, "internal", err.Error())
+			if err := writeReports(proto.Reports{Epoch: sess.done.Epochs, Reports: reps}); err != nil {
+				s.dropSlow(sess, err)
 				return
-			}
-			// The trailing tick's reports are keyed one past the last epoch.
-			sess.recordReports(res.Epochs, res.Reports)
-			sess.finished = true
-			sess.done = proto.Done{Epochs: res.Epochs, Events: res.Events, Reports: sess.nreports}
-			sess.flight.Record(obs.FlightNote, res.Epochs, 0, 0, "finished")
-			if sess.durable() {
-				if err := sess.wal.AppendFinish(sess.done, store.Snapshot{
-					Acked: res.Epochs - 1, Epochs: sess.epochs, BytesIn: sess.bytesIn, Reports: sess.nreports,
-				}); err != nil {
-					s.degradeSession(sess, err)
-				}
-			}
-			if len(res.Reports) > 0 {
-				if err := writeReports(proto.Reports{Epoch: res.Epochs, Reports: res.Reports}); err != nil {
-					s.dropSlow(sess, err)
-					return
-				}
-				sess.sm.reportsOut.Add(int64(len(res.Reports)))
 			}
 			s.finishSession(br, bw, sess)
 			return

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
@@ -283,34 +282,6 @@ func (sess *session) writeTrace(dir string, log *slog.Logger) {
 	})
 }
 
-// wireBytes is a frame's size on the wire (4-byte length, type byte,
-// payload): the unit of the -max-session-bytes quota.
-func wireBytes(payload []byte) int64 { return int64(len(payload)) + 5 }
-
-// decodeEpoch turns one Epoch frame payload into the session's next row: it
-// decodes into a pooled row's event backings, checks that the epoch is the
-// one the driver expects next, and stamps the row. The live frame loop and
-// WAL replay both call it, so a recovered session is rebuilt by the decode
-// path that built it the first time.
-func (sess *session) decodeEpoch(payload []byte) (int, []*epoch.Block, error) {
-	blocks := sess.rows.Get(sess.hello.NumThreads)
-	for t, b := range blocks {
-		sess.evRow[t] = b.Events[:0]
-	}
-	num, row, err := proto.DecodeEpochInto(payload, sess.hello.NumThreads, sess.evRow)
-	if err != nil {
-		return 0, nil, fmt.Errorf("bad epoch frame: %w", err)
-	}
-	for t, b := range blocks {
-		b.Events = row[t]
-	}
-	if num != sess.inc.NextEpoch() {
-		return 0, nil, fmt.Errorf("epoch %d out of order (expected %d)", num, sess.inc.NextEpoch())
-	}
-	sess.rb.Stamp(blocks)
-	return num, blocks, nil
-}
-
 // replayAfter returns the report frames for ticks after acked, in order.
 func (sess *session) replayAfter(acked int) []proto.Reports {
 	i := 0
@@ -318,16 +289,4 @@ func (sess *session) replayAfter(acked int) []proto.Reports {
 		i++
 	}
 	return sess.replay[i:]
-}
-
-// recordReports appends one tick's reports to the replay buffer.
-func (sess *session) recordReports(tick int, reps []core.Report) {
-	if len(reps) == 0 {
-		return
-	}
-	sess.replay = append(sess.replay, proto.Reports{Epoch: tick, Reports: reps})
-	sess.nreports += len(reps)
-	for i := range reps {
-		sess.replayBytes += int64(unsafe.Sizeof(reps[i])) + int64(len(reps[i].Detail))
-	}
 }

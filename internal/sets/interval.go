@@ -27,11 +27,6 @@ func (iv Interval) Len() uint64 {
 // Contains reports whether addr lies inside the interval.
 func (iv Interval) Contains(addr uint64) bool { return iv.Lo <= addr && addr < iv.Hi }
 
-// Overlaps reports whether two intervals share at least one byte.
-func (iv Interval) Overlaps(o Interval) bool {
-	return !iv.Empty() && !o.Empty() && iv.Lo < o.Hi && o.Lo < iv.Hi
-}
-
 func (iv Interval) String() string { return fmt.Sprintf("[%#x,%#x)", iv.Lo, iv.Hi) }
 
 // smallIvs is the inline-storage capacity: sets of up to this many intervals
@@ -475,13 +470,6 @@ func runs(dst, a, b []Interval, union bool) []Interval {
 	return subtractRuns(dst, a, b)
 }
 
-// Union returns a new set holding s ∪ o.
-func (s *IntervalSet) Union(o *IntervalSet) *IntervalSet {
-	c := s.Clone()
-	c.UnionInPlace(o)
-	return c
-}
-
 // UnionInPlace replaces s with s ∪ o. Small additions take the binary-search
 // insertion path; bulk unions run as one linear merge inside s's own
 // backing, so repeated folds (wing aggregation, epoch summaries) do not go
@@ -506,16 +494,9 @@ func (s *IntervalSet) MergeInto(dst *IntervalSet) {
 	dst.UnionInPlace(s)
 }
 
-// Subtract returns a new set holding s − o.
-func (s *IntervalSet) Subtract(o *IntervalSet) *IntervalSet {
-	c := s.Clone()
-	c.SubtractInPlace(o)
-	return c
-}
-
 // SubtractInPlace replaces s with s − o in one linear sweep inside s's own
-// backing (compare Subtract/RemoveRange loops, which pay a search per
-// removed interval). Only the intervals of o within s's span take part.
+// backing (a RemoveRange loop pays a search per removed interval). Only the
+// intervals of o within s's span take part.
 func (s *IntervalSet) SubtractInPlace(o *IntervalSet) {
 	n := len(s.ivs)
 	if n == 0 || len(o.ivs) == 0 {
@@ -645,45 +626,6 @@ func runEnd(p []Interval, i int, next uint64) int {
 	return i + 1 + sort.Search(n, func(x int) bool { return p[i+1+x].Hi >= next })
 }
 
-// Intersect returns a new set holding s ∩ o.
-func (s *IntervalSet) Intersect(o *IntervalSet) *IntervalSet {
-	c := &IntervalSet{}
-	i, j := 0, 0
-	for i < len(s.ivs) && j < len(o.ivs) {
-		a, b := s.ivs[i], o.ivs[j]
-		lo := max64(a.Lo, b.Lo)
-		hi := min64(a.Hi, b.Hi)
-		if lo < hi {
-			c.growOne()
-			c.ivs[len(c.ivs)-1] = Interval{lo, hi}
-		}
-		if a.Hi < b.Hi {
-			i++
-		} else {
-			j++
-		}
-	}
-	c.norm()
-	return c
-}
-
-// Intersects reports whether s ∩ o is nonempty.
-func (s *IntervalSet) Intersects(o *IntervalSet) bool {
-	i, j := 0, 0
-	for i < len(s.ivs) && j < len(o.ivs) {
-		a, b := s.ivs[i], o.ivs[j]
-		if a.Lo < b.Hi && b.Lo < a.Hi {
-			return true
-		}
-		if a.Hi < b.Hi {
-			i++
-		} else {
-			j++
-		}
-	}
-	return false
-}
-
 // Equal reports whether s and o cover exactly the same bytes.
 func (s *IntervalSet) Equal(o *IntervalSet) bool {
 	if len(s.ivs) != len(o.ivs) {
@@ -709,18 +651,4 @@ func (s *IntervalSet) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

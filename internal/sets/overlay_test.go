@@ -76,7 +76,7 @@ func (m *overlayModel) checkAll(tag string) {
 	m.t.Helper()
 	checkForm(m.t, tag+" add", &m.o.add)
 	checkForm(m.t, tag+" del", &m.o.del)
-	if m.o.add.Intersects(&m.o.del) {
+	if !intersect(&m.o.add, &m.o.del).Empty() {
 		m.t.Fatalf("%s: add %v and del %v overlap", tag, &m.o.add, &m.o.del)
 	}
 	checkAgainstRef(m.t, tag+" materialized", m.o.materialize(), m.ref, m.span+2)

@@ -115,27 +115,6 @@ func (s Set) IntersectInPlace(o Set) {
 	}
 }
 
-// Clear removes every element from s, keeping its capacity.
-func (s Set) Clear() {
-	for e := range s {
-		delete(s, e)
-	}
-}
-
-// Intersects reports whether s ∩ o is nonempty without materializing it.
-func (s Set) Intersects(o Set) bool {
-	small, large := s, o
-	if len(o) < len(s) {
-		small, large = o, s
-	}
-	for e := range small {
-		if large.Has(e) {
-			return true
-		}
-	}
-	return false
-}
-
 // Difference returns a new set holding s − o.
 func (s Set) Difference(o Set) Set {
 	c := make(Set)
