@@ -64,13 +64,15 @@ lint: fmt-check vet fuzz-list-check pool-check step-check
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over every decoder, the LSOS view, the sorted-vector
-# kernels, the taintcheck SOS merge, the report detail builder and the Reports codec (the
-# seed corpus always runs in `test`).
+# Short fuzz pass over every decoder, the event codec against its oracle,
+# the LSOS view, the sorted-vector kernels, the taintcheck SOS merge, the
+# report detail builder and the Reports codec (the seed corpus always runs
+# in `test`).
 fuzz:
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzStreamReader -fuzztime 30s
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzReadText -fuzztime 30s
+	$(GO) test ./internal/trace -run XXX -fuzz FuzzEpochRowCodec -fuzztime 30s
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzServerFrameDecoder -fuzztime 30s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALDecoder -fuzztime 30s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 30s
@@ -84,6 +86,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzReadBinary -fuzztime 10s
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzStreamReader -fuzztime 10s
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzReadText -fuzztime 10s
+	$(GO) test ./internal/trace -run XXX -fuzz FuzzEpochRowCodec -fuzztime 10s
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzServerFrameDecoder -fuzztime 10s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALDecoder -fuzztime 10s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 10s
@@ -95,11 +98,15 @@ fuzz-smoke:
 # GC-pressure gate (DESIGN.md §12, EXPERIMENTS.md "Allocation ablation").
 # TestSteadyStateAllocBudget fails the build if the warm epoch loop
 # allocates more than its fixed per-epoch budget, and TestWALAppendAllocBudget
-# does the same for the durable store's append path; the -benchmem run prints
-# the full-stack allocs/op for information (the tests are the gate).
+# does the same for the durable store's append path, and TestCodecAllocs and
+# TestEpochCodecAllocs for the event codec (a warm decode allocates nothing,
+# an Epoch payload once); the -benchmem run prints the full-stack allocs/op
+# for information (the tests are the gate).
 bench-alloc:
 	$(GO) test ./internal/core -count=1 -run TestSteadyStateAllocBudget -v
 	$(GO) test ./internal/store -count=1 -run TestWALAppendAllocBudget -v
+	$(GO) test ./internal/trace -count=1 -run TestCodecAllocs -v
+	$(GO) test ./internal/proto -count=1 -run TestEpochCodecAllocs -v
 	$(GO) test ./internal/server -run XXX -bench 'BenchmarkServerThroughput$$' -benchtime 10x -benchmem
 
 # The butterflyd differential soak: concurrent sessions (and the

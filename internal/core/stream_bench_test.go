@@ -106,25 +106,26 @@ func BenchmarkDriverStream(b *testing.B) {
 // "Grain-adaptive ticks"): a Parallel driver with every tick pinned inline
 // against the same driver with every tick pinned to its workers, over
 // block size h, thread count T, all four lifeguards and one or two drivers
-// running at once (two sessions of a server). Each driver analyzes 8 Ki
-// events a thread; the ns/event metric is wall time over all drivers'
-// events, so two drivers that scale perfectly on two cores halve it. The
-// recorded table takes the smaller of the two counts of each cell:
+// running at once (two sessions of a server). Each driver analyzes
+// max(8 Ki, 64·h) events a thread, so every cell runs at least 64 epochs
+// and measures a warm engine rather than its first epochs' storage growth;
+// the ns/event metric is wall time over all drivers' events, so two
+// drivers that scale perfectly on two cores halve it. The recorded table
+// takes the smaller of the two counts of each cell:
 //
 //	go test ./internal/core -run XXX -bench TickGrain -benchtime 20x -count 2
 func BenchmarkTickGrain(b *testing.B) {
-	const perThread = 8192
-	traces := map[string]func(T int) *trace.Trace{
-		"addrcheck":  func(T int) *trace.Trace { return steadyTrace(T, perThread, 32, 64) },
-		"memcheck":   func(T int) *trace.Trace { return steadyTrace(T, perThread, 32, 64) },
-		"taintcheck": func(T int) *trace.Trace { return taintTrace(T, perThread) },
-		"lockset":    func(T int) *trace.Trace { return lockTrace(T, perThread) },
+	const minEvents, minEpochs = 8192, 64
+	traces := map[string]func(T, perThread int) *trace.Trace{
+		"addrcheck":  func(T, n int) *trace.Trace { return steadyTrace(T, n, 32, 64) },
+		"memcheck":   func(T, n int) *trace.Trace { return steadyTrace(T, n, 32, 64) },
+		"taintcheck": taintTrace,
+		"lockset":    lockTrace,
 	}
 	for _, lgName := range []string{"addrcheck", "memcheck", "taintcheck", "lockset"} {
 		for _, T := range []int{2, 4, 8} {
-			tr := traces[lgName](T)
 			for _, h := range []int{16, 32, 64, 128, 256, 512, 1024} {
-				g := chunk(b, tr, h)
+				g := chunk(b, traces[lgName](T, max(minEvents, minEpochs*h)), h)
 				for _, drivers := range []int{1, 2} {
 					for _, sc := range schedules[1:] { // inline, fanout
 						name := fmt.Sprintf("%s/T=%d/h=%d/drivers=%d/%s", lgName, T, h, drivers, sc.name)

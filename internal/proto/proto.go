@@ -8,7 +8,7 @@
 // Control frames (Hello, Welcome, Reject, Reports, Done, Error) carry JSON
 // payloads — tiny, rare, and debuggable on the wire. Data frames reuse the
 // binary BFLYS1 stream codec: an Epoch frame is a uvarint epoch number
-// followed by the epoch-frame body encoding of trace.EncodeEpochRow, so the
+// followed by the epoch-frame body encoding of trace.AppendEpochRow, so the
 // service speaks exactly the format the in-process streaming driver
 // consumes. Ack frames are a bare uvarint epoch number.
 //
@@ -63,7 +63,7 @@ const (
 	// FrameReject (server→client) refuses a Hello; JSON Reject.
 	FrameReject FrameType = 3
 	// FrameEpoch (client→server) carries one epoch row: uvarint epoch
-	// number, then the trace.EncodeEpochRow body.
+	// number, then the trace.AppendEpochRow body.
 	FrameEpoch FrameType = 4
 	// FrameEnd (client→server) marks the end of the trace; empty payload.
 	FrameEnd FrameType = 5
@@ -345,15 +345,15 @@ func cut(err error) error {
 }
 
 // EncodeEpoch builds the payload of an Epoch frame: the epoch number, then
-// the row in the BFLYS1 epoch-frame body encoding.
+// the row in the BFLYS1 epoch-frame body encoding. The payload is sized
+// before it is written, so it costs one allocation.
 func EncodeEpoch(epochNum int, row [][]trace.Event) ([]byte, error) {
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(epochNum))])
-	if err := trace.EncodeEpochRow(&buf, row); err != nil {
+	buf := make([]byte, 0, binary.MaxVarintLen64+trace.EpochRowLen(row))
+	buf, err := trace.AppendEpochRow(binary.AppendUvarint(buf, uint64(epochNum)), row)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // DecodeEpoch parses an Epoch frame payload for a session of nthreads

@@ -3,6 +3,7 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"butterfly/internal/core"
+	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
 
@@ -123,6 +125,48 @@ func TestEpochPayloadRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeAck(nil); err == nil {
 		t.Error("DecodeAck accepted an empty payload")
+	}
+}
+
+// TestEpochCodecAllocs gates the Epoch payload's allocations: EncodeEpoch
+// sizes its payload first and allocates it once, and DecodeEpochInto into a
+// warm row allocates nothing.
+func TestEpochCodecAllocs(t *testing.T) {
+	if sets.RaceEnabled {
+		t.Skip("race detector instruments allocations; counts are not meaningful")
+	}
+	row := make([][]trace.Event, 4)
+	for th := range row {
+		for i := range 512 {
+			row[th] = append(row[th], trace.Event{Kind: trace.Read, Addr: 1<<28 + uint64(i)*200, Size: 8, Cycle: uint64(i) << 20})
+		}
+	}
+	var payload []byte
+	enc := testing.AllocsPerRun(50, func() {
+		var err error
+		if payload, err = EncodeEpoch(1<<30, row); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if enc > 1 {
+		t.Errorf("EncodeEpoch of a %d-event row: %v allocations, want at most 1", 4*512, enc)
+	}
+	if slack := cap(payload) - len(payload); slack >= binary.MaxVarintLen64 {
+		t.Errorf("EncodeEpoch payload: %d bytes with %d spare, want it sized to the encoding", len(payload), slack)
+	}
+	into := make([][]trace.Event, 4)
+	dec := testing.AllocsPerRun(50, func() {
+		_, got, err := DecodeEpochInto(payload, 4, into)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(into, got)
+	})
+	if dec != 0 {
+		t.Errorf("DecodeEpochInto into a warm row: %v allocations, want 0", dec)
+	}
+	if !reflect.DeepEqual(into, row) {
+		t.Fatal("decoded row differs from the encoded one")
 	}
 }
 

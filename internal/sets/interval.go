@@ -3,7 +3,6 @@ package sets
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -255,8 +254,32 @@ func (s *IntervalSet) Intervals() []Interval {
 
 // search returns the index of the first interval with Hi > lo, i.e. the first
 // interval that could overlap or follow an interval starting at lo.
-func (s *IntervalSet) search(lo uint64) int {
-	return sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi > lo })
+func (s *IntervalSet) search(lo uint64) int { return searchHi(s.ivs, lo, true) }
+
+// searchHi returns the index of the first interval of the sorted v whose Hi
+// reaches x: Hi >= x, or Hi > x when past is set (len(v) if none does).
+// Between the two ends its halving loop has the shape of Search's, with no
+// data-dependent branch, so a random probe pays no mispredictions. A probe
+// before the first interval or past the last returns at once: when probes
+// keep missing a set on the same side that branch predicts well, and the
+// loop's chain of dependent loads would cost more. "Hi > x" is tested as
+// "Hi−1 >= x", which cannot wrap: a stored interval is non-empty, so its Hi
+// is at least 1 (x+1 would overflow at the top of the address space).
+func searchHi(v []Interval, x uint64, past bool) int {
+	d := uint64(b2i(past))
+	n, i := len(v), 0
+	if n == 0 || v[0].Hi-d >= x {
+		return 0
+	}
+	if v[n-1].Hi-d < x {
+		return n
+	}
+	for n > 1 {
+		half := n >> 1
+		i += half * b2i(v[i+half].Hi-d < x)
+		n -= half
+	}
+	return i + b2i(v[i].Hi-d < x)
 }
 
 // AddRange inserts [lo, hi) into the set, coalescing as needed.
@@ -265,7 +288,7 @@ func (s *IntervalSet) AddRange(lo, hi uint64) {
 		return
 	}
 	// First interval that overlaps or touches [lo, hi) on the left: Hi >= lo.
-	i := sort.Search(len(s.ivs), func(k int) bool { return s.ivs[k].Hi >= lo })
+	i := searchHi(s.ivs, lo, false)
 	// Collect the run of intervals [i, j) that overlap or touch [lo, hi).
 	j := i
 	for j < len(s.ivs) && s.ivs[j].Lo <= hi {
@@ -508,7 +531,13 @@ func (s *IntervalSet) SubtractInPlace(o *IntervalSet) {
 		return
 	}
 	lo := o.search(s.ivs[0].Lo)
-	hi := lo + sort.Search(len(o.ivs)-lo, func(i int) bool { return o.ivs[lo+i].Lo >= s.ivs[n-1].Hi })
+	// hi: the first interval of o with Lo >= end. Before the first with
+	// Hi >= end every Lo is below end, and past it every Lo is at least end.
+	end := s.ivs[n-1].Hi
+	hi := lo + searchHi(o.ivs[lo:], end, false)
+	if hi < len(o.ivs) && o.ivs[hi].Lo < end {
+		hi++
+	}
 	switch b := o.ivs[lo:hi]; len(b) {
 	case 0:
 	case 1:
@@ -623,7 +652,7 @@ func runEnd(p []Interval, i int, next uint64) int {
 		step <<= 1
 	}
 	n := min(step, len(p)-i) - 1 // candidates p[i+1 : i+1+n]; p[i+1+n] fails or is the end
-	return i + 1 + sort.Search(n, func(x int) bool { return p[i+1+x].Hi >= next })
+	return i + 1 + searchHi(p[i+1:i+1+n], next, false)
 }
 
 // Equal reports whether s and o cover exactly the same bytes.

@@ -1,6 +1,9 @@
 package sets
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -196,5 +199,51 @@ func TestIntervalSetAlgebraProperties(t *testing.T) {
 		return union(a, b).Bytes() == a.Bytes()+b.Bytes()-intersect(a, b).Bytes()
 	}, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSearchHiMatchesSortSearch checks searchHi, both ways round, against
+// sort.Search on random sorted, disjoint interval lists of every small
+// length and at both ends of the address space, probing every interval
+// end, its neighbours, and 0 and MaxUint64.
+func TestSearchHiMatchesSortSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(v []Interval, x uint64) {
+		t.Helper()
+		for _, past := range []bool{false, true} {
+			want := sort.Search(len(v), func(i int) bool { return v[i].Hi >= x && (!past || v[i].Hi > x) })
+			if got := searchHi(v, x, past); got != want {
+				t.Fatalf("searchHi(%v, %#x, past=%v) = %d, want %d", v, x, past, got, want)
+			}
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		n := trial % 40
+		var base uint64
+		switch trial % 3 {
+		case 1:
+			base = math.MaxUint64 - uint64(64*n+64) // the top of the address space
+		case 2:
+			base = rng.Uint64() >> 1
+		}
+		var v []Interval
+		lo := base + uint64(rng.Intn(3))
+		for range n {
+			hi := lo + 1 + uint64(rng.Intn(30))
+			v = append(v, Interval{lo, hi})
+			lo = hi + 1 + uint64(rng.Intn(3))
+		}
+		probes := []uint64{0, 1, base, math.MaxUint64, math.MaxUint64 - 1}
+		for _, iv := range v {
+			probes = append(probes, iv.Lo, iv.Hi-1, iv.Hi, iv.Hi+1)
+		}
+		for _, x := range probes {
+			check(v, x)
+		}
+	}
+	// An interval ending at the very top: Hi = MaxUint64.
+	top := []Interval{{0, 1}, {math.MaxUint64 - 2, math.MaxUint64}}
+	for _, x := range []uint64{0, 1, math.MaxUint64 - 3, math.MaxUint64 - 1, math.MaxUint64} {
+		check(top, x)
 	}
 }

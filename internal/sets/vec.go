@@ -22,6 +22,8 @@ func b2i(b bool) int {
 // costs nothing; on the benchmark's taint traffic that made TaintCheck's
 // feed loop about a quarter faster than the textbook search. Keep it within
 // the compiler's inlining budget, and with it TaintCheck's sos.has.
+// IntervalSet's lookups share the loop's shape (searchHi, over interval
+// ends).
 func Search(v []uint64, x uint64) (i int, found bool) {
 	n := len(v)
 	for n > 1 {

@@ -22,119 +22,35 @@ import (
 
 const binaryMagic = "BFLY1"
 
-// WriteBinary encodes tr to w in the binary trace format.
+// spillLen is how much encoded output the file writers gather before one
+// Write.
+const spillLen = 64 << 10
+
+// spill writes buf to w once it holds spillLen bytes, and returns the
+// slice to append to next.
+func spill(w io.Writer, buf []byte) ([]byte, error) {
+	if len(buf) < spillLen {
+		return buf, nil
+	}
+	_, err := w.Write(buf)
+	return buf[:0], err
+}
+
+// WriteBinary encodes tr to w in the binary trace format. It appends into
+// one scratch slice and writes it out every spillLen bytes.
 func WriteBinary(w io.Writer, tr *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(tr.Threads))); err != nil {
-		return err
-	}
+	buf := binary.AppendUvarint([]byte(binaryMagic), uint64(len(tr.Threads)))
 	for _, th := range tr.Threads {
-		if err := putUvarint(uint64(len(th))); err != nil {
-			return err
-		}
-		for _, e := range th {
-			if err := writeEvent(bw, &buf, e); err != nil {
+		buf = binary.AppendUvarint(buf, uint64(len(th)))
+		for i := range th {
+			var err error
+			if buf, err = spill(w, appendEvent(buf, &th[i])); err != nil {
 				return err
 			}
 		}
 	}
-	if err := writeGlobal(bw, &buf, tr.Global); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// writeEvent encodes one event (kind byte + five uvarint fields).
-func writeEvent(bw *bufio.Writer, buf *[binary.MaxVarintLen64]byte, e Event) error {
-	if err := bw.WriteByte(byte(e.Kind)); err != nil {
-		return err
-	}
-	for _, v := range [...]uint64{e.Addr, e.Size, e.Src1, e.Src2, e.Cycle} {
-		n := binary.PutUvarint(buf[:], v)
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readEvent decodes one event written by writeEvent.
-func readEvent(br io.ByteReader) (Event, error) {
-	var e Event
-	kb, err := br.ReadByte()
-	if err != nil {
-		return e, err
-	}
-	if Kind(kb) >= numKinds {
-		return e, fmt.Errorf("bad kind %d", kb)
-	}
-	e.Kind = Kind(kb)
-	for _, dst := range [...]*uint64{&e.Addr, &e.Size, &e.Src1, &e.Src2, &e.Cycle} {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return e, err
-		}
-		*dst = v
-	}
-	return e, nil
-}
-
-// writeGlobal encodes the ground-truth section (count, then refs).
-func writeGlobal(bw *bufio.Writer, buf *[binary.MaxVarintLen64]byte, global []GlobalRef) error {
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(global))); err != nil {
-		return err
-	}
-	for _, g := range global {
-		if err := putUvarint(uint64(g.Thread)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(g.Index)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readGlobal decodes the ground-truth section written by writeGlobal.
-func readGlobal(br *bufio.Reader) ([]GlobalRef, error) {
-	nglobal, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: ground truth count: %w", err)
-	}
-	if nglobal == 0 {
-		return nil, nil
-	}
-	capHint := nglobal
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	global := make([]GlobalRef, 0, capHint)
-	for i := uint64(0); i < nglobal; i++ {
-		th, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: ground truth %d thread: %w", i, err)
-		}
-		idx, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: ground truth %d index: %w", i, err)
-		}
-		global = append(global, GlobalRef{ThreadID(th), int(idx)})
-	}
-	return global, nil
+	_, err := w.Write(appendGlobal(buf, tr.Global))
+	return err
 }
 
 // ReadBinary decodes a trace written by WriteBinary.
@@ -147,7 +63,8 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if string(magic) != binaryMagic {
 		return nil, fmt.Errorf("trace: bad magic %q", magic)
 	}
-	nthreads, err := binary.ReadUvarint(br)
+	in := input{br: br}
+	nthreads, err := in.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading thread count: %w", err)
 	}
@@ -156,27 +73,17 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	}
 	tr := &Trace{Threads: make([][]Event, nthreads)}
 	for t := range tr.Threads {
-		nev, err := binary.ReadUvarint(br)
+		nev, err := in.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("trace: thread %d event count: %w", t, err)
 		}
-		// Do not trust the claimed count for allocation: grow as data
-		// actually arrives, so a forged header cannot exhaust memory.
-		capHint := nev
-		if capHint > 4096 {
-			capHint = 4096
-		}
-		evs := make([]Event, 0, capHint)
-		for i := uint64(0); i < nev; i++ {
-			e, err := readEvent(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: thread %d event %d: %w", t, i, err)
-			}
-			evs = append(evs, e)
+		evs, i, err := in.events(nil, nev, allKinds)
+		if err != nil {
+			return nil, fmt.Errorf("trace: thread %d event %d: %w", t, i, err)
 		}
 		tr.Threads[t] = evs
 	}
-	global, err := readGlobal(br)
+	global, err := in.global()
 	if err != nil {
 		return nil, err
 	}
@@ -197,29 +104,34 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 //
 // Numbers are hexadecimal with 0x prefix for addresses, decimal otherwise.
 func WriteText(w io.Writer, tr *Trace) error {
-	bw := bufio.NewWriter(w)
+	var buf []byte
 	for t, th := range tr.Threads {
-		fmt.Fprintf(bw, "thread %d\n", t)
+		buf = fmt.Appendf(buf, "thread %d\n", t)
 		for _, e := range th {
 			switch e.Kind {
 			case AssignUn:
-				fmt.Fprintf(bw, "%s %#x %#x\n", e.Kind, e.Addr, e.Src1)
+				buf = fmt.Appendf(buf, "%s %#x %#x\n", e.Kind, e.Addr, e.Src1)
 			case AssignBin:
-				fmt.Fprintf(bw, "%s %#x %#x %#x\n", e.Kind, e.Addr, e.Src1, e.Src2)
+				buf = fmt.Appendf(buf, "%s %#x %#x %#x\n", e.Kind, e.Addr, e.Src1, e.Src2)
 			case Nop, Heartbeat, BarrierEv:
-				fmt.Fprintf(bw, "%s\n", e.Kind)
+				buf = fmt.Appendf(buf, "%s\n", e.Kind)
 			default:
-				fmt.Fprintf(bw, "%s %#x %d\n", e.Kind, e.Addr, e.Size)
+				buf = fmt.Appendf(buf, "%s %#x %d\n", e.Kind, e.Addr, e.Size)
+			}
+			var err error
+			if buf, err = spill(w, buf); err != nil {
+				return err
 			}
 		}
 	}
 	if tr.Global != nil {
-		fmt.Fprintln(bw, "global")
+		buf = append(buf, "global\n"...)
 		for _, g := range tr.Global {
-			fmt.Fprintf(bw, "%d %d\n", g.Thread, g.Index)
+			buf = fmt.Appendf(buf, "%d %d\n", g.Thread, g.Index)
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 var kindByName = func() map[string]Kind {

@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // Fuzz targets run their seed corpus under plain `go test` and can be
@@ -166,6 +170,22 @@ func FuzzStreamReader(f *testing.F) {
 		if !reflect.DeepEqual(sr2.Global(), sr.Global()) {
 			t.Fatal("round trip changed the ground truth")
 		}
+		// Window differential: the same bytes arriving one at a time, and in
+		// chunks that end inside events, decode to the same rows.
+		for _, r := range []io.Reader{
+			iotest.OneByteReader(bytes.NewReader(data)),
+			chunkReader{bytes.NewReader(data), 1 + len(data)%53},
+		} {
+			got, gotGlobal := streamEpochs(t, r)
+			if len(got) != len(rows) || !reflect.DeepEqual(gotGlobal, sr.Global()) {
+				t.Fatalf("chunked decode read %d epochs, want %d", len(got), len(rows))
+			}
+			for i := range rows {
+				if !rowsEqual(got[i], rows[i]) {
+					t.Fatalf("chunked decode changed epoch %d", i)
+				}
+			}
+		}
 		// Pooled-path differential: NextEpochInto with reused, deliberately
 		// dirty buffers must yield exactly the rows the allocating path
 		// produced. Stale capacity showing through (the pooled server decode
@@ -198,6 +218,97 @@ func FuzzStreamReader(f *testing.F) {
 				t.Fatalf("pooled decode changed epoch %d", i)
 			}
 			copy(into, row) // keep reusing the (possibly grown) backings
+		}
+	})
+}
+
+// codecSeedRows are epoch rows for FuzzEpochRowCodec's corpus: small
+// rows, and rows long enough that the decoder's fast path runs, with
+// values of every varint length.
+func codecSeedRows() [][][]Event {
+	wide := make([]Event, 12)
+	for i := range wide {
+		v := uint64(1) << (5 * i)
+		wide[i] = Event{Kind: Kind(i % int(Heartbeat)), Addr: v, Size: v - 1, Src1: v << 1, Src2: math.MaxUint64 >> i, Cycle: uint64(i)}
+	}
+	return [][][]Event{
+		{{{Kind: Alloc, Addr: 0x100, Size: 16}}, {}},
+		{{}, {{Kind: AssignBin, Addr: 0x1, Src1: 0x2, Src2: 0x3}, {Kind: Jump, Addr: 0x1}}},
+		{wide, wide[3:]},
+		{{}, {}},
+	}
+}
+
+// FuzzEpochRowCodec checks the slice codec against the io.ByteReader
+// decoder and bufio encoder it replaced (oracle_test.go). On any bytes both
+// decoders accept with equal rows, or both reject with the same error,
+// truncations matching io.ErrUnexpectedEOF on both sides. A decode into
+// dirty, undersized backings agrees with the allocating one, and every
+// accepted row re-encodes to the oracle encoder's bytes.
+func FuzzEpochRowCodec(f *testing.F) {
+	for _, row := range codecSeedRows() {
+		data, err := oracleEncodeEpochRow(row)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, uint8(len(row)))
+		f.Add(data[:len(data)*2/3], uint8(len(row)))
+	}
+	// A heartbeat, a bad kind and an overflowing varint, each inside the
+	// fast path's reach and at the end of the data.
+	long := bytes.Repeat([]byte{0}, 2*maxEventLen)
+	for _, bad := range [][]byte{
+		{byte(Heartbeat)},
+		{byte(numKinds)},
+		{byte(Read), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		{byte(Read), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
+	} {
+		f.Add(append(append([]byte{2}, bad...), long...), uint8(1))
+		f.Add(append([]byte{1}, bad...), uint8(1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		nthreads := int(n % 9)
+		got, err := DecodeEpochRowInto(data, nthreads, nil)
+		want, werr := oracleDecodeEpochRow(data, nthreads)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("decoders disagree: %v vs oracle %v", err, werr)
+		}
+		if err != nil {
+			if errors.Is(err, io.ErrUnexpectedEOF) != errors.Is(werr, io.ErrUnexpectedEOF) {
+				t.Fatalf("truncation class differs: %v vs oracle %v", err, werr)
+			}
+			// The same fault at the same place; only the overflow error's
+			// package prefix differs.
+			if w := strings.Replace(werr.Error(), "binary: ", "", 1); err.Error() != w {
+				t.Fatalf("errors differ: %q vs oracle %q", err, w)
+			}
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("rows differ:\n got %v\nwant %v", got, want)
+		}
+		poison := Event{Kind: 0xFF, Addr: 0xdead_dead_dead_dead}
+		into := make([][]Event, nthreads)
+		for t2 := range into {
+			into[t2] = []Event{poison, poison}[:t2%3]
+		}
+		got2, err := DecodeEpochRowInto(data, nthreads, into)
+		if err != nil || !rowsEqual(got2, want) {
+			t.Fatalf("decode into dirty backings differs (%v)", err)
+		}
+		enc, err := AppendEpochRow([]byte("prefix"), got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wenc, err := oracleEncodeEpochRow(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(enc[:6]) != "prefix" || !bytes.Equal(enc[6:], wenc) {
+			t.Fatalf("encoders differ:\n got %x\nwant %x", enc[6:], wenc)
+		}
+		if EpochRowLen(got) != len(wenc) {
+			t.Fatalf("EpochRowLen = %d, encoding has %d bytes", EpochRowLen(got), len(wenc))
 		}
 	})
 }

@@ -41,12 +41,15 @@ const maxStreamThreads = 1 << 16
 
 // StreamWriter encodes a trace one epoch row at a time. Epoch rows are
 // written with WriteEpoch; Close writes the end frame (with the optional
-// ground truth) and flushes. A StreamWriter is not safe for concurrent use.
+// ground truth). Each frame is appended into one reused scratch slice and
+// handed to the underlying writer in one Write, so a consumer sees every
+// frame as soon as it is written. A StreamWriter is not safe for
+// concurrent use.
 type StreamWriter struct {
-	bw       *bufio.Writer
+	w        io.Writer
 	nthreads int
 	closed   bool
-	buf      [binary.MaxVarintLen64]byte
+	buf      []byte // the frame being written
 }
 
 // NewStreamWriter writes the stream header for nthreads threads to w and
@@ -55,20 +58,12 @@ func NewStreamWriter(w io.Writer, nthreads int) (*StreamWriter, error) {
 	if nthreads < 0 || nthreads > maxStreamThreads {
 		return nil, fmt.Errorf("trace: unreasonable thread count %d", nthreads)
 	}
-	sw := &StreamWriter{bw: bufio.NewWriter(w), nthreads: nthreads}
-	if _, err := sw.bw.WriteString(streamMagic); err != nil {
-		return nil, err
-	}
-	if err := sw.putUvarint(uint64(nthreads)); err != nil {
+	sw := &StreamWriter{w: w, nthreads: nthreads}
+	sw.buf = binary.AppendUvarint(append(sw.buf, streamMagic...), uint64(nthreads))
+	if _, err := w.Write(sw.buf); err != nil {
 		return nil, err
 	}
 	return sw, nil
-}
-
-func (sw *StreamWriter) putUvarint(v uint64) error {
-	n := binary.PutUvarint(sw.buf[:], v)
-	_, err := sw.bw.Write(sw.buf[:n])
-	return err
 }
 
 // NumThreads returns the thread count declared in the header.
@@ -76,7 +71,7 @@ func (sw *StreamWriter) NumThreads() int { return sw.nthreads }
 
 // WriteEpoch writes one epoch frame. row must hold exactly one event slice
 // per thread (empty slices are fine) and must not contain Heartbeat markers:
-// epoch boundaries are the frames themselves.
+// epoch boundaries are the frames themselves. A rejected row writes nothing.
 func (sw *StreamWriter) WriteEpoch(row [][]Event) error {
 	if sw.closed {
 		return fmt.Errorf("trace: WriteEpoch after Close")
@@ -84,143 +79,25 @@ func (sw *StreamWriter) WriteEpoch(row [][]Event) error {
 	if len(row) != sw.nthreads {
 		return fmt.Errorf("trace: epoch row has %d threads, want %d", len(row), sw.nthreads)
 	}
-	if err := sw.bw.WriteByte(frameEpoch); err != nil {
-		return err
-	}
-	return writeEpochBody(sw.bw, &sw.buf, row)
-}
-
-// writeEpochBody encodes the body of an epoch frame: per thread, a uvarint
-// event count followed by the events.
-func writeEpochBody(bw *bufio.Writer, buf *[binary.MaxVarintLen64]byte, row [][]Event) error {
-	for t, evs := range row {
-		n := binary.PutUvarint(buf[:], uint64(len(evs)))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		for _, e := range evs {
-			if e.Kind == Heartbeat {
-				return fmt.Errorf("trace: thread %d: heartbeat marker in stream epoch", t)
-			}
-			if err := writeEvent(bw, buf, e); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// EncodeEpochRow writes one epoch row in the stream epoch-frame body
-// encoding (no frame type byte, no header) to w. It is the unit payload of
-// the butterflyd wire protocol: a row encoded here decodes with
-// DecodeEpochRow given the same thread count.
-func EncodeEpochRow(w io.Writer, row [][]Event) error {
-	bw := bufio.NewWriter(w)
-	var buf [binary.MaxVarintLen64]byte
-	if err := writeEpochBody(bw, &buf, row); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// DecodeEpochRow decodes an epoch row written by EncodeEpochRow. It applies
-// the same validation as StreamReader.NextEpoch (heartbeat rejection,
-// untrusted counts) and additionally requires that data is fully consumed,
-// so a frame with trailing garbage is rejected rather than silently
-// truncated. Truncation errors match errors.Is(err, io.ErrUnexpectedEOF).
-func DecodeEpochRow(data []byte, nthreads int) ([][]Event, error) {
-	return DecodeEpochRowInto(data, nthreads, nil)
-}
-
-// DecodeEpochRowInto is DecodeEpochRow decoding into into's event backings:
-// into must hold nthreads entries whose slices are reused (and grown as
-// needed) instead of freshly allocated, so a steady-state consumer decodes
-// without allocating. Pass nil to allocate. The returned row aliases into's
-// (possibly regrown) backings.
-func DecodeEpochRowInto(data []byte, nthreads int, into [][]Event) ([][]Event, error) {
-	sc := byteScanner{data: data}
-	row, err := readEpochBody(&sc, nthreads, 0, into)
+	buf, err := AppendEpochRow(append(sw.buf[:0], frameEpoch), row)
+	sw.buf = buf
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if sc.off != len(data) {
-		return nil, fmt.Errorf("trace: epoch row has trailing bytes")
-	}
-	return row, nil
-}
-
-// byteScanner is an allocation-free io.ByteReader over a byte slice.
-type byteScanner struct {
-	data []byte
-	off  int
-}
-
-func (s *byteScanner) ReadByte() (byte, error) {
-	if s.off >= len(s.data) {
-		return 0, io.EOF
-	}
-	b := s.data[s.off]
-	s.off++
-	return b, nil
-}
-
-// readEpochBody decodes the body of an epoch frame. epoch only labels
-// errors; pass 0 for standalone rows. A non-nil into (nthreads entries) has
-// its event backings reused for the decoded row.
-func readEpochBody(br io.ByteReader, nthreads, epoch int, into [][]Event) ([][]Event, error) {
-	row := into
-	if row == nil {
-		row = make([][]Event, nthreads)
-	} else if len(row) != nthreads {
-		return nil, fmt.Errorf("trace: epoch %d: row scratch has %d threads, want %d", epoch, len(row), nthreads)
-	}
-	for t := range row {
-		nev, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: epoch %d thread %d count: %w", epoch, t, truncated(err))
-		}
-		var evs []Event
-		if into != nil {
-			evs = row[t][:0]
-		} else {
-			// As in ReadBinary, never trust the claimed count for
-			// allocation: grow as data actually arrives.
-			capHint := nev
-			if capHint > 4096 {
-				capHint = 4096
-			}
-			evs = make([]Event, 0, capHint)
-		}
-		for i := uint64(0); i < nev; i++ {
-			e, err := readEvent(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: epoch %d thread %d event %d: %w", epoch, t, i, truncated(err))
-			}
-			if e.Kind == Heartbeat {
-				return nil, fmt.Errorf("trace: epoch %d thread %d event %d: heartbeat marker in stream epoch", epoch, t, i)
-			}
-			evs = append(evs, e)
-		}
-		row[t] = evs
-	}
-	return row, nil
+	_, err = sw.w.Write(buf)
+	return err
 }
 
 // Close writes the end frame, including the ground-truth section when
-// global is non-nil (refs index each thread's streamed events in order),
-// and flushes the underlying writer.
+// global is non-nil (refs index each thread's streamed events in order).
 func (sw *StreamWriter) Close(global []GlobalRef) error {
 	if sw.closed {
 		return nil
 	}
 	sw.closed = true
-	if err := sw.bw.WriteByte(frameEnd); err != nil {
-		return err
-	}
-	if err := writeGlobal(sw.bw, &sw.buf, global); err != nil {
-		return err
-	}
-	return sw.bw.Flush()
+	sw.buf = appendGlobal(append(sw.buf[:0], frameEnd), global)
+	_, err := sw.w.Write(sw.buf)
+	return err
 }
 
 // StreamReader incrementally decodes a stream written by StreamWriter.
@@ -228,7 +105,7 @@ func (sw *StreamWriter) Close(global []GlobalRef) error {
 // and Global exposes the ground-truth section. A StreamReader is not safe
 // for concurrent use.
 type StreamReader struct {
-	br       *bufio.Reader
+	in       input // a window over the stream's bufio.Reader
 	nthreads int
 	done     bool
 	epoch    int
@@ -262,14 +139,16 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if string(magic) != streamMagic {
 		return nil, fmt.Errorf("trace: bad stream magic %q", magic)
 	}
-	nthreads, err := binary.ReadUvarint(br)
+	sr := &StreamReader{in: input{br: br}}
+	nthreads, err := sr.in.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading thread count: %w", truncated(err))
 	}
 	if nthreads > maxStreamThreads {
 		return nil, fmt.Errorf("trace: unreasonable thread count %d", nthreads)
 	}
-	return &StreamReader{br: br, nthreads: int(nthreads)}, nil
+	sr.nthreads = int(nthreads)
+	return sr, nil
 }
 
 // NumThreads returns the thread count declared in the header.
@@ -283,18 +162,20 @@ func (sr *StreamReader) NextEpoch() ([][]Event, error) {
 }
 
 // NextEpochInto is NextEpoch decoding into into's event backings (see
-// DecodeEpochRowInto); pass nil to allocate fresh slices.
+// DecodeEpochRowInto); pass nil to allocate fresh slices. It decodes from a
+// window over the reader's buffered bytes, so a frame of any size streams
+// through the bufio.Reader's fixed buffer.
 func (sr *StreamReader) NextEpochInto(into [][]Event) ([][]Event, error) {
 	if sr.done {
 		return nil, io.EOF
 	}
-	kind, err := sr.br.ReadByte()
+	kind, err := sr.in.readByte()
 	if err != nil {
 		return nil, fmt.Errorf("trace: epoch %d frame: %w", sr.epoch, truncated(err))
 	}
 	switch kind {
 	case frameEnd:
-		global, err := readGlobal(sr.br)
+		global, err := sr.in.global()
 		if err != nil {
 			return nil, truncated(err)
 		}
@@ -302,7 +183,7 @@ func (sr *StreamReader) NextEpochInto(into [][]Event) ([][]Event, error) {
 		sr.global = global
 		return nil, io.EOF
 	case frameEpoch:
-		row, err := readEpochBody(sr.br, sr.nthreads, sr.epoch, into)
+		row, err := sr.in.epochBody(sr.nthreads, sr.epoch, into)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -195,31 +197,106 @@ func TestEpochRowCodec(t *testing.T) {
 		{{{Kind: Alloc, Addr: 0x100, Size: 16}}, {}},
 		{{}, {{Kind: AssignBin, Addr: 0x1, Src1: 0x2, Src2: 0x3}, {Kind: Jump, Addr: 0x1}}},
 		{{}, {}},
+		{{{Kind: Write, Addr: math.MaxUint64, Size: 1 << 63, Src1: 127, Src2: 128, Cycle: 1 << 35}}, {}},
+		// One event of the longest encoding, maxEventLen bytes.
+		{{{Kind: Unlock, Addr: math.MaxUint64, Size: math.MaxUint64, Src1: math.MaxUint64, Src2: math.MaxUint64, Cycle: math.MaxUint64}}},
 	}
 	for _, row := range rows {
-		var buf bytes.Buffer
-		if err := EncodeEpochRow(&buf, row); err != nil {
+		data, err := AppendEpochRow(nil, row)
+		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeEpochRow(buf.Bytes(), len(row))
+		if n := EpochRowLen(row); n != len(data) {
+			t.Fatalf("EpochRowLen = %d, encoding has %d bytes", n, len(data))
+		}
+		got, err := DecodeEpochRowInto(data, len(row), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, row) {
 			t.Fatalf("row codec round trip:\n got %v\nwant %v", got, row)
 		}
-		// Truncation keeps the sentinel; trailing bytes are rejected.
-		if len(buf.Bytes()) > 1 {
-			if _, err := DecodeEpochRow(buf.Bytes()[:len(buf.Bytes())-1], len(row)); !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("truncated row: got %v, want io.ErrUnexpectedEOF", err)
+		// Every truncation keeps the sentinel; trailing bytes are rejected.
+		for cut := range len(data) {
+			if _, err := DecodeEpochRowInto(data[:cut], len(row), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("row cut at %d/%d: got %v, want io.ErrUnexpectedEOF", cut, len(data), err)
 			}
 		}
-		if _, err := DecodeEpochRow(append(buf.Bytes(), 0x7), len(row)); err == nil {
+		if _, err := DecodeEpochRowInto(append(data, 0x7), len(row), nil); err == nil {
 			t.Fatal("row with trailing bytes decoded cleanly")
 		}
 	}
-	if _, err := DecodeEpochRow([]byte{1, byte(Heartbeat), 0, 0, 0, 0, 0}, 1); err == nil {
+	if _, err := DecodeEpochRowInto([]byte{1, byte(Heartbeat), 0, 0, 0, 0, 0}, 1, nil); err == nil {
 		t.Fatal("row with heartbeat marker decoded cleanly")
+	}
+	if _, err := AppendEpochRow(nil, [][]Event{{{Kind: Heartbeat}}}); err == nil {
+		t.Fatal("AppendEpochRow encoded a heartbeat marker")
+	}
+}
+
+// chunkReader hands out at most n bytes a Read, so a StreamReader's window
+// ends at arbitrary places inside events, counts and frame headers.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) { return c.r.Read(p[:min(len(p), c.n)]) }
+
+// streamEpochs decodes a whole stream with NextEpoch, copying each row.
+func streamEpochs(t *testing.T, r io.Reader) ([][][]Event, []GlobalRef) {
+	t.Helper()
+	sr, err := NewStreamReader(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][][]Event
+	for {
+		row, err := sr.NextEpoch()
+		if err == io.EOF {
+			return rows, sr.Global()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
+	}
+}
+
+// TestStreamReaderWindow streams frames far larger than the reader's
+// buffer, with values of every varint length, through reads of every
+// awkward size: the window's fast path, its checked tail and its refills
+// must deliver exactly the rows written.
+func TestStreamReaderWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const T = 3
+	var rows [][][]Event
+	for l := 0; l < 4; l++ {
+		row := make([][]Event, T)
+		for th := range row {
+			n := rng.Intn(3000)
+			if l == 2 {
+				n = 0
+			}
+			for range n {
+				v := func() uint64 { return rng.Uint64() >> rng.Intn(64) }
+				row[th] = append(row[th], Event{Kind: Kind(rng.Intn(int(Heartbeat))), Addr: v(), Size: v(), Src1: v(), Src2: v(), Cycle: v()})
+			}
+		}
+		rows = append(rows, row)
+	}
+	global := []GlobalRef{{0, 1}, {2, 1 << 20}}
+	data := writeStreamRows(t, T, rows, global)
+	for _, n := range []int{1, 2, 7, 50, 51, 52, 4095, 4097, len(data)} {
+		got, gotGlobal := streamEpochs(t, chunkReader{bytes.NewReader(data), n})
+		if len(got) != len(rows) || !reflect.DeepEqual(gotGlobal, global) {
+			t.Fatalf("reads of %d bytes: %d epochs, global %v", n, len(got), gotGlobal)
+		}
+		for l := range rows {
+			if !rowsEqual(got[l], rows[l]) {
+				t.Fatalf("reads of %d bytes: epoch %d differs", n, l)
+			}
+		}
 	}
 }
 
