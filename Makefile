@@ -65,7 +65,8 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over every decoder, the event codec against its oracle,
-# the LSOS view, the sorted-vector kernels, the taintcheck SOS merge, the
+# the LSOS view, the sorted-vector kernels, the address directory against
+# the binary search it replaces, the taintcheck SOS merge, the
 # report detail builder and the Reports codec (the seed corpus always runs
 # in `test`).
 fuzz:
@@ -77,6 +78,7 @@ fuzz:
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALDecoder -fuzztime 30s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 30s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzSortedVec -fuzztime 30s
+	$(GO) test ./internal/sets -run XXX -fuzz FuzzIntervalDirectory -fuzztime 30s
 	$(GO) test ./internal/lifeguard/taintcheck -run XXX -fuzz FuzzTaintSOS -fuzztime 30s
 	$(GO) test ./internal/lifeguard -run XXX -fuzz FuzzReportDetail -fuzztime 30s
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzReportsJSON -fuzztime 30s
@@ -91,6 +93,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALDecoder -fuzztime 10s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 10s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzSortedVec -fuzztime 10s
+	$(GO) test ./internal/sets -run XXX -fuzz FuzzIntervalDirectory -fuzztime 10s
 	$(GO) test ./internal/lifeguard/taintcheck -run XXX -fuzz FuzzTaintSOS -fuzztime 10s
 	$(GO) test ./internal/lifeguard -run XXX -fuzz FuzzReportDetail -fuzztime 10s
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzReportsJSON -fuzztime 10s

@@ -95,7 +95,7 @@ func TestEncodeRowRejectsMalformedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	num, row, err := proto.DecodeEpoch(payload, 2)
+	num, row, err := proto.DecodeEpochInto(payload, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
+	"butterfly/internal/lifeguard"
 	"butterfly/internal/lifeguard/addrcheck"
 	"butterfly/internal/lifeguard/lockset"
 	"butterfly/internal/lifeguard/taintcheck"
@@ -344,10 +345,11 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 // bought: the first pass costs what its block costs, not what the SOS
 // holds. One fixed block — free/realloc churn and accesses over 1 Ki heap
 // slots — runs against a 1 Ki-interval and a 64 Ki-interval SOS that agree
-// on those slots; the deeper binary search and its cache misses are all the
-// larger state may add. When the LSOS was a clone edited in place the ratio
-// was 42 (243 against 10,253 ns/event: every alloc and free shifted the
-// tail of the sorted copy); as a view it reads 1.0.
+// on those slots, each built as the engine builds a generation, with its
+// directory: the larger state may add only cache misses. When the LSOS was
+// a clone edited in place the ratio was 42 (243 against 10,253 ns/event:
+// every alloc and free shifted the tail of the sorted copy); as a view it
+// reads 1.0.
 func TestFirstPassIndependentOfStateSize(t *testing.T) {
 	if raceDetectorEnabled || testing.Short() {
 		t.Skip("timing test")
@@ -380,11 +382,11 @@ func TestFirstPassIndependentOfStateSize(t *testing.T) {
 	block := g.Blocks[0][0]
 	lg := addrcheck.New(0)
 	nsPerEvent := func(slots int) float64 {
-		sos := lg.BottomState().(*sets.IntervalSet)
+		set := sets.NewIntervalSet()
 		for s := 0; s < slots; s++ {
-			sos.AddRange(heapBase+uint64(s)*pitch, heapBase+uint64(s)*pitch+slotSize)
+			set.AddRange(heapBase+uint64(s)*pitch, heapBase+uint64(s)*pitch+slotSize)
 		}
-		ctx := core.PassContext{SOS: sos}
+		ctx := core.PassContext{SOS: lifeguard.NewIntervalSOS(set)}
 		best := time.Duration(1 << 62)
 		for rep := 0; rep < 5; rep++ {
 			start := time.Now()

@@ -112,11 +112,13 @@ func New(filterBelow uint64) *Butterfly {
 func (a *Butterfly) Name() string { return "addrcheck" }
 
 // BottomState implements core.Lifeguard: nothing is allocated initially.
-func (a *Butterfly) BottomState() core.State { return sets.NewIntervalSet() }
+func (a *Butterfly) BottomState() core.State { return new(lifeguard.IntervalSOS) }
 
 // StateSize implements core.StateSizer: the number of disjoint allocated
 // intervals in the SOS (its metadata footprint, not its byte coverage).
-func (a *Butterfly) StateSize(s core.State) int { return s.(*sets.IntervalSet).NumIntervals() }
+func (a *Butterfly) StateSize(s core.State) int {
+	return s.(*lifeguard.IntervalSOS).Set().NumIntervals()
+}
 
 // relevant reports whether AddrCheck monitors this event.
 func (a *Butterfly) relevant(e trace.Event) bool {
@@ -194,9 +196,13 @@ func (a *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 }
 
 // wingAgg is AddrCheck's wing aggregate (the SIDE-IN fold): the union of
-// the covered blocks' metadata changes and accesses.
+// the covered blocks' metadata changes and accesses. changed indexes
+// changes, which every checked access probes, in the aggregates MergeWings
+// makes: those are the ones second passes read, and they stay frozen until
+// the next fold.
 type wingAgg struct {
 	changes, access sets.IntervalSet
+	changed         sets.Directory
 }
 
 // assign makes w a copy of src, in w's own storage; w == src is a no-op.
@@ -234,6 +240,7 @@ func (a *Butterfly) MergeWings(dst, x, y any) {
 	out.assign(x.(*wingAgg))
 	out.changes.UnionInPlace(&wy.changes)
 	out.access.UnionInPlace(&wy.access)
+	out.changed.Build(&out.changes)
 }
 
 // SecondPass implements core.Lifeguard: the isolation check. With s the
@@ -249,18 +256,26 @@ func (a *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 	// The checks only ever ask "does [lo,hi) overlap the wing union?" —
 	// overlap against a union is overlap against any member, so with
 	// driver-folded aggregates each query probes the ≤3 window rows
-	// directly and no per-body union is materialized at all.
-	var aggs [3]*wingAgg
-	nagg, live := 0, false
+	// directly and no per-body union is materialized at all. A row with no
+	// changes (or no accesses) is left out of the probes that would read
+	// them: heaps allocated once leave every row's changes empty.
+	var chg, acc [3]*wingAgg
+	nchg, nacc := 0, 0
+	keep := func(w *wingAgg) {
+		if !w.changes.Empty() {
+			chg[nchg] = w
+			nchg++
+		}
+		if !w.access.Empty() {
+			acc[nacc] = w
+			nacc++
+		}
+	}
 	if ctx.WingAggs[1] != nil {
 		for _, agg := range ctx.WingAggs {
-			if agg == nil {
-				continue
+			if agg != nil {
+				keep(agg.(*wingAgg))
 			}
-			w := agg.(*wingAgg)
-			aggs[nagg] = w
-			nagg++
-			live = live || !w.changes.Empty() || !w.access.Empty()
 		}
 	} else {
 		// Only a caller that does not fold wings (a reference walk) gets
@@ -269,22 +284,21 @@ func (a *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 		for _, ws := range wings {
 			tmp.add(sum(ws))
 		}
-		aggs[0], nagg = tmp, 1
-		live = !tmp.changes.Empty() || !tmp.access.Empty()
+		keep(tmp)
 	}
-	if !live {
+	if nchg+nacc == 0 {
 		return nil
 	}
 	changed := func(lo, hi uint64) bool {
-		for _, w := range aggs[:nagg] {
-			if w.changes.OverlapsRange(lo, hi) {
+		for _, w := range chg[:nchg] {
+			if w.changed.OverlapsRange(&w.changes, lo, hi) {
 				return true
 			}
 		}
 		return false
 	}
 	accessed := func(lo, hi uint64) bool {
-		for _, w := range aggs[:nagg] {
+		for _, w := range acc[:nacc] {
 			if w.access.OverlapsRange(lo, hi) {
 				return true
 			}

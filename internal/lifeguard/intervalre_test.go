@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"butterfly/internal/core"
 	"butterfly/internal/sets"
@@ -67,7 +68,7 @@ func cloneIvRow(row []core.Summary) []core.Summary {
 // head's KILL, union what survives of its GEN: the production body before
 // the LSOS became a view, kept as the oracle the view is checked against.
 func naiveLSOS(t trace.ThreadID, ctx core.PassContext, gk GenKill) *sets.IntervalSet {
-	out := ctx.SOS.(*sets.IntervalSet).Clone()
+	out := ctx.SOS.(*IntervalSOS).Set().Clone()
 	if ctx.Head == nil {
 		return out
 	}
@@ -143,7 +144,8 @@ func TestIntervalKernelMatchesByteModel(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		T := []int{3, 1, 2, 4, 8}[seed%5]
-		sos := randIvSet(rng, span)
+		sosSet := randIvSet(rng, span)
+		sos := NewIntervalSOS(sosSet)
 		back2 := randIvRow(rng, T, span, true)
 		prevEpoch := randIvRow(rng, T, span, seed%7 == 0)
 		curEpoch := randIvRow(rng, T, span, false)
@@ -155,12 +157,12 @@ func TestIntervalKernelMatchesByteModel(t *testing.T) {
 			head = newIvSum(randIvSet(rng, span), randIvSet(rng, span))
 		}
 		me := trace.ThreadID(rng.Intn(T))
-		sos0, back20, prev0, cur0 := sos.Clone(), cloneIvRow(back2), cloneIvRow(prevEpoch), cloneIvRow(curEpoch)
+		sos0, back20, prev0, cur0 := NewIntervalSOS(sosSet), cloneIvRow(back2), cloneIvRow(prevEpoch), cloneIvRow(curEpoch)
 		head0 := cloneIvRow([]core.Summary{head})[0]
 
 		ctx := core.PassContext{SOS: sos, Head: head, Epoch2Back: back2}
 		lsos := IntervalLSOS(me, ctx, own, ivGenKill)
-		next := IntervalUpdateSOS(sos, nil, prevEpoch, curEpoch, ivGenKill).(*sets.IntervalSet)
+		next := IntervalUpdateSOS(sos, nil, prevEpoch, curEpoch, ivGenKill)
 
 		if !reflect.DeepEqual(sos, sos0) || !reflect.DeepEqual(head, head0) || !reflect.DeepEqual(back2, back20) ||
 			!reflect.DeepEqual(prevEpoch, prev0) || !reflect.DeepEqual(curEpoch, cur0) {
@@ -169,7 +171,7 @@ func TestIntervalKernelMatchesByteModel(t *testing.T) {
 
 		wantL, wantN := sets.NewIntervalSet(), sets.NewIntervalSet()
 		for x := uint64(0); x < span; x++ {
-			in := sos.Contains(x)
+			in := sosSet.Contains(x)
 			if head != nil {
 				hg, hk, _ := ivGenKill(head)
 				fromHead := hg.Contains(x)
@@ -206,7 +208,7 @@ func TestIntervalKernelMatchesByteModel(t *testing.T) {
 				}
 				genned = genned || survives
 			}
-			if sos.Contains(x) && !killed || genned {
+			if sosSet.Contains(x) && !killed || genned {
 				wantN.AddRange(x, x+1)
 			}
 		}
@@ -216,7 +218,7 @@ func TestIntervalKernelMatchesByteModel(t *testing.T) {
 		if naive := naiveLSOS(me, ctx, ivGenKill); !reflect.DeepEqual(naive, wantL) {
 			t.Fatalf("seed %d: naiveLSOS = %v, byte model %v", seed, naive, wantL)
 		}
-		if !reflect.DeepEqual(next, wantN) {
+		if !reflect.DeepEqual(next, core.State(NewIntervalSOS(wantN))) {
 			t.Fatalf("seed %d (T = %d): IntervalUpdateSOS = %v, byte model %v", seed, T, next, wantN)
 		}
 	}
@@ -236,16 +238,22 @@ func fragmentedIvSet(rng *rand.Rand, n int, keep float64) *sets.IntervalSet {
 }
 
 // TestIntervalKernelsMatchNaive checks the production kernels against the
-// naive transcriptions on heap-backed sets of hundreds of intervals: the SOS
-// update into fresh storage must be reflect.DeepEqual (canonical form
-// included), the update into the generation the previous round returned
-// must hold the same bytes, and the view — in a summary reused round after
-// round — must cover the same bytes, before and after a block's worth of
-// mutations.
+// naive transcriptions on heap-backed sets of hundreds of intervals, whose
+// generations carry a directory: the SOS update into fresh storage must be
+// reflect.DeepEqual (canonical form and directory included), the update
+// into the generation the previous round returned must hold the same bytes
+// and an equal directory, an update that changes nothing must copy both,
+// and the view — in a summary reused round after round — must cover the
+// same bytes, before and after a block's worth of mutations.
 func TestIntervalKernelsMatchNaive(t *testing.T) {
 	const slots = 600
 	own := newIvSum(nil, nil)
 	var dead core.State
+	// sameGen reports whether the generations hold the same bytes and equal
+	// directories, whatever their storage (DeepEqual ignores capacity).
+	sameGen := func(a, b *IntervalSOS) bool {
+		return a.set.Equal(&b.set) && reflect.DeepEqual(a.dir, b.dir)
+	}
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		T := []int{4, 1, 2, 8}[seed%4]
@@ -259,8 +267,11 @@ func TestIntervalKernelsMatchNaive(t *testing.T) {
 			}
 			return out
 		}
-		sos := fragmentedIvSet(rng, slots, 0.7)
-		sos0 := sos.Clone()
+		sosSet := fragmentedIvSet(rng, slots, 0.7)
+		sos, sos0 := NewIntervalSOS(sosSet), NewIntervalSOS(sosSet)
+		if reflect.DeepEqual(sos.dir, sets.Directory{}) {
+			t.Fatalf("seed %d: a generation of %d intervals has no directory", seed, sosSet.NumIntervals())
+		}
 		back2, prevEpoch, curEpoch := row(0.05, true), row(0.05, seed%5 == 0), row(0.05, false)
 		if seed%6 == 0 {
 			prevEpoch = nil
@@ -269,13 +280,19 @@ func TestIntervalKernelsMatchNaive(t *testing.T) {
 		me := trace.ThreadID(rng.Intn(T))
 
 		got := IntervalUpdateSOS(sos, nil, prevEpoch, curEpoch, ivGenKill)
-		naive := naiveUpdateSOS(sos, prevEpoch, curEpoch, ivGenKill)
-		if !reflect.DeepEqual(got, core.State(naive)) {
+		naive := naiveUpdateSOS(sosSet, prevEpoch, curEpoch, ivGenKill)
+		if !reflect.DeepEqual(got, core.State(NewIntervalSOS(naive))) {
 			t.Fatalf("seed %d (T = %d): IntervalUpdateSOS differs from the naive update", seed, T)
 		}
 		dead = IntervalUpdateSOS(sos, dead, prevEpoch, curEpoch, ivGenKill)
-		if !dead.(*sets.IntervalSet).Equal(naive) {
+		if !sameGen(dead.(*IntervalSOS), NewIntervalSOS(naive)) {
 			t.Fatalf("seed %d (T = %d): IntervalUpdateSOS into a dead generation differs from the naive update", seed, T)
+		}
+		// An epoch whose blocks change nothing: the generation and its
+		// directory are copied into the dead one.
+		quiet := []core.Summary{newIvSum(sets.NewIntervalSet(), sets.NewIntervalSet())}
+		if dead = IntervalUpdateSOS(sos, dead, nil, quiet, ivGenKill); !sameGen(dead.(*IntervalSOS), sos0) {
+			t.Fatalf("seed %d: an update that changes nothing differs from its input", seed)
 		}
 
 		lsos, want := IntervalLSOS(me, ctx, own, ivGenKill), naiveLSOS(me, ctx, ivGenKill)
@@ -315,15 +332,15 @@ func TestIntervalKernelEmptyInputs(t *testing.T) {
 		other := newIvSum(fragmentedIvSet(rng, 64, 0.5), fragmentedIvSet(rng, 64, 0.5))
 		for i := 0; i < 2; i++ {
 			row := []core.Summary{s, other}
-			IntervalUpdateSOS(fragmentedIvSet(rng, 64, 0.5), nil, row, row, ivGenKill)
+			IntervalUpdateSOS(NewIntervalSOS(fragmentedIvSet(rng, 64, 0.5)), nil, row, row, ivGenKill)
 		}
 		s.gen, s.kill = sets.NewIntervalSet(), sets.NewIntervalSet()
 		return s
 	}
 	want := sets.NewIntervalSet()
 	for name, ctx := range map[string]core.PassContext{
-		"no head":    {SOS: sets.NewIntervalSet()},
-		"empty head": {SOS: sets.NewIntervalSet(), Head: empty(), Epoch2Back: []core.Summary{empty(), nil}},
+		"no head":    {SOS: new(IntervalSOS)},
+		"empty head": {SOS: new(IntervalSOS), Head: empty(), Epoch2Back: []core.Summary{empty(), nil}},
 	} {
 		if got := IntervalLSOS(0, ctx, empty(), ivGenKill); !viewEquals(got, want) {
 			t.Errorf("IntervalLSOS(%s) is not empty", name)
@@ -333,15 +350,62 @@ func TestIntervalKernelEmptyInputs(t *testing.T) {
 		"first epoch": nil,
 		"empty rows":  {empty(), empty()},
 	} {
-		got := IntervalUpdateSOS(sets.NewIntervalSet(), nil, prev, []core.Summary{empty(), empty()}, ivGenKill)
-		if !reflect.DeepEqual(got, core.State(want)) {
+		got := IntervalUpdateSOS(new(IntervalSOS), nil, prev, []core.Summary{empty(), empty()}, ivGenKill)
+		if !reflect.DeepEqual(got, core.State(new(IntervalSOS))) {
 			t.Errorf("IntervalUpdateSOS(%s) = %#v, want canonical empty", name, got)
 		}
 	}
 	// A full SOS killed entirely also ends canonical-empty.
 	full := sets.NewIntervalSet(sets.Interval{Lo: 0, Hi: 1 << 20})
 	killAll := newIvSum(sets.NewIntervalSet(), full.Clone())
-	if got := IntervalUpdateSOS(full, nil, nil, []core.Summary{killAll}, ivGenKill); !reflect.DeepEqual(got, core.State(want)) {
+	if got := IntervalUpdateSOS(NewIntervalSOS(full), nil, nil, []core.Summary{killAll}, ivGenKill); !reflect.DeepEqual(got, core.State(new(IntervalSOS))) {
 		t.Errorf("IntervalUpdateSOS(kill everything) = %#v, want canonical empty", got)
+	}
+}
+
+// TestSOSProbeIndependentOfStateSize is the gate on the directory: a
+// first-pass check's probe into the SOS — the LSOS view, pristine, over a
+// generation built as the engine builds one — costs within 1.5× at 64 Ki
+// intervals of what it costs at 1 Ki. Only cache misses may tell the two
+// apart; a binary search over the whole set pays six more dependent loads
+// and reads 2–3× here.
+func TestSOSProbeIndependentOfStateSize(t *testing.T) {
+	if sets.RaceEnabled || testing.Short() {
+		t.Skip("timing test")
+	}
+	const (
+		nprobe = 1 << 12
+		reps   = 64
+	)
+	nsPerProbe := func(slots int) float64 {
+		rng := rand.New(rand.NewSource(1))
+		set := fragmentedIvSet(rng, slots, 0.5)
+		probes := make([]uint64, nprobe)
+		for i := range probes {
+			probes[i] = uint64(rng.Intn(slots * 64))
+		}
+		own := newIvSum(nil, nil)
+		lsos := IntervalLSOS(0, core.PassContext{SOS: NewIntervalSOS(set)}, own, ivGenKill)
+		best, hits := time.Duration(1<<62), 0
+		for round := 0; round < 5; round++ {
+			start := time.Now()
+			for r := 0; r < reps; r++ {
+				for _, x := range probes {
+					if lsos.ContainsRange(x, x+8) {
+						hits++
+					}
+				}
+			}
+			best = min(best, time.Since(start))
+		}
+		if hits == 0 {
+			t.Fatalf("%d slots: no probe hit the set", slots)
+		}
+		return float64(best.Nanoseconds()) / (reps * nprobe)
+	}
+	small, large := nsPerProbe(2<<10), nsPerProbe(128<<10) // about 1 Ki and 64 Ki intervals
+	t.Logf("SOS probe: %.2f ns over 1 Ki intervals, %.2f ns over 64 Ki (ratio %.2f)", small, large, large/small)
+	if large > 1.5*small {
+		t.Fatalf("the SOS probe scales with the state: %.2f ns over 1 Ki intervals, %.2f over 64 Ki", small, large)
 	}
 }

@@ -67,12 +67,13 @@ type Summary struct {
 
 // passScratch is what a thread's passes work in: the LSOS view and the SOS
 // update's sets, the report builder, and the union of the wings' kills the
-// second pass builds. A thread runs one pass at a time, so all its
-// summaries share one: a new summary takes its head's.
+// second pass builds, with its directory. A thread runs one pass at a time,
+// so all its summaries share one: a new summary takes its head's.
 type passScratch struct {
 	sets      lifeguard.IntervalScratch
 	details   lifeguard.Details
 	wingKills sets.IntervalSet
+	killDir   sets.Directory
 }
 
 // summaryFor returns the summary a first pass fills: ctx.Reuse emptied,
@@ -109,11 +110,13 @@ func New(filterBelow uint64) *Butterfly { return &Butterfly{FilterBelow: filterB
 func (m *Butterfly) Name() string { return "memcheck" }
 
 // BottomState implements core.Lifeguard: nothing is defined initially.
-func (m *Butterfly) BottomState() core.State { return sets.NewIntervalSet() }
+func (m *Butterfly) BottomState() core.State { return new(lifeguard.IntervalSOS) }
 
 // StateSize implements core.StateSizer: the number of disjoint defined
 // intervals in the SOS.
-func (m *Butterfly) StateSize(s core.State) int { return s.(*sets.IntervalSet).NumIntervals() }
+func (m *Butterfly) StateSize(s core.State) int {
+	return s.(*lifeguard.IntervalSOS).Set().NumIntervals()
+}
 
 func (m *Butterfly) relevant(e trace.Event) bool {
 	switch e.Kind {
@@ -188,12 +191,13 @@ func (m *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []cor
 	if wingKills.Empty() {
 		return nil
 	}
+	sc.killDir.Build(wingKills)
 	details := &sc.details
 	for i, e := range b.Events {
 		if e.Kind != trace.Read || !m.relevant(e) {
 			continue
 		}
-		if wingKills.OverlapsRange(e.Lo(), e.Hi()) {
+		if sc.killDir.OverlapsRange(wingKills, e.Lo(), e.Hi()) {
 			details.Str("read of ").Range(e.Lo(), e.Hi()).Str(" concurrent with a definedness change")
 			details.Report(core.Report{Ref: b.Ref(i), Ev: e, Code: CodeIsolation})
 		}

@@ -87,7 +87,7 @@ func FuzzServerFrameDecoder(f *testing.F) {
 				var h Hello
 				_ = json.Unmarshal(payload, &h)
 			case FrameEpoch:
-				num, row, err := DecodeEpoch(payload, 2)
+				num, row, err := DecodeEpochInto(payload, 2, nil)
 				if err != nil &&
 					errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 					t.Fatalf("epoch decode error hides truncation: %v", err)

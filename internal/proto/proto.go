@@ -356,16 +356,10 @@ func EncodeEpoch(epochNum int, row [][]trace.Event) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeEpoch parses an Epoch frame payload for a session of nthreads
-// threads.
-func DecodeEpoch(payload []byte, nthreads int) (epochNum int, row [][]trace.Event, err error) {
-	return DecodeEpochInto(payload, nthreads, nil)
-}
-
-// DecodeEpochInto is DecodeEpoch decoding into into's event backings
-// (trace.DecodeEpochRowInto): the pooled server path hands in the event
-// slices of a recycled epoch.RowPool row and decodes without allocating.
-// Pass nil to allocate fresh slices.
+// DecodeEpochInto parses an Epoch frame payload for a session of nthreads
+// threads into into's event backings (trace.DecodeEpochRowInto): the pooled
+// server path hands in the event slices of a recycled epoch.RowPool row and
+// decodes without allocating. Pass nil to allocate fresh slices.
 func DecodeEpochInto(payload []byte, nthreads int, into [][]trace.Event) (epochNum int, row [][]trace.Event, err error) {
 	if failpoint.Fire(failpoint.SiteProtoDecode) {
 		// Deterministic decode-time corruption: a real bit flip could decode

@@ -107,15 +107,15 @@ func TestEpochPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	num, got, err := DecodeEpoch(payload, 3)
+	num, got, err := DecodeEpochInto(payload, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if num != 7 || !reflect.DeepEqual(got, row) {
 		t.Fatalf("epoch payload round trip: epoch=%d rows=%v", num, got)
 	}
-	if _, _, err := DecodeEpoch(payload, 2); err == nil {
-		t.Error("DecodeEpoch accepted the wrong thread count")
+	if _, _, err := DecodeEpochInto(payload, 2, nil); err == nil {
+		t.Error("DecodeEpochInto accepted the wrong thread count")
 	}
 	if _, err := DecodeAck(EncodeAck(12345)); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,8 @@ package sets
 // generation the whole epoch shares, and a block's allocations and frees
 // land in add and del, which stay proportional to the block however large
 // the generation is. Nothing is copied to open a view and nothing is
-// materialised to query one.
+// materialised to query one. A base that is large carries a Directory,
+// and the view's probes into it go through that.
 //
 // Mutators keep add and del disjoint, so del never holds a byte the view
 // contains. Any number of overlays may share one base concurrently as long
@@ -14,17 +15,37 @@ package sets
 // concurrent use. The zero value is not a view: Reset opens one.
 type Overlay struct {
 	base     *IntervalSet
+	dir      *Directory // base's directory; nil when base has none
 	add, del IntervalSet
 }
 
-// Reset empties the view and opens it over base: o then reads exactly as
-// base does. add and del keep their storage (IntervalSet.Reset), so a view
-// reopened every epoch by the summary that owns it stops allocating once it
-// has reached its size.
-func (o *Overlay) Reset(base *IntervalSet) {
-	o.base = base
+// Reset empties the view and opens it over base, which dir indexes (nil:
+// base has no directory): o then reads exactly as base does. add and del
+// keep their storage (IntervalSet.Reset), so a view reopened every epoch by
+// the summary that owns it stops allocating once it has reached its size.
+func (o *Overlay) Reset(base *IntervalSet, dir *Directory) {
+	if dir != nil && len(dir.start) == 0 {
+		dir = nil // a small base: its probes take its own search
+	}
+	o.base, o.dir = base, dir
 	o.add.Reset()
 	o.del.Reset()
+}
+
+// baseContains is base.ContainsRange, through the directory if base has one.
+func (o *Overlay) baseContains(lo, hi uint64) bool {
+	if o.dir == nil {
+		return o.base.ContainsRange(lo, hi)
+	}
+	return o.dir.ContainsRange(o.base, lo, hi)
+}
+
+// baseOverlaps is base.OverlapsRange, through the directory if base has one.
+func (o *Overlay) baseOverlaps(lo, hi uint64) bool {
+	if o.dir == nil {
+		return o.base.OverlapsRange(lo, hi)
+	}
+	return o.dir.OverlapsRange(o.base, lo, hi)
 }
 
 // AddRange inserts [lo, hi) into the view.
@@ -59,7 +80,10 @@ func (o *Overlay) pristine() bool { return len(o.add.ivs)|len(o.del.ivs) == 0 }
 // An empty range is trivially contained.
 func (o *Overlay) ContainsRange(lo, hi uint64) bool {
 	if o.pristine() {
-		return o.base.ContainsRange(lo, hi)
+		if o.dir == nil {
+			return o.base.ContainsRange(lo, hi)
+		}
+		return o.dir.ContainsRange(o.base, lo, hi)
 	}
 	// Walk [lo, hi) across add: what an add interval covers is in; each
 	// stretch between two of them must lie in base and clear of del.
@@ -69,7 +93,7 @@ func (o *Overlay) ContainsRange(lo, hi uint64) bool {
 		if i < len(a) && a[i].Lo < end {
 			end = a[i].Lo
 		}
-		if lo < end && (!o.base.ContainsRange(lo, end) || o.del.OverlapsRange(lo, end)) {
+		if lo < end && (!o.baseContains(lo, end) || o.del.OverlapsRange(lo, end)) {
 			return false
 		}
 		if end == hi {
@@ -83,7 +107,10 @@ func (o *Overlay) ContainsRange(lo, hi uint64) bool {
 // OverlapsRange reports whether any byte of [lo, hi) is in the view.
 func (o *Overlay) OverlapsRange(lo, hi uint64) bool {
 	if o.pristine() {
-		return o.base.OverlapsRange(lo, hi)
+		if o.dir == nil {
+			return o.base.OverlapsRange(lo, hi)
+		}
+		return o.dir.OverlapsRange(o.base, lo, hi)
 	}
 	if o.add.OverlapsRange(lo, hi) {
 		return true
@@ -96,7 +123,7 @@ func (o *Overlay) OverlapsRange(lo, hi uint64) bool {
 		if i < len(d) && d[i].Lo < end {
 			end = d[i].Lo
 		}
-		if o.base.OverlapsRange(lo, end) {
+		if o.baseOverlaps(lo, end) {
 			return true
 		}
 		if end == hi {

@@ -118,7 +118,13 @@ func TestOverlayMatchesByteModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		base, ref := randOverlayBase(rng, span, int(seed%24))
 		base0 := base.Clone()
-		view.Reset(base)
+		// Odd seeds read the base through a directory, small as it is.
+		var dir *Directory
+		if seed%2 == 1 {
+			dir = new(Directory)
+			dir.index(base, 1)
+		}
+		view.Reset(base, dir)
 		m := &overlayModel{t: t, span: span, o: &view, ref: ref}
 		randRange := func() (uint64, uint64) {
 			lo := rng.Uint64() % span
@@ -166,9 +172,9 @@ func TestOverlayResetIsPristine(t *testing.T) {
 	var o Overlay
 	for i := 0; i < 4; i++ {
 		base := bases[i%2]
-		o.Reset(base)
+		o.Reset(base, new(Directory)) // an empty directory: the base's own search
 		lo, hi := base.ivs[0].Lo, base.ivs[0].Hi
-		if !o.pristine() || o.base != base || !o.ContainsRange(lo, hi) || o.OverlapsRange(hi, hi+0x100) {
+		if !o.pristine() || o.base != base || o.dir != nil || !o.ContainsRange(lo, hi) || o.OverlapsRange(hi, hi+0x100) {
 			t.Fatalf("round %d: a reset view is not its base: add %v del %v", i, &o.add, &o.del)
 		}
 		for j := uint64(0); j < 12; j++ { // past inline storage, both ways
@@ -179,10 +185,10 @@ func TestOverlayResetIsPristine(t *testing.T) {
 }
 
 // TestOverlaySharedBaseConcurrently is the first pass in miniature: T
-// goroutines, each mutating and querying its own view over one shared base.
-// Under -race it fails if any view path writes the base; in race builds a
-// reclaimed backing is also poisoned, so a view reading a stale one
-// disagrees with its model.
+// goroutines, each mutating and querying its own view over one shared base
+// and its directory. Under -race it fails if any view path writes either;
+// in race builds a reclaimed backing is also poisoned, so a view reading a
+// stale one disagrees with its model.
 func TestOverlaySharedBaseConcurrently(t *testing.T) {
 	const T, span = 8, 4096
 	rng := rand.New(rand.NewSource(1))
@@ -195,6 +201,13 @@ func TestOverlaySharedBaseConcurrently(t *testing.T) {
 		baseRef.addRange(iv.Lo, iv.Hi)
 	}
 	base0 := base.Clone()
+	var dir Directory
+	dir.Build(base)
+	if len(dir.start) == 0 {
+		t.Fatalf("a base of %d intervals has no directory", base.NumIntervals())
+	}
+	dir0 := dir
+	dir0.start = slices.Clone(dir.start)
 	var wg sync.WaitGroup
 	errs := make(chan string, T)
 	for g := 0; g < T; g++ {
@@ -204,7 +217,7 @@ func TestOverlaySharedBaseConcurrently(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + g)))
 			o := new(Overlay)
 			for round := 0; round < 20; round++ {
-				o.Reset(base)
+				o.Reset(base, &dir)
 				ref := baseRef.clone()
 				for step := 0; step < 200; step++ {
 					lo := rng.Uint64() % span
@@ -236,18 +249,23 @@ func TestOverlaySharedBaseConcurrently(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-	if !reflect.DeepEqual(base, base0) {
-		t.Fatal("the shared base was written")
+	if !reflect.DeepEqual(base, base0) || !reflect.DeepEqual(dir, dir0) {
+		t.Fatal("the shared base or its directory was written")
 	}
 }
 
 // overlayFuzzOps replays a fuzz input as view operations: the first byte
-// counts the base's intervals (mod 8), each two bytes (lo, length); every op
-// after them is three bytes (kind, lo, length).
+// counts the base's intervals (mod 8) and, by its bit 3, gives the base a
+// directory; each interval is two bytes (lo, length); every op after them
+// is three bytes (kind, lo, length).
 func overlayFuzzOps(t *testing.T, data []byte) {
 	const span = 256
 	base, ref := NewIntervalSet(), make(refSet)
+	var dir *Directory
 	if len(data) > 0 {
+		if data[0]&8 != 0 {
+			dir = new(Directory)
+		}
 		n := int(data[0] % 8)
 		for data = data[1:]; n > 0 && len(data) >= 2; n, data = n-1, data[2:] {
 			lo, hi := uint64(data[0]), uint64(data[0])+uint64(data[1]%16)
@@ -256,8 +274,11 @@ func overlayFuzzOps(t *testing.T, data []byte) {
 		}
 	}
 	base0 := base.Clone()
+	if dir != nil {
+		dir.index(base, 1)
+	}
 	m := &overlayModel{t: t, span: span + 16, o: new(Overlay), ref: ref}
-	m.o.Reset(base)
+	m.o.Reset(base, dir)
 	for ; len(data) >= 3; data = data[3:] {
 		lo := uint64(data[1])
 		hi := lo + uint64(data[2]%32)

@@ -283,7 +283,7 @@ func (in *input) global() ([]GlobalRef, error) {
 
 // DecodeEpochRowInto decodes an epoch row written by AppendEpochRow for
 // nthreads threads. It applies the same validation as
-// StreamReader.NextEpoch (heartbeat rejection, untrusted counts) and
+// StreamReader.NextEpochInto (heartbeat rejection, untrusted counts) and
 // additionally requires that data is fully consumed, so a frame with
 // trailing garbage is rejected rather than silently truncated. Truncation
 // errors match errors.Is(err, io.ErrUnexpectedEOF).

@@ -128,7 +128,7 @@ func FuzzStreamReader(f *testing.F) {
 		}
 		var rows [][][]Event
 		for {
-			row, err := sr.NextEpoch()
+			row, err := sr.NextEpochInto(nil)
 			if err != nil {
 				if err != io.EOF {
 					return // rejected mid-stream; nothing more to check
@@ -156,7 +156,7 @@ func FuzzStreamReader(f *testing.F) {
 			t.Fatalf("re-decode header failed: %v", err)
 		}
 		for i, want := range rows {
-			got, err := sr2.NextEpoch()
+			got, err := sr2.NextEpochInto(nil)
 			if err != nil {
 				t.Fatalf("re-decode epoch %d failed: %v", i, err)
 			}
@@ -164,7 +164,7 @@ func FuzzStreamReader(f *testing.F) {
 				t.Fatalf("round trip changed epoch %d", i)
 			}
 		}
-		if _, err := sr2.NextEpoch(); err != io.EOF {
+		if _, err := sr2.NextEpochInto(nil); err != io.EOF {
 			t.Fatalf("re-decode end: got %v, want EOF", err)
 		}
 		if !reflect.DeepEqual(sr2.Global(), sr.Global()) {

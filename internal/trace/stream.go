@@ -101,7 +101,7 @@ func (sw *StreamWriter) Close(global []GlobalRef) error {
 }
 
 // StreamReader incrementally decodes a stream written by StreamWriter.
-// NextEpoch returns rows until the end frame, after which it returns io.EOF
+// NextEpochInto returns rows until the end frame, after which it returns io.EOF
 // and Global exposes the ground-truth section. A StreamReader is not safe
 // for concurrent use.
 type StreamReader struct {
@@ -154,16 +154,11 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 // NumThreads returns the thread count declared in the header.
 func (sr *StreamReader) NumThreads() int { return sr.nthreads }
 
-// NextEpoch decodes the next epoch frame as one event slice per thread.
-// It returns io.EOF after the end frame; a stream truncated before its end
-// frame yields io.ErrUnexpectedEOF instead.
-func (sr *StreamReader) NextEpoch() ([][]Event, error) {
-	return sr.NextEpochInto(nil)
-}
-
-// NextEpochInto is NextEpoch decoding into into's event backings (see
-// DecodeEpochRowInto); pass nil to allocate fresh slices. It decodes from a
-// window over the reader's buffered bytes, so a frame of any size streams
+// NextEpochInto decodes the next epoch frame as one event slice per thread,
+// into into's event backings (see DecodeEpochRowInto); pass nil to allocate
+// fresh slices. It returns io.EOF after the end frame; a stream truncated
+// before its end frame yields io.ErrUnexpectedEOF instead. It decodes from
+// a window over the reader's buffered bytes, so a frame of any size streams
 // through the bufio.Reader's fixed buffer.
 func (sr *StreamReader) NextEpochInto(into [][]Event) ([][]Event, error) {
 	if sr.done {
@@ -199,14 +194,14 @@ func (sr *StreamReader) NextEpochInto(into [][]Event) ([][]Event, error) {
 }
 
 // Global returns the ground-truth section of the end frame. It is nil until
-// NextEpoch has returned io.EOF.
+// NextEpochInto has returned io.EOF.
 func (sr *StreamReader) Global() []GlobalRef { return sr.global }
 
 // truncated rewrites an io.EOF inside err to io.ErrUnexpectedEOF: a stream
 // that stops mid-structure is truncated, not complete. Callers wrap the
-// result, so NextEpoch returns bare io.EOF only for a well-formed end frame.
-// The original error stays in the chain (%w twice), so context added by
-// lower layers remains errors.Is/As-matchable alongside the sentinel.
+// result, so NextEpochInto returns bare io.EOF only for a well-formed end
+// frame. The original error stays in the chain (%w twice), so context added
+// by lower layers remains errors.Is/As-matchable alongside the sentinel.
 func truncated(err error) error {
 	if err == io.EOF {
 		return io.ErrUnexpectedEOF

@@ -36,7 +36,7 @@ func readStreamRows(t *testing.T, data []byte) (int, [][][]Event, []GlobalRef) {
 	}
 	var rows [][][]Event
 	for {
-		row, err := sr.NextEpoch()
+		row, err := sr.NextEpochInto(nil)
 		if err == io.EOF {
 			break
 		}
@@ -99,7 +99,7 @@ func TestStreamTruncated(t *testing.T) {
 		}
 		sawEOF := false
 		for {
-			_, err := sr.NextEpoch()
+			_, err := sr.NextEpochInto(nil)
 			if err == nil {
 				continue
 			}
@@ -131,8 +131,8 @@ func TestStreamRejectsHeartbeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sr.NextEpoch(); err == nil {
-		t.Fatal("NextEpoch accepted a heartbeat marker")
+	if _, err := sr.NextEpochInto(nil); err == nil {
+		t.Fatal("NextEpochInto accepted a heartbeat marker")
 	}
 }
 
@@ -176,7 +176,7 @@ func TestStreamTruncationSentinel(t *testing.T) {
 			err = herr
 		} else {
 			for {
-				_, nerr := sr.NextEpoch()
+				_, nerr := sr.NextEpochInto(nil)
 				if nerr != nil {
 					err = nerr
 					break
@@ -243,7 +243,7 @@ type chunkReader struct {
 
 func (c chunkReader) Read(p []byte) (int, error) { return c.r.Read(p[:min(len(p), c.n)]) }
 
-// streamEpochs decodes a whole stream with NextEpoch, copying each row.
+// streamEpochs decodes a whole stream with NextEpochInto, copying each row.
 func streamEpochs(t *testing.T, r io.Reader) ([][][]Event, []GlobalRef) {
 	t.Helper()
 	sr, err := NewStreamReader(r)
@@ -252,7 +252,7 @@ func streamEpochs(t *testing.T, r io.Reader) ([][][]Event, []GlobalRef) {
 	}
 	var rows [][][]Event
 	for {
-		row, err := sr.NextEpoch()
+		row, err := sr.NextEpochInto(nil)
 		if err == io.EOF {
 			return rows, sr.Global()
 		}
