@@ -66,7 +66,8 @@ race:
 
 # Short fuzz pass over every decoder, the event codec against its oracle,
 # the LSOS view, the sorted-vector kernels, the address directory against
-# the binary search it replaces, the taintcheck SOS merge, the
+# the binary search it replaces, the thread-tagged wing row union against
+# its byte model, the taintcheck SOS merge, the
 # report detail builder and the Reports codec (the seed corpus always runs
 # in `test`).
 fuzz:
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 30s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzSortedVec -fuzztime 30s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzIntervalDirectory -fuzztime 30s
+	$(GO) test ./internal/sets -run XXX -fuzz FuzzRowUnion -fuzztime 30s
 	$(GO) test ./internal/lifeguard/taintcheck -run XXX -fuzz FuzzTaintSOS -fuzztime 30s
 	$(GO) test ./internal/lifeguard -run XXX -fuzz FuzzReportDetail -fuzztime 30s
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzReportsJSON -fuzztime 30s
@@ -94,6 +96,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzOverlay -fuzztime 10s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzSortedVec -fuzztime 10s
 	$(GO) test ./internal/sets -run XXX -fuzz FuzzIntervalDirectory -fuzztime 10s
+	$(GO) test ./internal/sets -run XXX -fuzz FuzzRowUnion -fuzztime 10s
 	$(GO) test ./internal/lifeguard/taintcheck -run XXX -fuzz FuzzTaintSOS -fuzztime 10s
 	$(GO) test ./internal/lifeguard -run XXX -fuzz FuzzReportDetail -fuzztime 10s
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzReportsJSON -fuzztime 10s

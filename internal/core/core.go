@@ -87,12 +87,13 @@ type PassContext struct {
 	// conclusions (LASTCHECK) that the later SOS update consumes. A block's
 	// Own summary is never read concurrently by other threads' passes.
 	Own Summary
-	// WingAggs holds pre-folded wing aggregates when the lifeguard
-	// implements WingAggregator: WingAggs[k] is the fold of epoch row
-	// l−1+k's summaries excluding the body's own thread, or nil where the
-	// window is clipped at a grid edge. WingAggs[1] (the body's own row,
-	// which always exists) is non-nil exactly when aggregation is active.
-	// Set only during the second pass; the wings slice is still passed.
+	// WingAggs holds the driver's row unions when the lifeguard implements
+	// WingAggregator: WingAggs[k] is the fold of every summary of epoch row
+	// l−1+k, the body's own thread included (the lifeguard leaves its own
+	// thread out when it probes), or nil where the window is clipped at a
+	// grid edge. WingAggs[1] (the body's own row, which always exists) is
+	// non-nil exactly when aggregation is active. Set only during the
+	// second pass; the wings slice is still passed.
 	WingAggs [3]any
 	// Reuse is set only in the first pass: a summary of the block's own
 	// thread that the window no longer references (block (l−4, t), which
@@ -105,67 +106,43 @@ type PassContext struct {
 
 // WingAggregator is an optional Lifeguard extension. The driver's naive
 // wing walk re-folds the same epoch row once per body — O(T²) summary
-// folds per epoch. A lifeguard whose wing meet is commutative and
-// associative can implement WingAggregator; the driver then folds each row
-// once into per-thread exclusive aggregates (prefix/suffix folds, O(T)
-// AddWing calls per row) and hands them to SecondPass via
-// PassContext.WingAggs. The driver makes every aggregate it needs once,
-// with EmptyWings, and the folds write into them: AddWing and MergeWings
-// overwrite dst and leave their other arguments unmodified. dst may be the
-// same aggregate as agg or a, never b.
+// folds per epoch. A lifeguard whose wing meet can exclude a thread after
+// the fold implements WingAggregator; the driver then folds each row once,
+// all T summaries together, and hands every body of the rows l−1..l+1 the
+// same folds via PassContext.WingAggs. The lifeguard's fold remembers
+// which thread contributed what, so a body on thread t asks only about the
+// others (addrcheck and memcheck tag each run of their unions with its
+// owning thread, sets.RowUnion). The driver makes one fold per window row
+// with EmptyWings and refolds it in place each time the row's slot takes a
+// new epoch; nothing reads the slot's previous fold by then.
 type WingAggregator interface {
 	// EmptyWings returns a new fold of zero wing summaries.
 	EmptyWings() any
-	// AddWing sets dst to agg extended with summary s.
-	AddWing(dst, agg any, s Summary)
-	// MergeWings sets dst to the fold of a and b.
-	MergeWings(dst, a, b any)
+	// FoldRow sets dst to the fold of row, every thread's summary of one
+	// epoch, and returns a count of the work it did: the number of runs
+	// (or items) it wrote, a pure function of the row (wing.fold_ops).
+	FoldRow(dst any, row []Summary) int
 }
 
-// wingFolds is the storage of the exclusive folds of one window: each
-// window row's aggregates, the prefix folds of the row being folded, one
-// running suffix, and the empty fold, all made once with EmptyWings.
+// wingFolds holds each window row's fold, made once with EmptyWings.
 type wingFolds struct {
-	wa    WingAggregator
-	rows  [streamWindow][]any
-	pre   []any // pre[i] is the fold of row[:i]; pre[0] is empty
-	suf   any
-	empty any
+	wa   WingAggregator
+	rows [streamWindow]any
 }
 
-func newWingFolds(wa WingAggregator, T int) *wingFolds {
-	f := &wingFolds{wa: wa, pre: make([]any, T), suf: wa.EmptyWings(), empty: wa.EmptyWings()}
-	f.pre[0] = f.empty
-	for i := 1; i < T; i++ {
-		f.pre[i] = wa.EmptyWings()
-	}
+func newWingFolds(wa WingAggregator) *wingFolds {
+	f := &wingFolds{wa: wa}
 	for k := range f.rows {
-		f.rows[k] = make([]any, T)
-		for t := range f.rows[k] {
-			f.rows[k][t] = wa.EmptyWings()
-		}
+		f.rows[k] = wa.EmptyWings()
 	}
 	return f
 }
 
-// fold writes epoch k's exclusive aggregates into its window slot and
-// returns them: out[t] covers row[tt] for every tt ≠ t. A prefix fold and a
-// running suffix fold give every exclusion in O(T) AddWing/MergeWings
-// calls.
-func (f *wingFolds) fold(k int, row []Summary) []any {
-	wa, pre, out := f.wa, f.pre, f.rows[k%streamWindow]
-	for i := 0; i+1 < len(row); i++ {
-		wa.AddWing(pre[i+1], pre[i], row[i])
-	}
-	suf := f.empty
-	for t := len(row) - 1; t >= 0; t-- {
-		wa.MergeWings(out[t], pre[t], suf)
-		if t > 0 {
-			wa.AddWing(f.suf, suf, row[t])
-			suf = f.suf
-		}
-	}
-	return out
+// fold folds epoch k's row into its window slot and returns the fold and
+// the work count FoldRow reported.
+func (f *wingFolds) fold(k int, row []Summary) (any, int) {
+	out := f.rows[k%streamWindow]
+	return out, f.wa.FoldRow(out, row)
 }
 
 // Lifeguard is implemented by a butterfly analysis. The driver guarantees:

@@ -96,7 +96,7 @@ func randomEvent(b *trace.Builder, rng *rand.Rand) {
 // transcription of the two-pass algorithm (§4.3, §5) written only against
 // the exported Lifeguard interface. It keeps whole-grid arrays indexed by
 // epoch, walks the wings naively per body (never filling WingAggs, so the
-// engine's prefix/suffix wing folds are differentially verified too), and
+// engine's row folds are differentially verified too), and
 // has no sharding or metrics. It keeps every value, so it never hands one
 // back (no Reuse summary, no dead generation): comparing it with the engine
 // also checks that reusing storage changes no result.

@@ -62,7 +62,7 @@ func (d *Driver) newIncremental(T int, trim bool) (*Incremental, error) {
 	st.sReports = make([][]Report, T)
 	st.wingScratch = make([][]Summary, T)
 	if wa, ok := d.LG.(WingAggregator); ok {
-		st.folds = newWingFolds(wa, T)
+		st.folds = newWingFolds(wa)
 	}
 	st.sosCur = d.LG.BottomState() // SOS₀
 	if d.Parallel && T > 1 {

@@ -216,14 +216,13 @@ func (m *driverMetrics) windowSet(events int64) {
 	m.windowPeak.SetMax(events)
 }
 
-// wingFolded counts one exclusive wing-aggregate row fold over T threads
-// (2T AddWing + T MergeWings calls, see wingFolds.fold).
-func (m *driverMetrics) wingFolded(T int) {
+// wingFolded counts one row fold that wrote ops runs (WingAggregator.FoldRow).
+func (m *driverMetrics) wingFolded(ops int) {
 	if m == nil {
 		return
 	}
 	m.wingFoldRows.Inc()
-	m.wingFoldOps.Add(int64(3 * T))
+	m.wingFoldOps.Add(int64(ops))
 }
 
 // countReports bumps the per-code report counters. A firing lifeguard can

@@ -114,11 +114,14 @@ func TestObsDifferential(t *testing.T) {
 // grids of known row sizes: tick by tick, an adaptive Parallel driver puts
 // exactly the ticks that read tickGrain·T events on its workers, a serial
 // driver runs every tick inline (a pinned schedule has no workers to use),
-// and the pinned schedules do what they say.
+// and the pinned schedules do what they say. The wing-fold counters are
+// work counts, not timings: every schedule folds each epoch row once and
+// writes the same runs.
 func TestObsTickCounters(t *testing.T) {
 	const T = 4
 	for _, tc := range straddleCases {
 		g := straddleGrid(t, T, tc.sizes, 7)
+		foldOps := map[string]int64{}
 		for _, cfg := range []struct {
 			name     string
 			parallel bool
@@ -161,6 +164,18 @@ func TestObsTickCounters(t *testing.T) {
 			}
 			check(len(g.Blocks))
 			inc.Close()
+			if rows := reg.Counter(obs.MetricWingFoldRows).Value(); rows != int64(len(g.Blocks)) {
+				t.Errorf("%s %s: %s = %d, want %d (one per epoch)", tc.name, cfg.name, obs.MetricWingFoldRows, rows, len(g.Blocks))
+			}
+			foldOps[cfg.name] = reg.Counter(obs.MetricWingFoldOps).Value()
+		}
+		if foldOps["serial"] == 0 {
+			t.Errorf("%s: the serial run counted no %s", tc.name, obs.MetricWingFoldOps)
+		}
+		for name, ops := range foldOps {
+			if ops != foldOps["serial"] {
+				t.Errorf("%s: %s = %d under %s, %d serial", tc.name, obs.MetricWingFoldOps, ops, name, foldOps["serial"])
+			}
 		}
 	}
 }

@@ -249,8 +249,8 @@ type streamState struct {
 
 	// sums[k%streamWindow] holds epoch k's summaries for k in l−3..l.
 	sums [streamWindow][]Summary
-	// folds mirrors sums with per-thread exclusive wing aggregates when the
-	// lifeguard implements WingAggregator; nil otherwise.
+	// folds mirrors sums with each row's wing fold when the lifeguard
+	// implements WingAggregator; nil otherwise.
 	folds *wingFolds
 	// sosPrev and sosCur are SOS_{l−1} and SOSₗ at tick entry.
 	sosPrev, sosCur State
@@ -313,9 +313,9 @@ func (st *streamState) rowSums(k int) []Summary {
 	return st.sums[k%streamWindow]
 }
 
-// rowAggs returns epoch k's exclusive wing aggregates, under the same
-// window bounds as rowSums.
-func (st *streamState) rowAggs(k int) []any {
+// rowAgg returns epoch k's wing fold, under the same window bounds as
+// rowSums.
+func (st *streamState) rowAgg(k int) any {
 	if st.folds == nil || k < 0 || k > st.l || k <= st.l-streamWindow {
 		return nil
 	}
@@ -354,7 +354,7 @@ func (st *streamState) tick(row []*epoch.Block) {
 		w.sBlocks = st.prevBlocks
 		w.sctx = PassContext{SOS: st.sosPrev, Epoch1Back: st.rowSums(l - 2), Epoch2Back: st.rowSums(l - 3)}
 		w.wingRows = [3][]Summary{st.rowSums(l - 2), st.rowSums(l - 1), w.fOut}
-		w.sAggs = [3][]any{st.rowAggs(l - 2), st.rowAggs(l - 1), nil} // [2] is filled post-barrier
+		w.sAggs = [3]any{st.rowAgg(l - 2), st.rowAgg(l - 1), nil} // [2] is filled post-barrier
 	}
 	st.exec(w, readEvents)
 	// Publish epoch l's summaries only now: rowSums(l) must not reach the
@@ -414,7 +414,7 @@ func (st *streamState) finish() {
 		sctx:    PassContext{SOS: st.sosPrev, Epoch1Back: st.rowSums(L - 2), Epoch2Back: st.rowSums(L - 3)},
 		// Epoch L does not exist; the tail wing is clipped.
 		wingRows:    [3][]Summary{st.rowSums(L - 2), st.rowSums(L - 1), nil},
-		sAggs:       [3][]any{st.rowAggs(L - 2), st.rowAggs(L - 1), nil},
+		sAggs:       [3]any{st.rowAgg(L - 2), st.rowAgg(L - 1), nil},
 		wingScratch: st.wingScratch,
 	}
 	w := &st.work
@@ -536,7 +536,7 @@ type tickWork struct {
 	sctx     PassContext
 	sOwn     []Summary    // epoch l−1's own summaries
 	wingRows [3][]Summary // epochs l−2, l−1, l (l's row is fOut, final after the barrier)
-	sAggs    [3][]any     // exclusive aggregates for the same rows
+	sAggs    [3]any       // the wing folds of the same rows
 	sReports [][]Report
 
 	// Reused scratch (owned by streamState). wingScratch[t] is thread t's
@@ -544,7 +544,7 @@ type tickWork struct {
 	wingScratch [][]Summary
 }
 
-// foldAggs folds the freshly first-passed row into exclusive aggregates.
+// foldAggs folds the freshly first-passed row into its window slot.
 // It must run after every first pass of the tick and before any second
 // pass: in pipelined mode one worker calls it between the two barriers, in
 // serial mode it runs between the loops.
@@ -552,10 +552,10 @@ func (w *tickWork) foldAggs() {
 	if w.folds == nil || !w.runF {
 		return
 	}
-	aggs := w.folds.fold(w.epoch, w.fOut)
-	w.m.wingFolded(len(w.fOut))
+	agg, ops := w.folds.fold(w.epoch, w.fOut)
+	w.m.wingFolded(ops)
 	if w.runS {
-		w.sAggs[2] = aggs
+		w.sAggs[2] = agg
 	}
 }
 
@@ -601,11 +601,7 @@ func (w *tickWork) secondPass(lg Lifeguard, t int) {
 		c.Head = c.Epoch1Back[t]
 	}
 	c.Own = w.sOwn[t]
-	for k, row := range w.sAggs {
-		if row != nil {
-			c.WingAggs[k] = row[t]
-		}
-	}
+	c.WingAggs = w.sAggs
 	wings := w.wingScratch[t][:0]
 	for _, rowS := range w.wingRows {
 		if rowS == nil {

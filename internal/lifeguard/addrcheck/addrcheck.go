@@ -195,52 +195,25 @@ func (a *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 	return s, details.Finish()
 }
 
-// wingAgg is AddrCheck's wing aggregate (the SIDE-IN fold): the union of
-// the covered blocks' metadata changes and accesses. changed indexes
-// changes, which every checked access probes, in the aggregates MergeWings
-// makes: those are the ones second passes read, and they stay frozen until
-// the next fold.
-type wingAgg struct {
-	changes, access sets.IntervalSet
-	changed         sets.Directory
-}
-
-// assign makes w a copy of src, in w's own storage; w == src is a no-op.
-func (w *wingAgg) assign(src *wingAgg) {
-	if w != src {
-		w.changes.Reset()
-		w.changes.CopyFrom(&src.changes)
-		w.access.Reset()
-		w.access.CopyFrom(&src.access)
-	}
-}
-
-// add folds block summary s into w.
-func (w *wingAgg) add(s *Summary) {
-	w.changes.UnionInPlace(s.GenAny)
-	w.changes.UnionInPlace(s.KillAny)
-	w.access.UnionInPlace(s.Access)
-}
-
 var _ core.WingAggregator = (*Butterfly)(nil)
 
-// EmptyWings implements core.WingAggregator.
-func (a *Butterfly) EmptyWings() any { return new(wingAgg) }
+// EmptyWings implements core.WingAggregator: a row's fold (the SIDE-IN
+// meet before a body leaves its own thread out) is the union of its
+// blocks' metadata changes, GenAny and KillAny, each run tagged with the
+// thread it came from. Accesses are not folded: only a body's allocations
+// and frees ask about wing accesses, and they probe the wing summaries'
+// Access sets directly.
+func (a *Butterfly) EmptyWings() any { return new(sets.RowUnion) }
 
-// AddWing implements core.WingAggregator.
-func (a *Butterfly) AddWing(dst, agg any, s core.Summary) {
-	out := dst.(*wingAgg)
-	out.assign(agg.(*wingAgg))
-	out.add(sum(s))
-}
-
-// MergeWings implements core.WingAggregator.
-func (a *Butterfly) MergeWings(dst, x, y any) {
-	out, wy := dst.(*wingAgg), y.(*wingAgg)
-	out.assign(x.(*wingAgg))
-	out.changes.UnionInPlace(&wy.changes)
-	out.access.UnionInPlace(&wy.access)
-	out.changed.Build(&out.changes)
+// FoldRow implements core.WingAggregator: it returns the runs written.
+func (a *Butterfly) FoldRow(dst any, row []core.Summary) int {
+	u := dst.(*sets.RowUnion)
+	for t, s := range row {
+		ss := sum(s)
+		u.Add(t, ss.GenAny)
+		u.Add(t, ss.KillAny)
+	}
+	return u.Build()
 }
 
 // SecondPass implements core.Lifeguard: the isolation check. With s the
@@ -254,56 +227,52 @@ func (a *Butterfly) MergeWings(dst, x, y any) {
 // access is flagged symmetrically when its own block is the body).
 func (a *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.Summary) []core.Report {
 	// The checks only ever ask "does [lo,hi) overlap the wing union?" —
-	// overlap against a union is overlap against any member, so with
-	// driver-folded aggregates each query probes the ≤3 window rows
-	// directly and no per-body union is materialized at all. A row with no
-	// changes (or no accesses) is left out of the probes that would read
-	// them: heaps allocated once leave every row's changes empty.
-	var chg, acc [3]*wingAgg
-	nchg, nacc := 0, 0
-	keep := func(w *wingAgg) {
-		if !w.changes.Empty() {
-			chg[nchg] = w
-			nchg++
-		}
-		if !w.access.Empty() {
-			acc[nacc] = w
-			nacc++
+	// overlap against a union is overlap against any member, so each change
+	// query probes the ≤3 window rows' folds directly, leaving out the
+	// body's own thread by the runs' owners, and no per-body union is
+	// materialized at all. A row with no changes is left out: heaps
+	// allocated once leave every row's changes empty. A caller that folds
+	// nothing (a reference walk) gets every wing summary probed directly.
+	t := int(b.Thread)
+	var chg [3]*sets.RowUnion
+	n := 0
+	for _, agg := range ctx.WingAggs {
+		if u, _ := agg.(*sets.RowUnion); u != nil && !u.Empty() {
+			chg[n] = u
+			n++
 		}
 	}
+	naive := wings
 	if ctx.WingAggs[1] != nil {
-		for _, agg := range ctx.WingAggs {
-			if agg != nil {
-				keep(agg.(*wingAgg))
-			}
-		}
-	} else {
-		// Only a caller that does not fold wings (a reference walk) gets
-		// here: the engine always does.
-		tmp := new(wingAgg)
-		for _, ws := range wings {
-			tmp.add(sum(ws))
-		}
-		keep(tmp)
+		naive = nil
 	}
-	if nchg+nacc == 0 {
-		return nil
-	}
+	// changed reports whether [lo, hi) meets a wing's allocation or free.
 	changed := func(lo, hi uint64) bool {
-		for _, w := range chg[:nchg] {
-			if w.changed.OverlapsRange(&w.changes, lo, hi) {
+		for _, u := range chg[:n] {
+			if u.OverlapsOther(t, lo, hi) {
+				return true
+			}
+		}
+		for _, w := range naive {
+			if s := sum(w); s.GenAny.OverlapsRange(lo, hi) || s.KillAny.OverlapsRange(lo, hi) {
 				return true
 			}
 		}
 		return false
 	}
+	// accessed reports whether [lo, hi) meets a wing's read or write.
 	accessed := func(lo, hi uint64) bool {
-		for _, w := range acc[:nacc] {
-			if w.access.OverlapsRange(lo, hi) {
+		for _, w := range wings {
+			if sum(w).Access.OverlapsRange(lo, hi) {
 				return true
 			}
 		}
 		return false
+	}
+	// Without wing changes only the body's own allocations and frees can
+	// be flagged.
+	if n+len(naive) == 0 && sum(ctx.Own).GenAny.Empty() && sum(ctx.Own).KillAny.Empty() {
+		return nil
 	}
 	details := &sum(ctx.Own).scratch.details
 	for i, e := range b.Events {

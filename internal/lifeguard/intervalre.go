@@ -26,10 +26,26 @@ import (
 // flat per-check cost assumes. The one remaining O(|SOS|) step per epoch
 // is the generation write in IntervalUpdateSOS: a single pass that
 // block-copies what the epoch did not touch, then the directory's build.
+// An epoch that changes nothing skips it: its generation reads the
+// previous one's storage.
 
 // IntervalSOS is an SOS generation of the interval lifeguards: the byte set
 // and its address directory. The zero value is the empty generation.
+//
+// A generation owns the storage of one set and directory, but it may read
+// another's: an epoch that changes nothing makes a generation that reads
+// its predecessor's storage, at no cost, rather than a copy of it. Since
+// only two generations are live at once (the update's prev and the one it
+// makes; the linear SOS history of core.Lifeguard), what they read is
+// always among their two own storages, and the update writes into
+// whichever of the two prev does not read.
 type IntervalSOS struct {
+	own  sosStorage
+	view *sosStorage // the storage the generation reads when it is not own
+}
+
+// sosStorage is a generation's set and the directory built over it.
+type sosStorage struct {
 	set sets.IntervalSet
 	dir sets.Directory
 }
@@ -37,13 +53,21 @@ type IntervalSOS struct {
 // NewIntervalSOS returns a generation holding a copy of s.
 func NewIntervalSOS(s *sets.IntervalSet) *IntervalSOS {
 	g := new(IntervalSOS)
-	g.set.CopyFrom(s)
-	g.dir.Build(&g.set)
+	g.own.set.CopyFrom(s)
+	g.own.dir.Build(&g.own.set)
 	return g
 }
 
+// storage returns what g reads.
+func (g *IntervalSOS) storage() *sosStorage {
+	if g.view != nil {
+		return g.view
+	}
+	return &g.own
+}
+
 // Set returns the generation's bytes. Nobody may write them.
-func (g *IntervalSOS) Set() *sets.IntervalSet { return &g.set }
+func (g *IntervalSOS) Set() *sets.IntervalSet { return &g.storage().set }
 
 // IntervalScratch is the storage the interval kernels borrow from a block
 // summary: the first pass's LSOS view, and the sets UpdateSOS works in
@@ -71,7 +95,7 @@ type GenKill func(s core.Summary) (gen, kill *sets.IntervalSet, scratch *Interva
 func IntervalLSOS(t trace.ThreadID, ctx core.PassContext, own core.Summary, gk GenKill) *sets.Overlay {
 	_, _, sc := gk(own)
 	out := &sc.lsos
-	sos := ctx.SOS.(*IntervalSOS)
+	sos := ctx.SOS.(*IntervalSOS).storage()
 	out.Reset(&sos.set, &sos.dir)
 	if ctx.Head == nil {
 		return out
@@ -106,21 +130,31 @@ func IntervalLSOS(t trace.ThreadID, ctx core.PassContext, own core.Summary, gk G
 // (GEN_{l−1,t'} − KILL_{l,t'}) ∪ GEN_{l,t'} — a byte generated by thread t
 // survives every interleaving only if no other thread's net effect can kill
 // it. lost(t') is computed once per thread and the exclusive unions come from
-// a suffix fold and a running prefix (the shape of core's wing folds): O(T)
-// set operations per epoch. Inputs are left untouched. The result is written
-// in one pass over prev (sets.AssignDelta) into dead's storage, or a new
-// generation when dead is nil, and its directory is built there, before any
-// pass reads it; an epoch that changes nothing copies prev's. The sets it
-// works in are the curEpoch summaries' scratch, free while no pass runs.
+// a suffix fold and a running prefix: O(T) set operations per epoch. Inputs
+// are left untouched. The result is written in one pass over prev
+// (sets.AssignDelta) and its directory built there, before any pass reads
+// it: into dead's storage, or into prev's own when prev reads dead's (the
+// two generations trade storage), or into a new generation when dead is
+// nil. An epoch that changes nothing costs O(1): dead becomes a generation
+// that reads prev's storage. With dead nil it copies prev into the new
+// generation instead, so the final SOS shares nothing. The sets it works in
+// are the curEpoch summaries' scratch, free while no pass runs.
 func IntervalUpdateSOS(prev, dead core.State, prevEpoch, curEpoch []core.Summary, gk GenKill) core.State {
-	p := prev.(*IntervalSOS)
+	p := prev.(*IntervalSOS).storage()
 	out, _ := dead.(*IntervalSOS)
 	if out == nil {
 		out = new(IntervalSOS)
 	}
-	out.set.Reset()
+	// w is the storage the result may be written in: out's own, unless
+	// prev reads it. It is reclaimed whatever happens (in race builds that
+	// poisons its backing).
+	w := &out.own
+	if w == p {
+		w = &prev.(*IntervalSOS).own
+	}
+	w.set.Reset()
 	if len(curEpoch) == 0 {
-		out.copyFrom(p) // no epoch, no change
+		out.share(p, w, dead == nil) // no epoch, no change
 		return out
 	}
 	_, _, sc := gk(curEpoch[0])
@@ -137,18 +171,33 @@ func IntervalUpdateSOS(prev, dead core.State, prevEpoch, curEpoch []core.Summary
 		epochGen(gen, &sc.before, prevEpoch, curEpoch, gk)
 	}
 	if kill.Empty() && gen.Empty() {
-		out.copyFrom(p)
+		out.share(p, w, dead == nil)
 		return out
 	}
-	out.set.AssignDelta(&p.set, kill, gen)
-	out.dir.Build(&out.set)
+	w.set.AssignDelta(&p.set, kill, gen)
+	w.dir.Build(&w.set)
+	out.read(w)
 	return out
 }
 
-// copyFrom makes g a copy of p, directory included, in g's storage.
-func (g *IntervalSOS) copyFrom(p *IntervalSOS) {
-	g.set.CopyFrom(&p.set)
-	g.dir.CopyFrom(&p.dir)
+// share makes g read p, an unchanged predecessor: by reading p's storage,
+// or, when fresh is set, by copying it into w (g's own storage).
+func (g *IntervalSOS) share(p, w *sosStorage, fresh bool) {
+	if fresh {
+		w.set.CopyFrom(&p.set)
+		w.dir.CopyFrom(&p.dir)
+		p = w
+	}
+	g.read(p)
+}
+
+// read points g at st; a generation that reads its own storage keeps a nil
+// view, as the zero value and NewIntervalSOS do.
+func (g *IntervalSOS) read(st *sosStorage) {
+	g.view = st
+	if st == &g.own {
+		g.view = nil
+	}
 }
 
 // epochGen writes GENₗ into gen, which must be empty; before is scratch.

@@ -118,6 +118,19 @@ func naiveUpdateSOS(prev *sets.IntervalSet, prevEpoch, curEpoch []core.Summary, 
 	return out
 }
 
+// sameGen reports whether generations a and b read equal contents, by
+// value, whichever storage each reads: the same bytes and equal directories
+// (DeepEqual ignores capacity), and with canonical set also the same
+// in-memory form of the set, as for a generation built in fresh storage,
+// which must be indistinguishable from NewIntervalSOS's.
+func sameGen(a, b core.State, canonical bool) bool {
+	x, y := a.(*IntervalSOS).storage(), b.(*IntervalSOS).storage()
+	if canonical {
+		return reflect.DeepEqual(*x, *y)
+	}
+	return x.set.Equal(&y.set) && reflect.DeepEqual(x.dir, y.dir)
+}
+
 // viewEquals reports whether the view covers exactly the bytes of want,
 // through the view's own queries: every interval of want is contained but
 // not with the byte on either side of it, and no gap between two of them is
@@ -164,7 +177,7 @@ func TestIntervalKernelMatchesByteModel(t *testing.T) {
 		lsos := IntervalLSOS(me, ctx, own, ivGenKill)
 		next := IntervalUpdateSOS(sos, nil, prevEpoch, curEpoch, ivGenKill)
 
-		if !reflect.DeepEqual(sos, sos0) || !reflect.DeepEqual(head, head0) || !reflect.DeepEqual(back2, back20) ||
+		if !sameGen(sos, sos0, true) || !reflect.DeepEqual(head, head0) || !reflect.DeepEqual(back2, back20) ||
 			!reflect.DeepEqual(prevEpoch, prev0) || !reflect.DeepEqual(curEpoch, cur0) {
 			t.Fatalf("seed %d: a kernel modified its inputs", seed)
 		}
@@ -218,7 +231,7 @@ func TestIntervalKernelMatchesByteModel(t *testing.T) {
 		if naive := naiveLSOS(me, ctx, ivGenKill); !reflect.DeepEqual(naive, wantL) {
 			t.Fatalf("seed %d: naiveLSOS = %v, byte model %v", seed, naive, wantL)
 		}
-		if !reflect.DeepEqual(next, core.State(NewIntervalSOS(wantN))) {
+		if !sameGen(next, NewIntervalSOS(wantN), true) {
 			t.Fatalf("seed %d (T = %d): IntervalUpdateSOS = %v, byte model %v", seed, T, next, wantN)
 		}
 	}
@@ -239,21 +252,16 @@ func fragmentedIvSet(rng *rand.Rand, n int, keep float64) *sets.IntervalSet {
 
 // TestIntervalKernelsMatchNaive checks the production kernels against the
 // naive transcriptions on heap-backed sets of hundreds of intervals, whose
-// generations carry a directory: the SOS update into fresh storage must be
-// reflect.DeepEqual (canonical form and directory included), the update
-// into the generation the previous round returned must hold the same bytes
-// and an equal directory, an update that changes nothing must copy both,
-// and the view — in a summary reused round after round — must cover the
+// generations carry a directory: the SOS update into fresh storage must
+// equal NewIntervalSOS's by value (canonical form and directory included),
+// the update into the generation the previous round returned must hold the
+// same bytes and an equal directory, an update that changes nothing must
+// read the same, and the view — in a summary reused round after round — must cover the
 // same bytes, before and after a block's worth of mutations.
 func TestIntervalKernelsMatchNaive(t *testing.T) {
 	const slots = 600
 	own := newIvSum(nil, nil)
 	var dead core.State
-	// sameGen reports whether the generations hold the same bytes and equal
-	// directories, whatever their storage (DeepEqual ignores capacity).
-	sameGen := func(a, b *IntervalSOS) bool {
-		return a.set.Equal(&b.set) && reflect.DeepEqual(a.dir, b.dir)
-	}
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		T := []int{4, 1, 2, 8}[seed%4]
@@ -269,7 +277,7 @@ func TestIntervalKernelsMatchNaive(t *testing.T) {
 		}
 		sosSet := fragmentedIvSet(rng, slots, 0.7)
 		sos, sos0 := NewIntervalSOS(sosSet), NewIntervalSOS(sosSet)
-		if reflect.DeepEqual(sos.dir, sets.Directory{}) {
+		if reflect.DeepEqual(sos.own.dir, sets.Directory{}) {
 			t.Fatalf("seed %d: a generation of %d intervals has no directory", seed, sosSet.NumIntervals())
 		}
 		back2, prevEpoch, curEpoch := row(0.05, true), row(0.05, seed%5 == 0), row(0.05, false)
@@ -281,17 +289,17 @@ func TestIntervalKernelsMatchNaive(t *testing.T) {
 
 		got := IntervalUpdateSOS(sos, nil, prevEpoch, curEpoch, ivGenKill)
 		naive := naiveUpdateSOS(sosSet, prevEpoch, curEpoch, ivGenKill)
-		if !reflect.DeepEqual(got, core.State(NewIntervalSOS(naive))) {
+		if !sameGen(got, NewIntervalSOS(naive), true) {
 			t.Fatalf("seed %d (T = %d): IntervalUpdateSOS differs from the naive update", seed, T)
 		}
 		dead = IntervalUpdateSOS(sos, dead, prevEpoch, curEpoch, ivGenKill)
-		if !sameGen(dead.(*IntervalSOS), NewIntervalSOS(naive)) {
+		if !sameGen(dead, NewIntervalSOS(naive), false) {
 			t.Fatalf("seed %d (T = %d): IntervalUpdateSOS into a dead generation differs from the naive update", seed, T)
 		}
-		// An epoch whose blocks change nothing: the generation and its
-		// directory are copied into the dead one.
+		// An epoch whose blocks change nothing: the dead generation reads
+		// the same set and directory.
 		quiet := []core.Summary{newIvSum(sets.NewIntervalSet(), sets.NewIntervalSet())}
-		if dead = IntervalUpdateSOS(sos, dead, nil, quiet, ivGenKill); !sameGen(dead.(*IntervalSOS), sos0) {
+		if dead = IntervalUpdateSOS(sos, dead, nil, quiet, ivGenKill); !sameGen(dead, sos0, false) {
 			t.Fatalf("seed %d: an update that changes nothing differs from its input", seed)
 		}
 
@@ -313,8 +321,71 @@ func TestIntervalKernelsMatchNaive(t *testing.T) {
 		if !viewEquals(lsos, want) {
 			t.Fatalf("seed %d: the view drifted from the naive LSOS under mutation", seed)
 		}
-		if !reflect.DeepEqual(sos, sos0) {
+		if !sameGen(sos, sos0, true) {
 			t.Fatalf("seed %d: the SOS generation was written", seed)
+		}
+	}
+}
+
+// TestUnchangedEpochsShareGenerations runs the SOS update down a linear
+// history, as the engine does (each update's dead argument is the
+// generation before prev), through runs of epochs that change nothing
+// between epochs that do. Every generation must read as the naive update's
+// result, and keep reading so while it is live: as prev of the next update
+// too. An unchanged epoch's generation reads prev's storage rather than a
+// copy; the final update (dead nil) copies it into fresh storage.
+func TestUnchangedEpochsShareGenerations(t *testing.T) {
+	const slots = 600
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		T := []int{2, 4, 1, 3}[seed%4]
+		row := func(keep float64) []core.Summary {
+			out := make([]core.Summary, T)
+			for t := range out {
+				out[t] = newIvSum(fragmentedIvSet(rng, slots, keep), fragmentedIvSet(rng, slots, keep))
+			}
+			return out
+		}
+		quiet := func() []core.Summary {
+			out := make([]core.Summary, T)
+			for t := range out {
+				out[t] = newIvSum(sets.NewIntervalSet(), sets.NewIntervalSet())
+			}
+			return out
+		}
+		start := fragmentedIvSet(rng, slots, 0.7)
+		// want[k] is generation k's bytes; gens holds the two live ones.
+		want := []*sets.IntervalSet{sets.NewIntervalSet(), start}
+		older, newer := core.State(new(IntervalSOS)), core.State(NewIntervalSOS(start))
+		var prevEpoch []core.Summary
+		for step := 0; step < 24; step++ {
+			// Runs of one to four unchanged epochs between changing ones.
+			cur := quiet()
+			if step%5 == 0 || rng.Intn(3) == 0 {
+				cur = row(0.03)
+			}
+			next := naiveUpdateSOS(want[len(want)-1], prevEpoch, cur, ivGenKill)
+			got := IntervalUpdateSOS(newer, older, prevEpoch, cur, ivGenKill)
+			if got != older {
+				t.Fatalf("seed %d step %d: the update did not reuse the dead generation", seed, step)
+			}
+			unchanged := next.Equal(want[len(want)-1])
+			if shares := got.(*IntervalSOS).Set() == newer.(*IntervalSOS).Set(); shares != unchanged {
+				t.Fatalf("seed %d step %d: an epoch that changes nothing = %v, shares prev's storage = %v", seed, step, unchanged, shares)
+			}
+			want = append(want, next)
+			if !sameGen(got, NewIntervalSOS(next), false) {
+				t.Fatalf("seed %d step %d: generation differs from the naive update", seed, step)
+			}
+			if !sameGen(newer, NewIntervalSOS(want[len(want)-2]), false) {
+				t.Fatalf("seed %d step %d: the update changed what prev reads", seed, step)
+			}
+			older, newer, prevEpoch = newer, got, cur
+		}
+		// The final update copies into fresh storage, even when unchanged.
+		final := IntervalUpdateSOS(newer, nil, prevEpoch, quiet(), ivGenKill)
+		if final.(*IntervalSOS).Set() == newer.(*IntervalSOS).Set() || !sameGen(final, NewIntervalSOS(want[len(want)-1]), true) {
+			t.Fatalf("seed %d: the final generation is not a fresh copy of the last", seed)
 		}
 	}
 }
@@ -351,15 +422,15 @@ func TestIntervalKernelEmptyInputs(t *testing.T) {
 		"empty rows":  {empty(), empty()},
 	} {
 		got := IntervalUpdateSOS(new(IntervalSOS), nil, prev, []core.Summary{empty(), empty()}, ivGenKill)
-		if !reflect.DeepEqual(got, core.State(new(IntervalSOS))) {
-			t.Errorf("IntervalUpdateSOS(%s) = %#v, want canonical empty", name, got)
+		if !sameGen(got, new(IntervalSOS), true) {
+			t.Errorf("IntervalUpdateSOS(%s) = %v, want canonical empty", name, got.(*IntervalSOS).Set())
 		}
 	}
 	// A full SOS killed entirely also ends canonical-empty.
 	full := sets.NewIntervalSet(sets.Interval{Lo: 0, Hi: 1 << 20})
 	killAll := newIvSum(sets.NewIntervalSet(), full.Clone())
-	if got := IntervalUpdateSOS(NewIntervalSOS(full), nil, nil, []core.Summary{killAll}, ivGenKill); !reflect.DeepEqual(got, core.State(new(IntervalSOS))) {
-		t.Errorf("IntervalUpdateSOS(kill everything) = %#v, want canonical empty", got)
+	if got := IntervalUpdateSOS(NewIntervalSOS(full), nil, nil, []core.Summary{killAll}, ivGenKill); !sameGen(got, new(IntervalSOS), true) {
+		t.Errorf("IntervalUpdateSOS(kill everything) = %v, want canonical empty", got.(*IntervalSOS).Set())
 	}
 }
 

@@ -66,14 +66,11 @@ type Summary struct {
 }
 
 // passScratch is what a thread's passes work in: the LSOS view and the SOS
-// update's sets, the report builder, and the union of the wings' kills the
-// second pass builds, with its directory. A thread runs one pass at a time,
+// update's sets, and the report builder. A thread runs one pass at a time,
 // so all its summaries share one: a new summary takes its head's.
 type passScratch struct {
-	sets      lifeguard.IntervalScratch
-	details   lifeguard.Details
-	wingKills sets.IntervalSet
-	killDir   sets.Directory
+	sets    lifeguard.IntervalScratch
+	details lifeguard.Details
 }
 
 // summaryFor returns the summary a first pass fills: ctx.Reuse emptied,
@@ -177,27 +174,62 @@ func (m *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 	return s, details.Finish()
 }
 
+var _ core.WingAggregator = (*Butterfly)(nil)
+
+// EmptyWings implements core.WingAggregator: a row's fold is the union of
+// its blocks' KillAny, each run tagged with the thread it came from.
+func (m *Butterfly) EmptyWings() any { return new(sets.RowUnion) }
+
+// FoldRow implements core.WingAggregator: it returns the runs written.
+func (m *Butterfly) FoldRow(dst any, row []core.Summary) int {
+	u := dst.(*sets.RowUnion)
+	for t, s := range row {
+		u.Add(t, sum(s).KillAny)
+	}
+	return u.Build()
+}
+
 // SecondPass implements core.Lifeguard: flag reads racing a definedness
 // destruction in the wings. (Wing *writes* only add definedness, which is
 // at worst early — like the paper's "tainted early" argument, harmless to
-// soundness.)
+// soundness.) Each read probes the ≤3 window rows' kill unions that hold
+// anything, leaving out the body's own thread by the runs' owners; a caller
+// that folds nothing (a reference walk) gets every wing's KillAny probed.
 func (m *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.Summary) []core.Report {
-	sc := sum(ctx.Own).scratch
-	wingKills := &sc.wingKills
-	wingKills.Reset()
-	for _, w := range wings {
-		wingKills.UnionInPlace(sum(w).KillAny)
+	t := int(b.Thread)
+	var kills [3]*sets.RowUnion
+	n := 0
+	for _, agg := range ctx.WingAggs {
+		if u, _ := agg.(*sets.RowUnion); u != nil && !u.Empty() {
+			kills[n] = u
+			n++
+		}
 	}
-	if wingKills.Empty() {
+	if ctx.WingAggs[1] != nil {
+		wings = nil
+	}
+	if n+len(wings) == 0 {
 		return nil
 	}
-	sc.killDir.Build(wingKills)
-	details := &sc.details
+	killed := func(lo, hi uint64) bool {
+		for _, u := range kills[:n] {
+			if u.OverlapsOther(t, lo, hi) {
+				return true
+			}
+		}
+		for _, w := range wings {
+			if sum(w).KillAny.OverlapsRange(lo, hi) {
+				return true
+			}
+		}
+		return false
+	}
+	details := &sum(ctx.Own).scratch.details
 	for i, e := range b.Events {
 		if e.Kind != trace.Read || !m.relevant(e) {
 			continue
 		}
-		if sc.killDir.OverlapsRange(wingKills, e.Lo(), e.Hi()) {
+		if killed(e.Lo(), e.Hi()) {
 			details.Str("read of ").Range(e.Lo(), e.Hi()).Str(" concurrent with a definedness change")
 			details.Report(core.Report{Ref: b.Ref(i), Ev: e, Code: CodeIsolation})
 		}

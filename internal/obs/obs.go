@@ -38,8 +38,8 @@ const (
 	MetricEpochs        = "driver.epochs"          // epochs fully analyzed
 	MetricEvents        = "driver.events"          // application events analyzed
 	MetricBlocks        = "driver.blocks"          // blocks (epoch × thread) analyzed
-	MetricWingFoldRows  = "wing.fold_rows"         // epoch rows folded into exclusive wing aggregates
-	MetricWingFoldOps   = "wing.fold_ops"          // AddWing/MergeWings calls performed by those folds
+	MetricWingFoldRows  = "wing.fold_rows"         // epoch rows folded into wing unions
+	MetricWingFoldOps   = "wing.fold_ops"          // runs those folds wrote
 	MetricPrefetchStall = "prefetch.stalls"        // analysis found the prefetch queue empty
 	MetricDecodeStall   = "prefetch.decode_stalls" // decoder found the prefetch queue full
 	MetricTicksInline   = "driver.ticks.inline"    // ticks whose passes ran on the feeding goroutine

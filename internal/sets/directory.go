@@ -22,8 +22,8 @@ const dirMinIntervals = 64
 // those two loads.
 //
 // A directory describes the contents the set had when Build ran, so it is
-// for sets that stay frozen while it is probed: an SOS generation, a folded
-// wing aggregate. Build again after any change. Sets below dirMinIntervals
+// for sets that stay frozen while it is probed: an SOS generation, the runs
+// of a RowUnion. Build again after any change. Sets below dirMinIntervals
 // get no directory, and probes through it take the set's own search, as if
 // it were not there. Its entries are a pure function of the set's
 // contents; only its storage, which Build and CopyFrom reuse, depends on
@@ -41,14 +41,15 @@ type Directory struct {
 func (d *Directory) Build(s *IntervalSet) {
 	// A small set over an empty directory, the common case, costs no call.
 	if len(s.ivs) >= dirMinIntervals || len(d.start) > 0 {
-		d.index(s, dirMinIntervals)
+		d.indexRuns(s.ivs, dirMinIntervals)
 	}
 }
 
-// index is Build for sets of at least min intervals; tests index smaller
-// ones.
-func (d *Directory) index(s *IntervalSet, min int) {
-	v := s.ivs
+// indexRuns indexes the sorted, disjoint runs v when there are at least min
+// of them (Build's min is dirMinIntervals; tests index smaller sets):
+// adjacent runs may touch, as a RowUnion's do. Storage is sized to v's
+// backing.
+func (d *Directory) indexRuns(v []Interval, min int) {
 	n := len(v)
 	d.start, d.lo, d.shift = d.start[:0], 0, 0
 	if n == 0 || n < min || uint64(n) > math.MaxUint32 {

@@ -142,7 +142,7 @@ func FuzzIntervalDirectory(f *testing.F) {
 		if s.Empty() {
 			return
 		}
-		d.index(s, 1)
+		d.indexRuns(s.ivs, 1)
 		extra := make([]uint64, 0, len(data)/8)
 		for i := 0; i+8 <= len(data); i += 8 {
 			var x uint64

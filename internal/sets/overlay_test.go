@@ -122,7 +122,7 @@ func TestOverlayMatchesByteModel(t *testing.T) {
 		var dir *Directory
 		if seed%2 == 1 {
 			dir = new(Directory)
-			dir.index(base, 1)
+			dir.indexRuns(base.ivs, 1)
 		}
 		view.Reset(base, dir)
 		m := &overlayModel{t: t, span: span, o: &view, ref: ref}
@@ -275,7 +275,7 @@ func overlayFuzzOps(t *testing.T, data []byte) {
 	}
 	base0 := base.Clone()
 	if dir != nil {
-		dir.index(base, 1)
+		dir.indexRuns(base.ivs, 1)
 	}
 	m := &overlayModel{t: t, span: span + 16, o: new(Overlay), ref: ref}
 	m.o.Reset(base, dir)
